@@ -129,7 +129,7 @@ class RunConfig:
     dump_fields: bool = False
     tolerances: dict = field(default_factory=dict)
 
-    def micro_config(self, stokes_available=False) -> MicroConfig:
+    def micro_config(self) -> MicroConfig:
         m = self.raw["micro"]
         return MicroConfig(
             dt=float(m["dt"]),

@@ -1,5 +1,11 @@
 """Conjugate-gradient solver for the package's SPD structured-grid systems.
 
+The preconditioner is Jacobi by default.  A caller may pass its own M^-1
+instead, and then ``A`` only has to support ``A @ x``: the implicit
+transport step passes the solve of its once-factored backward-Euler
+operator and applies its Newton matrix matrix-free.  Either way the
+stopping rule is on the true residual of ``A``.
+
 Pure-Neumann/periodic operators are singular with a constant null vector;
 for those the iteration projects the constant out of the iterates and the
 right-hand side, which keeps CG on the orthogonal complement where the
@@ -18,16 +24,18 @@ def _project_constant(x):
     return x
 
 
-def cg(A, b, *, tol=1e-10, maxiter=None, diag=None, project_constant=False, x0=None):
+def cg(A, b, *, tol=1e-10, maxiter=None, precond=None, project_constant=False, x0=None):
     """Solve A x = b by preconditioned conjugate gradients.
 
     Parameters
     ----------
-    A : scipy sparse matrix (SPD, or SPSD with constant null space).
+    A : scipy sparse matrix (SPD, or SPSD with constant null space), or a
+        LinearOperator when ``precond`` is given.
     b : right-hand side.
     tol : relative residual target, ||r|| <= tol * ||b|| (absolute floor
         of tol when b = 0).
-    diag : optional diagonal of A for Jacobi scaling; extracted when None.
+    precond : optional callable applying an SPD M^-1 to a residual; Jacobi
+        scaling by the diagonal of A when None.
     project_constant : project the constant null vector out of b and every
         iterate (consistent singular systems).
 
@@ -39,9 +47,12 @@ def cg(A, b, *, tol=1e-10, maxiter=None, diag=None, project_constant=False, x0=N
     n = b.size
     if maxiter is None:
         maxiter = max(200, 20 * n)
-    if diag is None:
+    if precond is None:
         diag = A.diagonal()
-    invdiag = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
+        invdiag = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
+
+        def precond(r):
+            return invdiag * r
 
     if project_constant:
         _project_constant(b)
@@ -55,7 +66,7 @@ def cg(A, b, *, tol=1e-10, maxiter=None, diag=None, project_constant=False, x0=N
     if np.linalg.norm(r) <= floor:
         return x, np.linalg.norm(r) / max(bnorm, 1.0), 0
 
-    z = invdiag * r
+    z = precond(r)
     if project_constant:
         _project_constant(z)
     p = z.copy()
@@ -70,7 +81,7 @@ def cg(A, b, *, tol=1e-10, maxiter=None, diag=None, project_constant=False, x0=N
             if project_constant:
                 _project_constant(x)
             return x, rnorm / max(bnorm, 1.0), it
-        z = invdiag * r
+        z = precond(r)
         if project_constant:
             _project_constant(z)
         rz_new = r @ z

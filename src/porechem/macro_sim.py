@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._implicit import newton_reaction_diffusion
+from ._implicit import ImplicitOperator, newton_reaction_diffusion
 from .errors import ConfigError, StateError
 from .kinetics import EXACT, DissolutionResolution, RateLaw, dissolution_rate, ode_step, regularized_heaviside
 
@@ -292,6 +292,7 @@ class MacroSolver:
         self.h = 1.0 / self.m
         dirichlet = {e: cfg.dirichlet_value for e in cfg.dirichlet_edges}
         self.L, self.bc_const = _tensor_operator(self.m, cfg.S, dirichlet)
+        self.implicit = ImplicitOperator(self.L, np.full(self.m * self.m, self.h * self.h / cfg.dt))
         self.owners = np.arange(self.m * self.m)
         self.weights = np.full(self.m * self.m, cfg.storage_factor * self.h * self.h)
         if cfg.velocity_mode == "darcy":
@@ -336,16 +337,14 @@ class MacroSolver:
 
     def step(self, state: MacroState):
         cfg = self.cfg
-        h, dt = self.h, cfg.dt
-        h2 = h * h
+        dt = cfg.dt
         law = cfg.rate_law
 
         u_adv, adv_in = self._advect(state.u)
         u0 = u_adv.ravel()
-        mass_diag = np.full(u0.size, h2 / dt)
-        rhs = mass_diag * u0 + self.bc_const
+        rhs = self.implicit.mass_diag * u0 + self.bc_const
         u_new_flat, res = newton_reaction_diffusion(
-            self.L, mass_diag, rhs,
+            self.implicit, rhs,
             self.owners, self.weights,
             law, cfg.resolution, state.v.ravel(), dt, u0,
             lin_tol=cfg.lin_tol, newton_tol=cfg.newton_tol,

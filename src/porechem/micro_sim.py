@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._implicit import newton_reaction_diffusion
+from ._implicit import ImplicitOperator, newton_reaction_diffusion
 from .errors import ConfigError, StateError
 from .geometry import PerforatedGrid
 from .kinetics import EXACT, DissolutionResolution, RateLaw, dissolution_rate, ode_step, regularized_heaviside
@@ -174,6 +174,7 @@ class MicroSolver:
         self.m = grid.n_fluid_cells
 
         self._assemble_diffusion()
+        self.implicit = ImplicitOperator(self.A, np.full(self.m, self.h * self.h / cfg.dt))
         f = grid.faces
         self.face_owner = self.idx[f.owner_ix, f.owner_iy]
         self.face_weight = np.full(f.count, self.eps * self.h)
@@ -283,7 +284,6 @@ class MicroSolver:
         ng = self.grid.n_global
         qx, qy = self.vel.qx, self.vel.qy
         fluid = self.fluid
-        uD = self.cfg.dirichlet_value if "left" in self.cfg.dirichlet_edges else 0.0
         # face fluxes, positive in +axis direction
         Fx = np.zeros((ng + 1, ng))
         up = np.maximum(qx[1:-1, :], 0.0)
@@ -307,16 +307,14 @@ class MicroSolver:
 
     def step(self, state: MicroState) -> tuple[MicroState, MassRow]:
         cfg = self.cfg
-        h, dt = self.h, cfg.dt
-        h2 = h * h
+        dt = cfg.dt
         law = cfg.rate_law
 
         u_adv, adv_in = self._advect(state.u)
         uf0 = u_adv[self.fluid]
-        mass_diag = np.full(self.m, h2 / dt)
-        rhs = mass_diag * uf0 + self.dir_weight * cfg.dirichlet_value
+        rhs = self.implicit.mass_diag * uf0 + self.dir_weight * cfg.dirichlet_value
         u_new_f, res = newton_reaction_diffusion(
-            self.A, mass_diag, rhs,
+            self.implicit, rhs,
             self.face_owner, self.face_weight,
             law, cfg.resolution, state.v, dt, uf0,
             lin_tol=cfg.lin_tol, newton_tol=cfg.newton_tol,

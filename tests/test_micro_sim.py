@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porechem.cell_problems import assemble_K, solve_stokes_cell
 from porechem.errors import ConfigError
@@ -248,3 +250,47 @@ def test_config_validation(grid):
         run(MicroConfig(dt=0.01, t_end=0.1, u_init=2.5), grid)  # above m0
     with pytest.raises(ConfigError):
         MicroSolver(MicroConfig(dt=0.01, t_end=0.1, velocity_mode="reconstructed"), grid)
+
+
+def _values(a):
+    return lambda x, y: a
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    exponent=st.floats(1.0, 3.0),
+    k=st.floats(0.5, 20.0),
+    u_onset=st.floats(0.0, 0.5),
+    u_span=st.floats(0.2, 1.0),
+    D=st.floats(0.01, 5.0),
+    edges=st.sampled_from([(), ("left",), ("left", "right")]),
+    dirichlet_value=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_properties_at_kinetic_bound(grid, exponent, k, u_onset, u_span, D, edges,
+                                          dirichlet_value, seed):
+    # dt at the kinetic bound dt*k*L_r = 1 makes the reaction slope as large
+    # against the mass term as validation allows
+    law = RateLaw(u_onset=u_onset, u_sol=u_onset + u_span, exponent=exponent, k=k)
+    m0 = 1.0
+    dt = 1.0 / (k * law.lipschitz_bound(max(m0, law.u_sol, dirichlet_value)))
+    rng = np.random.default_rng(seed)
+    nu, nv = grid.n_fluid_cells, grid.faces.count
+    u_lo, v_lo = rng.uniform(0.0, m0, nu), rng.uniform(0.0, m0, nv)
+    u_hi = u_lo + rng.uniform(0.0, 1.0, nu) * (m0 - u_lo)
+    v_hi = v_lo + rng.uniform(0.0, 1.0, nv) * (m0 - v_lo)
+    runs = []
+    for u0, v0 in ((u_lo, v_lo), (u_hi, v_hi)):
+        cfg = MicroConfig(dt=dt, t_end=6 * dt, D=D, rate_law=law, m0=m0,
+                          dirichlet_edges=edges, dirichlet_value=dirichlet_value,
+                          u_init=_values(u0), v_init=_values(v0))
+        r = run(cfg, grid)  # per-step invariant checks run inside
+        for row in r.mass:
+            assert -cfg.invariant_slack <= row.min_u
+            assert row.max_u <= cfg.box_bound + cfg.invariant_slack
+            assert row.min_v >= 0.0
+            assert abs(row.drift) <= cfg.invariant_slack
+        runs.append(r)
+    d = [l1_distance(a, b, grid) for a, b in zip(runs[0].states, runs[1].states)]
+    for i in range(1, len(d)):
+        assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14
