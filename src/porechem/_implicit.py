@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .kinetics import DissolutionResolution, RateLaw, net_rate, net_rate_derivative, ode_step
-from .linalg import cg
+from .linalg import cg, factor_spd
 
 
 def resolved_net_rate(law: RateLaw, resolution: DissolutionResolution, u, v, dt):
@@ -54,8 +54,7 @@ class ImplicitOperator:
 
     ``A`` is the diffusion operator over active cells and ``mass_diag`` the
     time-scaled volume term; both are fixed for a run, so ``B`` is factored
-    here once.  The symmetric-mode ordering keeps the factor small on the
-    5-point operators (diagonal pivots, minimum degree on ``A + A^T``).
+    here once.
     """
 
     def __init__(self, A, mass_diag):
@@ -64,10 +63,7 @@ class ImplicitOperator:
         # residual measured against the operator scale; a mass-only scale is
         # unreachable when D*dt/h^2 is large (round-off floor of the solve)
         self.scale = float(np.max(mass_diag + A.diagonal()))
-        B = (A + sp.diags(mass_diag)).tocsc()
-        self.lu = spla.splu(
-            B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
+        self.lu = factor_spd(A + sp.diags(mass_diag))
 
 
 def newton_reaction_diffusion(

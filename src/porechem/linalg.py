@@ -10,11 +10,15 @@ Pure-Neumann/periodic operators are singular with a constant null vector;
 for those the iteration projects the constant out of the iterates and the
 right-hand side, which keeps CG on the orthogonal complement where the
 operator is definite.
+
+``factor_spd`` is the one sparse LU factorization of the package, shared
+by the implicit transport step and the Stokes cell solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
@@ -91,4 +95,15 @@ def cg(A, b, *, tol=1e-10, maxiter=None, precond=None, project_constant=False, x
         f"CG failed to reach {tol:g} in {maxiter} iterations "
         f"(relative residual {np.linalg.norm(r) / max(bnorm, 1.0):.3e})",
         residual=float(np.linalg.norm(r) / max(bnorm, 1.0)),
+    )
+
+
+def factor_spd(A):
+    """Sparse LU factor of a symmetric positive definite matrix.
+
+    The symmetric-mode ordering (diagonal pivots, minimum degree on
+    ``A + A^T``) keeps the factor of the 5-point operators small.
+    """
+    return spla.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )

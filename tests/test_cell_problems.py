@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from porechem.cell_problems import (
+    _get_ops,
     assemble_K,
     assemble_S,
     dirichlet_form,
@@ -110,7 +113,44 @@ def test_unconverged_solve_flagged(cell64):
 def test_stokes_solution_quality(stokes64):
     for s in stokes64:
         assert s.div_inf <= 1e-9
-        assert s.momentum_res <= 1e-8
+        assert s.momentum_res <= 1e-11
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_stokes_momentum_residual_does_not_grow_with_n(n):
+    c = build_unit_cell(0.5, (0.5, 0.5), n)
+    for j in range(2):
+        assert solve_stokes_cell(c, j).momentum_res <= 1e-11
+
+
+def test_stokes_schur_iterations_bounded(stokes64):
+    # the pressure Schur complement is spectrally equivalent to the mass
+    # matrix; a count past this bound means the solve lost that property
+    for s in stokes64:
+        assert 0 < s.iters <= 25
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.5, 0.375)])
+def test_stokes_matches_direct_saddle_point_solve(center):
+    c = build_unit_cell(0.5, center, 16)
+    sols = [solve_stokes_cell(c, j) for j in range(2)]
+    ops = _get_ops(c)
+    # [[A, G], [G^T, 0]] with the first pressure pinned to zero
+    G1 = ops.G[:, 1:]
+    M = sp.bmat([[ops.A, G1], [G1.T, None]], format="csc")
+    nvel = ops.nu + ops.nv
+    means = []
+    for j, s in enumerate(sols):
+        b = np.zeros(M.shape[0])
+        b[slice(0, ops.nu) if j == 0 else slice(ops.nu, nvel)] = c.h**2
+        x = spla.spsolve(M, b)[:nvel]
+        got = np.concatenate([s.u[ops.u_active], s.v[ops.v_active]])
+        assert np.max(np.abs(got - x)) <= 1e-11 * np.max(np.abs(x))
+        means.append(np.array([x[: ops.nu].sum(), x[ops.nu :].sum()]) * c.h**2 / c.pore_area)
+    K_ref = np.column_stack(means)
+    K_ref = 0.5 * (K_ref + K_ref.T)
+    K, _ = assemble_K(c, sols)
+    assert np.max(np.abs(K - K_ref)) <= 1e-13
 
 
 def test_stokes_symmetry_and_mean_flow(stokes64):

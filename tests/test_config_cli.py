@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from porechem import cell_problems
+from porechem.cell_problems import read_tensor_csv
 from porechem.cli import main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
@@ -162,6 +164,32 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["cell", "--config", str(bad), "--out", str(out), "--quiet"]) == 2
     record = (out / "error_record.txt").read_text()
     assert "kind = config" in record and "1/eps" in record
+
+
+def test_cli_cell_threads_factor_stokes_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MINIMAL.replace("n = 8", "n = 32"))
+    built = []
+    init = cell_problems._MacOperators.__init__
+
+    def counting_init(self, cell):
+        built.append(cell.n)
+        init(self, cell)
+
+    monkeypatch.setattr(cell_problems._MacOperators, "__init__", counting_init)
+    tensors = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PORECHEM_THREADS", threads)
+        monkeypatch.setattr(cell_problems, "_ops_cache", {})
+        built.clear()
+        out = tmp_path / f"t{threads}"
+        assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert built == [32]
+        tensors[threads] = read_tensor_csv(out / "effective_tensors.csv")
+    S1, K1, _ = tensors["1"]
+    S2, K2, _ = tensors["2"]
+    assert np.array_equal(S1, S2)
+    assert np.array_equal(K1, K2)
 
 
 def test_cli_byte_identical_reruns(tmp_path):
