@@ -7,8 +7,12 @@ Layers, bottom to top:
   dissolution rate with an event-exact precipitate ODE;
 * :mod:`porechem.cell_problems` -- periodic corrector and Stokes cell
   problems, effective diffusion S and permeability K;
-* :mod:`porechem.micro_sim` / :mod:`porechem.macro_sim` -- transport
-  solvers on the perforated and upscaled domains;
+* :mod:`porechem.transport` -- the transport core both scales share:
+  config checks, state, upwind advection, the implicit step, invariant
+  checks, mass report and run loop;
+* :mod:`porechem.micro_sim` / :mod:`porechem.macro_sim` -- the core on the
+  perforated grid (fluid cells, grain faces) and on the upscaled grid (all
+  cells, diagonal S and K);
 * :mod:`porechem.homogenize` -- extension/unfolding operators, oscillation
   quadrature, two-scale error norms, and the eps-sweep harness;
 * :mod:`porechem.config` / :mod:`porechem.cli` -- run configuration and the

@@ -70,7 +70,7 @@ def newton_reaction_diffusion(
     op: ImplicitOperator,
     rhs,
     owners,
-    weights,
+    weight,
     law: RateLaw,
     resolution: DissolutionResolution,
     v,
@@ -81,13 +81,13 @@ def newton_reaction_diffusion(
     newton_tol=1e-12,
     max_newton=60,
 ):
-    """Solve  mass_diag*u + A u + sum_f weights_f G(u[owners_f]) = rhs.
+    """Solve  mass_diag*u + A u + weight * sum_f G(u[owners_f]) = rhs.
 
-    ``op`` holds the (SPD, unit-weight times diffusivity) diffusion operator
-    ``A`` over active cells, the time-scaled volume term ``mass_diag`` and
-    the factor of their sum; ``owners`` maps reaction carriers (grain faces
-    or cells) to cell indices and ``weights`` their coupling (eps*h for
-    faces, coupled-storage h^2 for macro cells).
+    ``op`` holds the (SPD) diffusion operator ``A`` over active cells, the
+    time-scaled volume term ``mass_diag`` and the factor of their sum;
+    ``owners`` maps reaction carriers (grain faces or cells) to cell indices
+    and ``weight`` is their common coupling (eps*h for faces, the
+    coupled-storage c_g*h^2 for macro cells).
     Returns ``(u, residual)`` with residual in concentration units.
     """
     u = u0.copy()
@@ -96,14 +96,14 @@ def newton_reaction_diffusion(
     for _ in range(max_newton):
         g = resolved_net_rate(law, resolution, u[owners], v, dt)
         F = mass_diag * u + A @ u - rhs
-        F += np.bincount(owners, weights=weights * g, minlength=n)
+        F += np.bincount(owners, weights=weight * g, minlength=n)
         res = float(np.max(np.abs(F))) / scale
         # the signed residual sum is the per-step mass defect: drive it an
         # order further so conservation does not accumulate over long runs
         if res <= newton_tol and abs(float(F.sum())) <= 0.1 * newton_tol * scale:
             return u, res
         gp = resolved_net_rate_slope(law, resolution, u[owners], v, dt)
-        d = mass_diag + np.bincount(owners, weights=weights * gp, minlength=n)
+        d = mass_diag + np.bincount(owners, weights=weight * gp, minlength=n)
         J = spla.LinearOperator((n, n), matvec=lambda p, d=d: A @ p + d * p, dtype=float)
         delta, _, _ = cg(J, F, tol=lin_tol, precond=op.lu.solve)
         u = u - delta

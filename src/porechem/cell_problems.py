@@ -43,6 +43,7 @@ import scipy.sparse.linalg as spla
 from . import linalg
 from .errors import AssemblyError, DegeneracyError, SolverError
 from .geometry import UnitCell
+from .gridio import read_csv, write_csv
 from .linalg import cg
 
 DEFAULT_TOL = 1e-10
@@ -67,10 +68,6 @@ class CellScalarField:
     values: np.ndarray        # (n, n), zero-mean over fluid, 0 in solid
     residual: float
     degenerate: bool = False  # True for the no-perforation cell (xi == 0)
-
-    @property
-    def fluid_values(self) -> np.ndarray:
-        return self.values[self.cell.fluid]
 
 
 def _fluid_adjacency(cell: UnitCell):
@@ -505,6 +502,11 @@ def effective_tensors(cell: UnitCell, D: float = 1.0, tol: float = DEFAULT_TOL) 
     S, s_info = assemble_S(cell, fields, D=D)
     sols = [solve_stokes_cell(cell, j) for j in range(2)]
     K, k_info = assemble_K(cell, sols)
+    return tensors_with_provenance(cell, fields, sols, S, s_info, K, k_info, D, tol)
+
+
+def tensors_with_provenance(cell, fields, sols, S, s_info, K, k_info, D, tol) -> EffectiveTensors:
+    """Package assembled S and K with the certificates of the solves behind them."""
     prov = {
         "n": cell.n,
         "hole_side": cell.hole_side,
@@ -543,23 +545,12 @@ def write_tensor_csv(path, cell: UnitCell, tensors: EffectiveTensors):
         p["xi_residuals"][0], p["xi_residuals"][1], p["stokes_div"][0], p["stokes_div"][1],
         int(np.all(np.linalg.eigvalsh(S) > 0)), int(np.all(np.linalg.eigvalsh(K) > 0)),
     ]
-    with open(path, "w") as f:
-        f.write(",".join(_CSV_COLUMNS) + "\n")
-        f.write(",".join(_fmt(x) for x in row) + "\n")
+    write_csv(path, _CSV_COLUMNS, [row])
 
 
 def read_tensor_csv(path):
     """Read back S, K, alpha_s from an effective_tensors.csv file."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        values = f.readline().strip().split(",")
-    rec = dict(zip(header, values))
-    S = np.array([[float(rec["s11"]), float(rec["s12"])], [float(rec["s21"]), float(rec["s22"])]])
-    K = np.array([[float(rec["k11"]), float(rec["k12"])], [float(rec["k21"]), float(rec["k22"])]])
-    return S, K, float(rec["alpha_s"])
-
-
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    rec = read_csv(path)[1][0]
+    S = np.array([[rec["s11"], rec["s12"]], [rec["s21"], rec["s22"]]])
+    K = np.array([[rec["k11"], rec["k12"]], [rec["k21"], rec["k22"]]])
+    return S, K, rec["alpha_s"]

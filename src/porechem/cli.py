@@ -26,12 +26,12 @@ import numpy as np
 
 from . import __version__
 from .cell_problems import (
-    EffectiveTensors,
     assemble_K,
     assemble_S,
     read_tensor_csv,
     solve_diffusion_cell,
     solve_stokes_cell,
+    tensors_with_provenance,
     write_tensor_csv,
 )
 from .config import parse_config
@@ -64,7 +64,7 @@ def _prepare_out(args, cfg):
     return out
 
 
-def _compute_tensors(cfg) -> EffectiveTensors:
+def _compute_tensors(cfg):
     tol = cfg.tolerances["cell"]
     D = float(cfg.raw["micro"]["diffusivity"])
     if _threads() > 1:
@@ -76,21 +76,7 @@ def _compute_tensors(cfg) -> EffectiveTensors:
     sols = [solve_stokes_cell(cfg.cell, j) for j in range(2)]
     S, s_info = assemble_S(cfg.cell, fields, D=D, spd_tol=cfg.tolerances["spd"])
     K, k_info = assemble_K(cfg.cell, sols, spd_tol=cfg.tolerances["spd"])
-    prov = {
-        "n": cfg.cell.n,
-        "hole_side": cfg.cell.hole_side,
-        "xi_residuals": [f.residual for f in fields],
-        "stokes_div": [s.div_inf for s in sols],
-        "stokes_momentum_res": [s.momentum_res for s in sols],
-        "stokes_iters": [s.iters for s in sols],
-        "s_asymmetry": s_info["asymmetry"],
-        "s_quad_err": s_info["quad_err"],
-        "k_asymmetry": k_info["asymmetry"],
-        "k_grad_err": k_info["grad_err"],
-        "tol": tol,
-    }
-    tensors = EffectiveTensors(S=S, K=K, alpha_s=s_info["alpha_s"], D=D, provenance=prov)
-    return tensors, fields, sols
+    return tensors_with_provenance(cfg.cell, fields, sols, S, s_info, K, k_info, D, tol), fields, sols
 
 
 def cmd_cell(args, cfg):
@@ -114,28 +100,24 @@ def cmd_cell(args, cfg):
 _SERIES_COLUMNS = ["t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v", "l1_step_rate"]
 
 
-def _series_rows(times, states, mass_rows, grid=None):
+def _series_rows(run):
     """Series CSV rows at the snapshot cadence (the mass report itself is
-    per step; snapshot rows are selected by time)."""
-    mass_t = np.array([(r["t"] if isinstance(r, dict) else r.t) for r in mass_rows])
+    per step; snapshot rows are selected by time).  The L1 step rate uses
+    the contraction functional on a pore-scale run, the solute alone on a
+    macro run."""
+    mass_t = np.array([r.t for r in run.mass])
     rows = []
-    for i, t in enumerate(times):
-        row = mass_rows[int(np.argmin(np.abs(mass_t - t)))]
-        if grid is not None and i > 0:
-            lag = times[i] - times[i - 1]
-            rate = l1_distance(states[i], states[i - 1], grid) / lag if lag > 0 else 0.0
-        elif grid is None and i > 0:
-            lag = times[i] - times[i - 1]
-            h2 = 1.0 / states[i].u.size
-            du = float(np.abs(states[i].u - states[i - 1].u).sum() * h2)
-            rate = du / lag if lag > 0 else 0.0
-        else:
+    for i, t in enumerate(run.times):
+        row = run.mass[int(np.argmin(np.abs(mass_t - t)))]
+        lag = t - run.times[i - 1] if i > 0 else 0.0
+        if lag <= 0:
             rate = 0.0
-        r = row if isinstance(row, dict) else row.__dict__
-        rows.append(
-            dict(t=r["t"], mass_u=r["mass_u"], mass_v=r["mass_v"], min_u=r["min_u"],
-                 max_u=r["max_u"], min_v=r["min_v"], max_v=r["max_v"], l1_step_rate=rate)
-        )
+        elif run.grid is not None:
+            rate = l1_distance(run.states[i], run.states[i - 1], run.grid) / lag
+        else:
+            h2 = 1.0 / run.states[i].u.size
+            rate = float(np.abs(run.states[i].u - run.states[i - 1].u).sum() * h2) / lag
+        rows.append({c: getattr(row, c) for c in _SERIES_COLUMNS[:-1]} | {"l1_step_rate": rate})
     return rows
 
 
@@ -149,7 +131,7 @@ def cmd_micro(args, cfg):
     solver = MicroSolver(micro_cfg, grid, stokes)
     run = solver.run()
     write_classification(grid, out / "grid_classification.txt")
-    write_csv(out / "micro_series.csv", _SERIES_COLUMNS, _series_rows(run.times, run.states, run.mass, grid))
+    write_csv(out / "micro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     faces = grid.faces
     for i, state in enumerate(run.states):
         write_field(out / f"u_{i:05d}.txt", state.u, grid.h, grid.fluid_mask)
@@ -176,16 +158,15 @@ def cmd_macro(args, cfg):
             "or pass --tensors"
         )
     S, K, _ = read_tensor_csv(tensor_path)
-    macro_cfg = cfg.macro_config(S, K, cfg.cell.pore_area, cfg.cell.surface_measure)
+    macro_cfg = cfg.macro_config(S, K)
     solver = MacroSolver(macro_cfg)
     run = solver.run()
-    h = 1.0 / macro_cfg.resolution_cells
-    write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run.times, run.states, run.mass))
+    write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     for i, state in enumerate(run.states):
-        write_field(out / f"macro_u_{i:05d}.txt", state.u, h)
-        write_field(out / f"macro_v_{i:05d}.txt", state.v, h)
+        write_field(out / f"macro_u_{i:05d}.txt", state.u, solver.h)
+        write_field(out / f"macro_v_{i:05d}.txt", state.v, solver.h)
     if solver.P is not None:
-        write_field(out / "macro_pressure.txt", solver.P, h)
+        write_field(out / "macro_pressure.txt", solver.P, solver.h)
     _say(args.quiet, f"macro run: {len(run.times)} snapshots, final t = {run.times[-1]}")
     return 0
 
@@ -194,9 +175,7 @@ def cmd_converge(args, cfg):
     out = _prepare_out(args, cfg)
     tensors, _, sols = _compute_tensors(cfg)
     write_tensor_csv(out / "effective_tensors.csv", cfg.cell, tensors)
-    macro_cfg = cfg.macro_config(
-        tensors.S, tensors.K, cfg.cell.pore_area, cfg.cell.surface_measure
-    )
+    macro_cfg = cfg.macro_config(tensors.S, tensors.K)
     micro_cfg = cfg.micro_config()
     stokes = sols if micro_cfg.velocity_mode == "reconstructed" else None
     report = sweep(cfg.cell, cfg.sweep_eps, micro_cfg, macro_cfg, stokes)
@@ -231,10 +210,7 @@ def cmd_unfold(args, cfg):
     )
     for r in osc:
         rows.append({"kind": "oscillation_x1", "name": f"eps={r['eps']:.6g}", "value": r["error"]})
-    with open(out / "unfold_report.csv", "w") as f:
-        f.write("kind,name,value\n")
-        for r in rows:
-            f.write(f"{r['kind']},{r['name']},{format(float(r['value']), '.17g')}\n")
+    write_csv(out / "unfold_report.csv", ["kind", "name", "value"], rows)
     _say(args.quiet, f"wrote {out / 'unfold_report.csv'} ({len(rows)} rows)")
     return 0
 

@@ -19,6 +19,7 @@ from .geometry import UnitCell
 from .kinetics import DissolutionResolution, RateLaw
 from .macro_sim import MacroConfig
 from .micro_sim import MicroConfig
+from .transport import EDGES
 
 _DEFAULTS = {
     "geometry": {
@@ -89,9 +90,20 @@ def _parse_floats(text, count=None):
 def _parse_edges(text):
     edges = tuple(e.strip() for e in text.split(",") if e.strip() and e.strip() != "none")
     for e in edges:
-        if e not in ("left", "right", "bottom", "top"):
-            raise ConfigError(f"unknown edge {e!r} in dirichlet_edges")
+        if e not in EDGES:
+            raise ConfigError(f"unknown edge {e!r} in dirichlet_edges; valid edges: {', '.join(EDGES)}")
     return edges
+
+
+def _parse_tolerance(key, text):
+    """A finite positive tolerance: anything else stalls or disables its check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"[tolerances] {key} must be a finite positive number, got {text!r}")
+    return value
 
 
 def _parse_init(text):
@@ -129,18 +141,17 @@ class RunConfig:
     dump_fields: bool = False
     tolerances: dict = field(default_factory=dict)
 
-    def micro_config(self) -> MicroConfig:
-        m = self.raw["micro"]
-        return MicroConfig(
+    def _transport_fields(self, section) -> dict:
+        """The fields both transport configs read from their section."""
+        m = self.raw[section]
+        return dict(
             dt=float(m["dt"]),
             t_end=float(m["t_end"]),
-            D=float(m["diffusivity"]),
             rate_law=self.rate_law,
             resolution=self.resolution,
             u_init=_parse_init(m["u_init"]),
             v_init=_parse_init(m["v_init"]),
             velocity_mode=m["velocity_mode"],
-            pressure_gradient=_parse_floats(m["pressure_gradient"], 2),
             dirichlet_edges=self.dirichlet_edges,
             dirichlet_value=float(m["dirichlet_value"]),
             m0=float(m["m0"]),
@@ -150,30 +161,26 @@ class RunConfig:
             invariant_slack=self.tolerances["invariant_slack"],
         )
 
-    def macro_config(self, S, K, pore_area, surface_density) -> MacroConfig:
+    def micro_config(self) -> MicroConfig:
+        m = self.raw["micro"]
+        return MicroConfig(
+            D=float(m["diffusivity"]),
+            pressure_gradient=_parse_floats(m["pressure_gradient"], 2),
+            **self._transport_fields("micro"),
+        )
+
+    def macro_config(self, S, K) -> MacroConfig:
+        """The macro config for tensors S, K on the configured cell."""
         m = self.raw["macro"]
         return MacroConfig(
-            dt=float(m["dt"]),
-            t_end=float(m["t_end"]),
             S=S,
             K=K,
-            pore_area=pore_area,
-            surface_density=surface_density,
-            rate_law=self.rate_law,
-            resolution=self.resolution,
+            pore_area=self.cell.pore_area,
+            surface_density=self.cell.surface_measure,
             resolution_cells=int(m["resolution"]),
-            u_init=_parse_init(m["u_init"]),
-            v_init=_parse_init(m["v_init"]),
-            velocity_mode=m["velocity_mode"],
             p_left=float(m["p_left"]),
             p_right=float(m["p_right"]),
-            dirichlet_edges=self.dirichlet_edges,
-            dirichlet_value=float(m["dirichlet_value"]),
-            m0=float(m["m0"]),
-            output_every=int(m["output_every"]),
-            lin_tol=self.tolerances["linear"],
-            newton_tol=self.tolerances["newton"],
-            invariant_slack=self.tolerances["invariant_slack"],
+            **self._transport_fields("macro"),
         )
 
     def write_resolved(self, path):
@@ -241,14 +248,7 @@ def parse_config(path_or_text) -> RunConfig:
     else:
         cfg.resolution = DissolutionResolution(mode=mode, delta=float(k["delta"]))
 
-    t = raw["tolerances"]
-    cfg.tolerances = {
-        "linear": float(t["linear"]),
-        "newton": float(t["newton"]),
-        "invariant_slack": float(t["invariant_slack"]),
-        "spd": float(t["spd"]),
-        "cell": float(t["cell"]),
-    }
+    cfg.tolerances = {key: _parse_tolerance(key, raw["tolerances"][key]) for key in _DEFAULTS["tolerances"]}
     cfg.dump_fields = _parse_bool(raw["output"]["dump_fields"])
 
     sweep_eps = _parse_floats(raw["sweep"]["eps_list"])
@@ -263,7 +263,5 @@ def parse_config(path_or_text) -> RunConfig:
     # cross-field invariants: building the sub-configs runs their checks
     # (kinetic time-step bound, box bounds on initial data ranges, modes)
     cfg.micro_config()
-    cfg.macro_config(np.eye(2), np.eye(2), cfg.cell.pore_area, cfg.cell.surface_measure)
-    if not math.isfinite(cfg.tolerances["linear"]):
-        raise ConfigError("non-finite tolerance")
+    cfg.macro_config(np.eye(2), np.eye(2))
     return cfg

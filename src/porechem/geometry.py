@@ -68,10 +68,6 @@ class UnitCell:
             _aligned_int(self.n * (c - a / 2.0), "n*(hole_center - hole_side/2)")
 
     @property
-    def dim(self) -> int:
-        return 2
-
-    @property
     def h(self) -> float:
         return 1.0 / self.n
 

@@ -24,11 +24,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import PerforatedGrid, UnitCell, tile_domain
+from .gridio import write_csv
 from .kinetics import RateLaw
-from .macro_sim import MacroConfig, MacroRun
+from .macro_sim import MacroConfig
 from .macro_sim import run as macro_run_fn
-from .micro_sim import MicroConfig, MicroRun, difference_quotient_norm
+from .micro_sim import MicroConfig, difference_quotient_norm
 from .micro_sim import run as micro_run_fn
+from .transport import Run
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def _check_times(t1, t2):
         raise ConfigError("micro and macro output times do not match")
 
 
-def two_scale_errors(micro: MicroRun, macro: MacroRun, law: RateLaw | None = None) -> dict:
+def two_scale_errors(micro: Run, macro: Run, law: RateLaw | None = None) -> dict:
     """Space-time errors between one micro run and the macro run.
 
     Volume error: L2(Omega x (0,T)) distance between the grain-filled
@@ -194,15 +196,7 @@ class ConvergenceReport:
 
     def write_csv(self, path):
         cols = ["eps", "err_u_L2", "err_v_unfolded_L2", "err_r_L2", "order_u", "order_v"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.rows:
-                fh.write(
-                    ",".join(
-                        format(r[c], ".17g") if r.get(c) is not None else "" for c in cols
-                    )
-                    + "\n"
-                )
+        write_csv(path, cols, self.rows)
 
 
 def sweep(
@@ -219,16 +213,12 @@ def sweep(
         raise ConfigError("eps_list must be strictly decreasing")
     macro = macro_run_fn(macro_cfg)
     rows = []
-    dq_rows = []
     for eps in eps_list:
         grid = tile_domain(cell, eps)
         micro = micro_run_fn(micro_cfg, grid, stokes)
         row = two_scale_errors(micro, macro)
-        if len(micro.times) > 1:
-            dq = difference_quotient_norm(micro, micro.times[1] - micro.times[0])
-            dq_rows.append(float(np.max(dq)))
-        else:
-            dq_rows.append(0.0)
+        dq = [0.0] if len(micro.times) < 2 else difference_quotient_norm(micro, np.diff(micro.times)[0])
+        row["dq_max"] = float(np.max(dq))
         rows.append(row)
     for i, row in enumerate(rows):
         if i == 0:
@@ -238,7 +228,6 @@ def sweep(
             span = np.log(rows[i - 1]["eps"] / row["eps"])
             row["order_u"] = _order(rows[i - 1]["err_u_L2"], row["err_u_L2"], span)
             row["order_v"] = _order(rows[i - 1]["err_v_unfolded_L2"], row["err_v_unfolded_L2"], span)
-        row["dq_max"] = dq_rows[i]
     return ConvergenceReport(rows=rows)
 
 

@@ -28,7 +28,7 @@ def _project_constant(x):
     return x
 
 
-def cg(A, b, *, tol=1e-10, maxiter=None, precond=None, project_constant=False, x0=None):
+def cg(A, b, *, tol=1e-10, maxiter=None, precond=None, project_constant=False):
     """Solve A x = b by preconditioned conjugate gradients.
 
     Parameters
@@ -60,9 +60,7 @@ def cg(A, b, *, tol=1e-10, maxiter=None, precond=None, project_constant=False, x
 
     if project_constant:
         _project_constant(b)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if project_constant and x0 is not None:
-        _project_constant(x)
+    x = np.zeros(n)
 
     r = b - A @ x
     bnorm = np.linalg.norm(b)

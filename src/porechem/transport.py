@@ -1,0 +1,331 @@
+"""Transport core shared by the pore-scale and the Darcy-scale solvers.
+
+Both models take the same operator-split step on a square cell grid of
+spacing h:
+
+1. explicit first-order upwind advection with a divergence-free face
+   velocity;
+2. backward-Euler diffusion by the masked 5-point operator, with the
+   exchange term of every reaction carrier taken at the new solute level:
+   the carrier's solute at the new level, the dissolution rate from the
+   event resolver;
+3. the exact per-carrier precipitate update with the owner-cell solute
+   frozen.
+
+A solver supplies its cell mask (the fluid cells of the perforated grid, or
+every cell of the upscaled grid), one diffusion weight per axis, its
+reaction carriers with their owner cells and their common coupling weight
+(grain faces with eps*h, or cells with c_g*h^2), and the face velocity.
+Because steps 2 and 3 use the same event-resolved net rate, the discrete
+mass identity
+
+    d[ sum u h^2 + weight sum v ] = boundary fluxes
+
+holds to the nonlinear-solver tolerance, and the scheme is monotone, so
+solute stays in the box bounds and ordered initial data stay ordered.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import ClassVar
+
+import numpy as np
+import scipy.sparse as sp
+
+from ._implicit import ImplicitOperator
+from .errors import ConfigError, StateError
+from .kinetics import EXACT, DissolutionResolution, RateLaw, dissolution_rate, regularized_heaviside
+
+EDGES = ("left", "right", "bottom", "top")
+
+# the axis each edge's faces are normal to, and the cells along the edge
+_EDGE_CELLS = {
+    "left": (0, (0, slice(None))),
+    "right": (0, (-1, slice(None))),
+    "bottom": (1, (slice(None), 0)),
+    "top": (1, (slice(None), -1)),
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class TransportConfig:
+    """Time stepping, kinetics, data and boundary values common to both
+    models, with the checks that make every accepted run well posed."""
+
+    velocity_modes: ClassVar[tuple] = ("zero",)
+
+    dt: float
+    t_end: float
+    rate_law: RateLaw = field(default_factory=RateLaw)
+    resolution: DissolutionResolution = EXACT
+    u_init: object = 0.0            # constant or f(x, y)
+    v_init: object = 0.0
+    velocity_mode: str = "zero"
+    dirichlet_edges: tuple = ("left",)
+    dirichlet_value: float = 0.0
+    m0: float = 1.0                 # bound on the initial data
+    output_every: int = 1
+    lin_tol: float = 1e-12
+    newton_tol: float = 1e-12
+    invariant_slack: float = 1e-8
+
+    def __post_init__(self):
+        if self.dt <= 0.0 or self.t_end < 0.0:
+            raise ConfigError("need dt > 0 and t_end >= 0")
+        if self.velocity_mode not in self.velocity_modes:
+            raise ConfigError(f"unknown velocity mode {self.velocity_mode!r}")
+        for e in self.dirichlet_edges:
+            if e not in EDGES:
+                raise ConfigError(f"unknown edge {e!r}; valid edges: {EDGES}")
+        kin = self.dt * self.rate_law.k * self.rate_law.lipschitz_bound(self.box_bound)
+        if kin > 1.0 + 1e-12:
+            raise ConfigError(f"dt*k*L_r = {kin:.3g} violates the kinetic bound dt*k*L_r <= 1")
+
+    @property
+    def box_bound(self) -> float:
+        """Discrete maximum-principle bound on the solute."""
+        return max(self.m0, self.rate_law.u_sol, self.dirichlet_value)
+
+    @property
+    def n_steps(self) -> int:
+        n = int(round(self.t_end / self.dt))
+        if abs(n * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
+            raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {self.dt}")
+        return n
+
+
+@dataclass
+class State:
+    t: float
+    u: np.ndarray   # cell field, zero outside the mask
+    v: np.ndarray   # per reaction carrier, >= 0
+    w: np.ndarray   # per reaction carrier, in [0, 1]
+
+    def copy(self) -> "State":
+        return State(self.t, self.u.copy(), self.v.copy(), self.w.copy())
+
+
+@dataclass
+class MassRow:
+    t: float
+    mass_u: float
+    mass_v: float          # weighted precipitate mass, weight * sum v
+    flux_adv: float        # advective inflow through the outer boundary, dt-integrated
+    flux_diff: float       # diffusive inflow through the outer boundary, dt-integrated
+    drift: float           # cumulative conservation defect
+    min_u: float
+    max_u: float
+    min_v: float
+    max_v: float
+
+
+@dataclass
+class Run:
+    cfg: TransportConfig
+    times: np.ndarray
+    states: list
+    mass: list
+    grid: object = None    # the perforated grid of a pore-scale run
+
+
+@dataclass(frozen=True)
+class FaceVelocity:
+    qx: np.ndarray   # (nx+1, ny) normal velocity on vertical faces
+    qy: np.ndarray   # (nx, ny+1) normal velocity on horizontal faces
+
+    @property
+    def max_abs(self) -> float:
+        return float(max(np.max(np.abs(self.qx), initial=0.0), np.max(np.abs(self.qy), initial=0.0)))
+
+
+def diffusion_operator(mask, axis_weights, dirichlet_edges):
+    """Masked 5-point operator with one face weight per axis.
+
+    Neighbouring active cells are coupled across each shared face with the
+    weight of the face's axis (no wrap at the outer boundary), and an
+    active cell on a Dirichlet edge gets the half-cell term ``2 * weight``
+    on its diagonal.  Returns ``(A, dir_weight)``, with ``dir_weight`` that
+    half-cell term alone: the right-hand side gets ``dir_weight * u_D``.
+    """
+    n = int(np.count_nonzero(mask))
+    index = np.full(mask.shape, -1, dtype=np.intp)
+    index[mask] = np.arange(n)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    for axis, weight in enumerate(axis_weights):
+        lo = (slice(0, -1), slice(None)) if axis == 0 else (slice(None), slice(0, -1))
+        hi = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
+        both = mask[lo] & mask[hi]
+        a = index[lo][both]
+        b = index[hi][both]
+        rows.extend([a, b])
+        cols.extend([b, a])
+        vals.extend([np.full(a.size, -weight)] * 2)
+        diag += weight * (np.bincount(a, minlength=n) + np.bincount(b, minlength=n))
+    dir_weight = np.zeros(n)
+    for e in dirichlet_edges:
+        axis, sel = _EDGE_CELLS[e]
+        dir_weight[index[sel][mask[sel]]] += 2.0 * axis_weights[axis]
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return A + sp.diags(diag + dir_weight), dir_weight
+
+
+def _sample(spec, x, y):
+    """A constant or ``f(x, y)`` initial profile at the given points."""
+    if callable(spec):
+        return np.asarray(spec(x, y), dtype=float)
+    return np.full(np.shape(x), float(spec))
+
+
+class TransportSolver:
+    """Operators, initial state, step and run loop of one transport run.
+
+    ``MicroSolver`` and ``MacroSolver`` construct it from their geometry and
+    define ``step`` and ``run`` on top of ``_step`` and ``_run``.  ``step``
+    passes in the Newton solve and the precipitate update under its own
+    module's names, so that tracing which patches a module's names
+    (``perfbench/spans.py``) tells the two scales apart.
+    """
+
+    def __init__(self, cfg: TransportConfig, mask, h, axis_weights, owners, weight, carriers,
+                 velocity: FaceVelocity | None = None, grid=None):
+        """``mask`` marks the active cells of the grid, ``owners`` the
+        active-cell index of each reaction carrier, ``carriers`` the
+        carriers' ``(x, y)`` positions and ``weight`` their coupling."""
+        self.cfg = cfg
+        self.mask = mask
+        self.h = h
+        self.grid = grid
+        self.A, self.dir_weight = diffusion_operator(mask, axis_weights, cfg.dirichlet_edges)
+        self.implicit = ImplicitOperator(self.A, np.full(self.A.shape[0], h * h / cfg.dt))
+        self.owners = owners
+        self.weight = weight
+        self.carriers = carriers
+        self.vel = velocity
+        if velocity is not None:
+            cfl = cfg.dt * velocity.max_abs / h
+            if cfl > 1.0 + 1e-12:
+                raise ConfigError(f"dt*|q|/h = {cfl:.3g} violates the advective CFL bound <= 1")
+
+    def initial_state(self) -> State:
+        cfg = self.cfg
+        xs = (np.arange(self.mask.shape[0]) + 0.5) * self.h
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        u0 = _sample(cfg.u_init, X[self.mask], Y[self.mask])
+        v0 = _sample(cfg.v_init, *self.carriers)
+        if np.any(u0 < 0) or np.any(v0 < 0) or np.any(u0 > cfg.m0 + 1e-12) or np.any(v0 > cfg.m0 + 1e-12):
+            raise ConfigError("initial data must lie in [0, m0]")
+        u = np.zeros(self.mask.shape)
+        u[self.mask] = u0
+        w0 = dissolution_rate(cfg.rate_law, u0[self.owners], v0.ravel())
+        return State(t=0.0, u=u, v=v0, w=np.asarray(w0).reshape(v0.shape))
+
+    def _advect(self, u):
+        """Explicit upwind advection; returns (u_new, inflow integral)."""
+        if self.vel is None:
+            return u, 0.0
+        cfg = self.cfg
+        h, dt = self.h, cfg.dt
+        qx, qy = self.vel.qx, self.vel.qy
+        # open outer boundaries: upwind outflow, configured value on inflow,
+        # as ghost cells outside each edge
+        b = {e: (cfg.dirichlet_value if e in cfg.dirichlet_edges else 0.0) for e in EDGES}
+        ux = np.pad(u, ((1, 1), (0, 0)))
+        ux[0, :], ux[-1, :] = b["left"], b["right"]
+        uy = np.pad(u, ((0, 0), (1, 1)))
+        uy[:, 0], uy[:, -1] = b["bottom"], b["top"]
+        # face fluxes, positive in +axis direction
+        Fx = np.maximum(qx, 0.0) * ux[:-1, :] + np.minimum(qx, 0.0) * ux[1:, :]
+        Fy = np.maximum(qy, 0.0) * uy[:, :-1] + np.minimum(qy, 0.0) * uy[:, 1:]
+        div = (Fx[1:, :] - Fx[:-1, :]) + (Fy[:, 1:] - Fy[:, :-1])
+        u_new = u - (dt / h) * div
+        u_new[~self.mask] = 0.0
+        inflow = float(Fx[0, :].sum() - Fx[-1, :].sum() + Fy[:, 0].sum() - Fy[:, -1].sum()) * h * dt
+        return u_new, inflow
+
+    def _step(self, state: State, newton, ode_step) -> tuple[State, MassRow]:
+        """One split step, with ``newton`` the implicit reaction-diffusion
+        solve and ``ode_step`` the exact precipitate update."""
+        cfg = self.cfg
+        dt = cfg.dt
+        law = cfg.rate_law
+
+        u_adv, adv_in = self._advect(state.u)
+        u0 = u_adv[self.mask]
+        rhs = self.implicit.mass_diag * u0 + self.dir_weight * cfg.dirichlet_value
+        v = state.v.ravel()
+        u_act, _ = newton(
+            self.implicit, rhs, self.owners, self.weight,
+            law, cfg.resolution, v, dt, u0,
+            lin_tol=cfg.lin_tol, newton_tol=cfg.newton_tol,
+        )
+        u_new = np.zeros_like(state.u)
+        u_new[self.mask] = u_act
+
+        u_own = u_act[self.owners]
+        v_new, _w_eff = ode_step(law, u_own, v, dt, cfg.resolution)
+        if cfg.resolution.mode == "exact":
+            w_new = dissolution_rate(law, u_own, v_new)
+        else:
+            w_new = regularized_heaviside(cfg.resolution.delta, v_new)
+
+        diff_in = float(np.sum(self.dir_weight * (cfg.dirichlet_value - u_act))) * dt
+        shape = state.v.shape
+        new = State(t=state.t + dt, u=u_new, v=np.asarray(v_new).reshape(shape),
+                    w=np.asarray(w_new).reshape(shape))
+        self._check(new)
+        return new, self._mass_row(new, adv_in, diff_in)
+
+    def _mass_row(self, state: State, adv_in, diff_in) -> MassRow:
+        u, v = state.u[self.mask], state.v
+        return MassRow(
+            t=state.t,
+            mass_u=float(u.sum() * (self.h * self.h)),
+            mass_v=float(self.weight * v.sum()),
+            flux_adv=adv_in,
+            flux_diff=diff_in,
+            drift=0.0,  # filled in by _run()
+            min_u=float(u.min()) if u.size else 0.0,
+            max_u=float(u.max()) if u.size else 0.0,
+            min_v=float(v.min()) if v.size else 0.0,
+            max_v=float(v.max()) if v.size else 0.0,
+        )
+
+    def _check(self, state: State):
+        slack = self.cfg.invariant_slack
+        M = self.cfg.box_bound
+        u, v, w = state.u[self.mask], state.v, state.w
+        msg = None
+        if u.size and (u.min() < -slack or u.max() > M + slack):
+            msg = f"solute out of [0, {M}] at t={state.t}: range [{u.min()}, {u.max()}]"
+        elif v.size and v.min() < 0.0:
+            msg = f"negative precipitate at t={state.t}"
+        elif w.size and (w.min() < -slack or w.max() > 1.0 + slack):
+            msg = f"dissolution rate out of [0,1] at t={state.t}"
+        elif self.cfg.resolution.mode == "exact" and v.size and np.any((v > 0.0) & (np.abs(w - 1.0) > slack)):
+            msg = f"w != 1 where v > 0 at t={state.t}"
+        if msg is not None:
+            err = StateError(msg)
+            err.state = state  # diagnostic dump for the caller
+            raise err
+
+    def _run(self) -> Run:
+        """Integrate to t_end.  The mass report has one row per step; field
+        snapshots are stored every ``output_every`` steps plus the final."""
+        cfg = self.cfg
+        state = self.initial_state()
+        states = [state.copy()]
+        rows = [self._mass_row(state, 0.0, 0.0)]
+        times = [0.0]
+        base = rows[0].mass_u + rows[0].mass_v
+        influx = 0.0
+        for k in range(1, cfg.n_steps + 1):
+            state, row = self.step(state)
+            influx += row.flux_adv + row.flux_diff
+            row.drift = (row.mass_u + row.mass_v) - base - influx
+            rows.append(row)
+            if k % cfg.output_every == 0 or k == cfg.n_steps:
+                states.append(state.copy())
+                times.append(state.t)
+        return Run(cfg=cfg, times=np.asarray(times), states=states, mass=rows, grid=self.grid)

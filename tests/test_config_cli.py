@@ -6,7 +6,7 @@ from porechem.cell_problems import read_tensor_csv
 from porechem.cli import main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
-from porechem.gridio import read_csv, read_field, write_field
+from porechem.gridio import read_csv, read_field, write_csv, write_field
 
 MINIMAL = """
 [geometry]
@@ -49,6 +49,16 @@ def test_unknown_key_lists_valid():
         parse_config(bad)
     with pytest.raises(ConfigError, match="valid sections"):
         parse_config(MINIMAL + "\n[chemistry]\nx = 1\n")
+
+
+@pytest.mark.parametrize("key", ["linear", "newton", "invariant_slack", "spd", "cell"])
+def test_tolerances_must_be_finite_and_positive(key):
+    # a NaN slack would silently pass every invariant check, a negative
+    # Newton tolerance would stall the solve mid-run
+    for bad in ("nan", "inf", "-1", "0", "tight"):
+        with pytest.raises(ConfigError, match=f"\\[tolerances\\] {key} must be a finite positive"):
+            parse_config(MINIMAL + f"\n[tolerances]\n{key} = {bad}\n")
+    assert parse_config(MINIMAL + f"\n[tolerances]\n{key} = 1e-9\n").tolerances[key] == 1e-9
 
 
 def test_misaligned_geometry_error():
@@ -139,6 +149,21 @@ def test_cli_macro_requires_tensors(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "fresh"
     assert main(["macro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+
+
+def test_cli_macro_rejects_off_diagonal_tensors(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    columns, rows = read_csv(out / "effective_tensors.csv")
+    rows[0]["s12"] = rows[0]["s21"] = 0.1 * rows[0]["s11"]
+    tensors = tmp_path / "full_tensors.csv"
+    write_csv(tensors, columns, rows)
+    argv = ["macro", "--config", str(cfg), "--out", str(out), "--quiet", "--tensors", str(tensors)]
+    assert main(argv) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record and "S must be diagonal" in record
+    assert not (out / "macro_series.csv").exists()
 
 
 def test_cli_converge_single_row(tmp_path):

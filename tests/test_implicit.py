@@ -56,9 +56,9 @@ def micro_problem():
     solver = MicroSolver(cfg, grid)
     rng = np.random.default_rng(7)
     u0 = rng.uniform(0.0, 0.3, solver.m)
-    v = np.full(solver.face_owner.size, 0.05)
+    v = np.full(solver.owners.size, 0.05)
     rhs = solver.implicit.mass_diag * u0 + solver.dir_weight * cfg.dirichlet_value
-    return solver.implicit, rhs, solver.face_owner, solver.face_weight, v, u0
+    return solver.implicit, rhs, solver.owners, solver.weight, v, u0
 
 
 def macro_problem():
@@ -70,8 +70,8 @@ def macro_problem():
     rng = np.random.default_rng(8)
     u0 = rng.uniform(0.0, 0.3, solver.m * solver.m)
     v = np.full(u0.size, 0.05)
-    rhs = solver.implicit.mass_diag * u0 + solver.bc_const
-    return solver.implicit, rhs, solver.owners, solver.weights, v, u0
+    rhs = solver.implicit.mass_diag * u0 + solver.dir_weight * cfg.dirichlet_value
+    return solver.implicit, rhs, solver.owners, solver.weight, v, u0
 
 
 @pytest.mark.parametrize("problem", [micro_problem, macro_problem], ids=["micro", "macro"])
