@@ -8,18 +8,14 @@ Subcommands:
 * ``converge`` -- full eps-sweep, write convergence_report.csv
 * ``unfold``   -- unfolding/oscillation diagnostics on stored micro output
 
-Common flags: ``--config <path>``, ``--out <dir>``, ``--quiet``.  The
-environment variable ``PORECHEM_THREADS`` bounds the worker threads used
-for the two independent corrector solves.  Data files carry no
-timestamps; run metadata goes to ``run_manifest.txt``.
+Common flags: ``--config <path>``, ``--out <dir>``, ``--quiet``.  Data
+files carry no timestamps; run metadata goes to ``run_manifest.txt``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +39,6 @@ from .macro_sim import MacroSolver
 from .micro_sim import MicroSolver, l1_distance
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PORECHEM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _say(quiet, *args):
     if not quiet:
         print(*args)
@@ -67,14 +56,12 @@ def _prepare_out(args, cfg):
 def _compute_tensors(cfg):
     tol = cfg.tolerances["cell"]
     D = cfg.micro_config().D
-    if _threads() > 1:
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            fields = list(ex.map(lambda i: solve_diffusion_cell(cfg.cell, i, tol=tol), (0, 1)))
-    else:
-        fields = [solve_diffusion_cell(cfg.cell, i, tol=tol) for i in range(2)]
-    # serial: the second direction reuses the first one's factorization
+    # as in effective_tensors: Stokes first, its factors released before the
+    # corrector's is built; each second direction reuses the first's factor
     first = solve_stokes_cell(cfg.cell, 0)
     sols = [first, solve_stokes_cell(cfg.cell, 1, ops=first.ops)]
+    xi = solve_diffusion_cell(cfg.cell, 0, tol)
+    fields = [xi, solve_diffusion_cell(cfg.cell, 1, tol, ops=xi.ops)]
     S, s_info = assemble_S(cfg.cell, fields, D=D, spd_tol=cfg.tolerances["spd"])
     K, k_info = assemble_K(cfg.cell, sols, spd_tol=cfg.tolerances["spd"])
     return tensors_with_provenance(cfg.cell, fields, sols, S, s_info, K, k_info, D, tol), fields, sols

@@ -107,16 +107,27 @@ def _parse_edges(text):
     return edges
 
 
-def _parse_init(section, key, text):
-    """``constant:VALUE`` or ``bump:AMPLITUDE`` (amplitude * sin(pi x) sin(pi y))."""
+def _parse_init(section, key, text, m0):
+    """``constant:VALUE`` or ``bump:AMPLITUDE`` (amplitude * sin(pi x) sin(pi y)),
+    with the value or amplitude in [0, m0], which keeps the profile there."""
     kind, _, value = text.partition(":")
     kind = kind.strip()
+    if kind not in ("constant", "bump"):
+        raise ConfigError(f"[{section}] {key}: unknown initial profile {text!r}; use constant:VALUE or bump:VALUE")
     amp = _number(section, key, value) if value else 0.0
+    if not 0.0 <= amp <= m0:
+        raise ConfigError(f"[{section}] {key}: initial data must lie in [0, m0] = [0, {m0:g}], got {text!r}")
     if kind == "constant":
         return amp
-    if kind == "bump":
-        return lambda x, y: amp * np.sin(np.pi * x) * np.sin(np.pi * y)
-    raise ConfigError(f"unknown initial profile {text!r}; use constant:VALUE or bump:VALUE")
+    return lambda x, y: amp * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def _in_section(section, make, **fields):
+    """``make(**fields)``, naming ``[section]`` in the errors of its checks."""
+    try:
+        return make(**fields)
+    except ConfigError as e:
+        raise ConfigError(f"[{section}] {e}") from None
 
 
 def _parse_bool(text):
@@ -145,17 +156,18 @@ class RunConfig:
     def _transport_fields(self, section) -> dict:
         """The fields both transport configs read from their section."""
         m = self.raw[section]
+        m0 = _number(section, "m0", m["m0"])
         return dict(
             dt=_number(section, "dt", m["dt"]),
             t_end=_number(section, "t_end", m["t_end"]),
             rate_law=self.rate_law,
             resolution=self.resolution,
-            u_init=_parse_init(section, "u_init", m["u_init"]),
-            v_init=_parse_init(section, "v_init", m["v_init"]),
+            u_init=_parse_init(section, "u_init", m["u_init"], m0),
+            v_init=_parse_init(section, "v_init", m["v_init"], m0),
             velocity_mode=m["velocity_mode"],
             dirichlet_edges=self.dirichlet_edges,
             dirichlet_value=_number(section, "dirichlet_value", m["dirichlet_value"]),
-            m0=_number(section, "m0", m["m0"]),
+            m0=m0,
             output_every=_number(section, "output_every", m["output_every"], int),
             lin_tol=self.tolerances["linear"],
             newton_tol=self.tolerances["newton"],
@@ -164,7 +176,9 @@ class RunConfig:
 
     def micro_config(self) -> MicroConfig:
         m = self.raw["micro"]
-        return MicroConfig(
+        return _in_section(
+            "micro",
+            MicroConfig,
             D=_number("micro", "diffusivity", m["diffusivity"]),
             pressure_gradient=_parse_floats("micro", "pressure_gradient", m["pressure_gradient"], 2),
             **self._transport_fields("micro"),
@@ -173,7 +187,9 @@ class RunConfig:
     def macro_config(self, S, K) -> MacroConfig:
         """The macro config for tensors S, K on the configured cell."""
         m = self.raw["macro"]
-        return MacroConfig(
+        return _in_section(
+            "macro",
+            MacroConfig,
             S=S,
             K=K,
             pore_area=self.cell.pore_area,

@@ -18,13 +18,14 @@ def _fmt(x) -> str:
 def write_field(path, values: np.ndarray, h: float, mask: np.ndarray | None = None):
     """Write a cell field; cells where mask is False are tagged nan."""
     nx, ny = values.shape
-    out = values.astype(float).copy()
+    out = np.asarray(values, dtype=float)
     if mask is not None:
         out = np.where(mask, out, np.nan)
+    # "%.17g" % x is format(x, ".17g"): one template for the whole body
+    row = " ".join(["%.17g"] * nx) + "\n"
     with open(path, "w") as f:
         f.write(f"{nx} {ny}\n{h!r}\n")
-        for iy in range(ny):
-            f.write(" ".join(_fmt(out[ix, iy]) for ix in range(nx)) + "\n")
+        f.write((row * ny) % tuple(out.T.ravel().tolist()))
 
 
 def read_field(path):

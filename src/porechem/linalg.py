@@ -1,10 +1,11 @@
 """Conjugate-gradient solver for the package's SPD structured-grid systems.
 
-The preconditioner is Jacobi by default.  A caller may pass its own M^-1
-instead, and then ``A`` only has to support ``A @ x``: the implicit
-transport step passes the solve of its once-factored backward-Euler
-operator and applies its Newton matrix matrix-free.  Either way the
-stopping rule is on the true residual of ``A``.
+The caller passes the preconditioner M^-1, and ``A`` only has to support
+``A @ x``: the implicit transport step passes the solve of its
+once-factored backward-Euler operator and applies its Newton matrix
+matrix-free, and the Stokes cell solve runs unpreconditioned CG on the
+pressure Schur complement.  The stopping rule is on the true residual of
+``A``.
 
 Pure-Neumann/periodic operators are singular with a constant null vector;
 for those the iteration projects the constant out of the iterates and the
@@ -12,7 +13,7 @@ right-hand side, which keeps CG on the orthogonal complement where the
 operator is definite.
 
 ``factor_spd`` is the one sparse LU factorization of the package, shared
-by the implicit transport step and the Stokes cell solve.
+by the implicit transport step and both cell solves.
 """
 
 from __future__ import annotations
@@ -28,18 +29,16 @@ def _project_constant(x):
     return x
 
 
-def cg(A, b, *, tol=1e-10, maxiter=None, precond=None, project_constant=False):
+def cg(A, b, *, precond, tol=1e-10, maxiter=None, project_constant=False):
     """Solve A x = b by preconditioned conjugate gradients.
 
     Parameters
     ----------
-    A : scipy sparse matrix (SPD, or SPSD with constant null space), or a
-        LinearOperator when ``precond`` is given.
+    A : SPD (or SPSD with constant null space) matrix or LinearOperator.
     b : right-hand side.
+    precond : callable applying an SPD M^-1 to a residual.
     tol : relative residual target, ||r|| <= tol * ||b|| (absolute floor
         of tol when b = 0).
-    precond : optional callable applying an SPD M^-1 to a residual; Jacobi
-        scaling by the diagonal of A when None.
     project_constant : project the constant null vector out of b and every
         iterate (consistent singular systems).
 
@@ -51,13 +50,6 @@ def cg(A, b, *, tol=1e-10, maxiter=None, precond=None, project_constant=False):
     n = b.size
     if maxiter is None:
         maxiter = max(200, 20 * n)
-    if precond is None:
-        diag = A.diagonal()
-        invdiag = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
-
-        def precond(r):
-            return invdiag * r
-
     if project_constant:
         _project_constant(b)
     x = np.zeros(n)

@@ -17,7 +17,7 @@ from porechem.cell_problems import (
     velocity_mean,
     write_tensor_csv,
 )
-from porechem.errors import AssemblyError, DegeneracyError
+from porechem.errors import AssemblyError, DegeneracyError, SolverError
 from porechem.geometry import build_unit_cell
 
 # fine-grid (n = 256) oracle values, recorded at build time and frozen as
@@ -235,3 +235,51 @@ def test_direction_validation(cell64):
         solve_diffusion_cell(cell64, 2)
     with pytest.raises(ValueError):
         solve_stokes_cell(cell64, -1)
+
+
+@pytest.mark.parametrize(
+    "side, center, n",
+    [
+        (0.5, (0.5, 0.5), 64),
+        (0.25, (0.375, 0.625), 32),  # off-centre
+        (31 / 32, (0.5, 0.5), 64),   # two-cell channels
+    ],
+)
+def test_factored_correctors_match_a_direct_solve(side, center, n):
+    c = build_unit_cell(side, center, n)
+    A = cell_problems._fluid_adjacency(c).tocsc()
+    first = solve_diffusion_cell(c, 0)
+    fields = [first, solve_diffusion_cell(c, 1, ops=first.ops)]
+    for i, f in enumerate(fields):
+        # reference: the system with the last unknown pinned, by spsolve
+        b = -cell_problems._surface_functional(c, i)
+        x = np.zeros(b.size)
+        x[:-1] = spla.spsolve(A[:-1, :-1], b[:-1])
+        x -= x.mean()
+        assert np.max(np.abs(f.values[c.fluid] - x)) <= 1e-11
+        assert f.residual <= 1e-12
+        assert f.ops is first.ops
+    # one factor served both directions and was released with the second
+    assert first.ops.lu is None
+    with pytest.raises(ValueError, match="released"):
+        solve_diffusion_cell(c, 0, ops=first.ops)
+    with pytest.raises(ValueError, match="different unit cell"):
+        solve_diffusion_cell(build_unit_cell(0.5, (0.5, 0.5), 16), 0, ops=first.ops)
+
+
+def test_corrector_tolerance_is_an_acceptance_bound(cell64):
+    with pytest.raises(SolverError, match="corrector solve left relative residual"):
+        solve_diffusion_cell(cell64, 0, tol=1e-20)
+
+
+def test_stokes_factors_released_with_the_second_direction():
+    c = build_unit_cell(0.5, (0.5, 0.5), 16)
+    first = solve_stokes_cell(c, 0)
+    assert first.ops.lu_u is not None
+    second = solve_stokes_cell(c, 1, ops=first.ops)
+    assert second.ops.lu_u is None and second.ops.lu_v is None
+    with pytest.raises(ValueError, match="released"):
+        solve_stokes_cell(c, 0, ops=first.ops)
+    # what assemble_K reads stays
+    K, info = assemble_K(c, [first, second])
+    assert info["grad_err"] <= 1e-10

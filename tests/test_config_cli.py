@@ -1,9 +1,14 @@
+import gc
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU
 
-from porechem import cell_problems
+from porechem import cell_problems, linalg
 from porechem.cell_problems import read_tensor_csv
-from porechem.cli import main
+from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
 from porechem.gridio import read_csv, read_field, write_csv, write_field
@@ -287,3 +292,93 @@ def test_cli_dump_fields(tmp_path):
     assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert (out / "xi_1.txt").exists()
     assert (out / "chi_1_u.txt").exists()
+
+
+def _reaches(obj, kind):
+    """Whether anything reachable from obj through containers and instance
+    attributes (not through types, modules or functions) is a ``kind``."""
+    seen, stack = set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, kind):
+            return True
+        stack.extend(gc.get_referents(o))
+    return False
+
+
+def test_compute_tensors_factors_three_times_and_keeps_no_factor(monkeypatch):
+    cfg = parse_config(MINIMAL.replace("n = 8", "n = 32"))
+    built = []
+    init = cell_problems._MacOperators.__init__
+
+    def tracking_init(self, cell):
+        built.append(self)
+        init(self, cell)
+
+    factored = []
+    factor_spd = linalg.factor_spd
+
+    def counting_factor(A):
+        stokes_factor_held = any(getattr(ops, "lu_u", None) is not None for ops in built)
+        factored.append((A.shape[0], stokes_factor_held))
+        return factor_spd(A)
+
+    monkeypatch.setattr(cell_problems._MacOperators, "__init__", tracking_init)
+    monkeypatch.setattr(linalg, "factor_spd", counting_factor)
+    result = _compute_tensors(cfg)
+    ops = built[0]
+    # the two Stokes blocks, then the pinned corrector matrix once the Stokes
+    # factors are released
+    assert factored == [(ops.nu, False), (ops.nv, True), (int(cfg.cell.fluid.sum()) - 1, False)]
+    assert not _reaches(result, SuperLU)
+    assert _reaches(result, sp.csr_matrix)  # the walk does reach the operators kept
+
+
+def test_config_errors_name_their_section():
+    for section in ("micro", "macro"):
+        for text, message in [
+            ("output_every = 0", "output_every must be at least 1"),
+            ("t_end = 0.015", "not a multiple of dt"),
+            ("dirichlet_value = -0.5", "dirichlet_value must be nonnegative"),
+            ("dt = 2\nt_end = 2", "violates the kinetic bound"),
+            ("velocity_mode = sideways", "unknown velocity mode"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^\\[{section}\\] .*{message}"):
+                parse_config(f"[{section}]\n{text}\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[micro]\nv_init = constant:-0.1\n",
+        "[micro]\nu_init = constant:1.5\n",
+        "[macro]\nu_init = bump:-0.2\n",
+        "[macro]\nv_init = bump:1.5\n",
+        "[micro]\nm0 = 0.01\n",
+    ],
+    ids=lambda t: t.strip().replace("\n", ":"),
+)
+def test_initial_data_checked_at_parse_time(text):
+    with pytest.raises(ConfigError, match="_init: initial data must lie in \\[0, m0\\]"):
+        parse_config(text)
+
+
+def test_cli_rejects_initial_data_before_any_work(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[micro]\nv_init = constant:-0.1\n")
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "kind = config" in (out / "error_record.txt").read_text()
+    assert not (out / "effective_tensors.csv").exists()
+
+
+def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[tolerances]\ncell = 1e-20\n")
+    out = tmp_path / "o"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    record = (out / "error_record.txt").read_text()
+    assert "kind = runtime" in record and "corrector solve left relative residual" in record

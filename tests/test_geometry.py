@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import porechem
 from porechem.errors import GeometryError
 from porechem.geometry import (
     build_unit_cell,
@@ -202,3 +208,31 @@ def test_eps_cell_map():
     (kx, ky), (li, lj) = g.eps_cell_of(19, 5)
     assert (kx, ky) == (2, 0)
     assert (li, lj) == (3, 5)
+
+
+@pytest.mark.parametrize(
+    "side, center, n, per_edge",
+    [
+        (31 / 32, (0.5, 0.5), 64, 2),  # two-cell channels across the cell edges
+        (13 / 16, (7.5 / 16, 8.5 / 16), 16, 3),  # off-centre, one-cell margin on one side
+        (14 / 16, (0.5, 0.5), 16, 1),  # one-cell margins, a single tile
+        (0.5, (0.5, 0.5), 4, 64),
+        (6 / 8, (0.5, 0.5), 8, 64),
+    ],
+)
+def test_tiled_pore_space_is_connected(side, center, n, per_edge):
+    # PerforatedGrid does not check connectivity: UnitCell keeps the grain's
+    # closure strictly inside the cell, which leaves a fluid ring in every
+    # tile.  Label the pore space here to hold that argument at its extremes.
+    from scipy import ndimage
+
+    grid = tile_domain(build_unit_cell(side, center, n), 1.0 / per_edge)
+    _, count = ndimage.label(grid.fluid_mask)
+    assert count == 1
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    src = Path(porechem.__file__).resolve().parents[1]
+    code = "import sys, porechem.cli; sys.exit('scipy.ndimage' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
