@@ -27,10 +27,13 @@ normalization ``(1/|Y|) * integral over Y``.
 
 The corrector matrix, with one unknown pinned, is factored once per cell
 for both directions.  Each Stokes problem is solved by CG on the pressure
-Schur complement over the velocity Laplacian, whose two component blocks
-are factored once per cell.  The factors travel with the first direction's
-solution (``ops``) to the second, which releases them: a solution keeps
-the operators its certificates read, never a factor.
+Schur complement over the velocity Laplacian.  Its v-block is its u-block
+with rows and columns permuted (the transposed cell is a periodic shift of
+the cell), so the u-block alone is factored, once per cell, and every
+application of the inverse is one two-column solve.  The factors travel
+with the first direction's solution (``ops``) to the second, which
+releases them: a solution keeps the operators its certificates read,
+never a factor.
 """
 
 from __future__ import annotations
@@ -270,12 +273,18 @@ class StokesCellSolution:
     div_inf: float         # max cell divergence
     momentum_res: float    # relative residual of the momentum solve
     iters: int             # pressure Schur-complement CG iterations
-    ops: _MacOperators     # operators and factors of the solve, for the other direction
+    ops: _MacOperators     # operators and factor of the solve, for the other direction
 
 
 class _MacOperators:
-    """Sparse operators of the periodic MAC discretization and the factors of
-    the velocity Laplacian, shared by the two force directions."""
+    """Sparse operators of the periodic MAC discretization and the factor of
+    the velocity Laplacian, shared by the two force directions.
+
+    The velocity components decouple, ``A = diag(A_u, A_v)``, and
+    ``A_v == A_u[q][:, q]`` exactly for the face map ``q`` of `_v_to_u`.
+    That identity is checked bitwise here (`AssemblyError` otherwise), so
+    the one factor of ``A_u`` is verified to serve both blocks.
+    """
 
     def __init__(self, cell: UnitCell):
         if cell.hole_side == 0.0:
@@ -305,9 +314,10 @@ class _MacOperators:
         self.A = sp.block_diag([A_u, A_v], format="csr")
         self.G = self._pressure_gradient(h)
         self.h = h
-        # the two velocity components decouple in A: factor each block alone
-        self.lu_u = linalg.factor_spd(A_u)
-        self.lu_v = linalg.factor_spd(A_v)
+        self.q = _v_to_u(cell, self.iu, self.v_active)
+        if not _is_permuted(A_v, A_u, self.q):
+            raise AssemblyError("the v-block of the velocity Laplacian is not the permuted u-block")
+        self.lu = linalg.factor_spd(A_u)
         self.pending = {0, 1}
 
     def _component_laplacian(self, active, interior, idx, m, tangential_axis):
@@ -343,8 +353,14 @@ class _MacOperators:
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
     def _solve_A(self, r):
-        """Apply A^-1 block by block."""
-        return np.concatenate([self.lu_u.solve(r[: self.nu]), self.lu_v.solve(r[self.nu :])])
+        """Apply A^-1 as one two-column solve with the factor of A_u: the
+        v-part enters scattered to u-face order by q and is gathered back,
+        since ``A_v^-1 r_v = (A_u^-1 w)[q]`` with ``w[q] = r_v``."""
+        rhs = np.empty((self.nu, 2), order="F")
+        rhs[:, 0] = r[: self.nu]
+        rhs[self.q, 1] = r[self.nu :]
+        z = self.lu.solve(rhs)
+        return np.concatenate([z[:, 0], z[self.q, 1]])
 
     def solve(self, direction: int, div_tol: float = 1e-12):
         """Pressure Schur-complement CG for body force e_direction.
@@ -358,8 +374,8 @@ class _MacOperators:
         velocity ``x = A^-1 (b - G p)``, which solves the momentum equation
         to factorization accuracy.
         """
-        if self.lu_u is None:
-            raise ValueError("ops released their factors once both directions were solved")
+        if self.lu is None:
+            raise ValueError("ops released their factor once both directions were solved")
         h2 = self.h * self.h
         b = np.zeros(self.nu + self.nv)
         if direction == 0:
@@ -375,8 +391,8 @@ class _MacOperators:
         )
         x = self._solve_A(b - self.G @ p)
         self.pending.discard(direction)
-        if not self.pending:  # the other direction is done: release the factors
-            self.lu_u = self.lu_v = None
+        if not self.pending:  # the other direction is done: release the factor
+            self.lu = None
         div_max = float(np.max(np.abs(self.G.T @ x))) / h2   # G^T x = -h^2 * cell divergence
         vel_scale = max(float(np.max(np.abs(x))), 1e-300)
         if div_max > div_tol * max(vel_scale / self.h, 1.0):
@@ -384,6 +400,35 @@ class _MacOperators:
         mom_res = np.linalg.norm(self.A @ x + self.G @ p - b) / np.linalg.norm(b)
         p -= p.mean()
         return x, p, div_max, float(mom_res), iters
+
+
+def _v_to_u(cell: UnitCell, iu: np.ndarray, v_active: np.ndarray) -> np.ndarray:
+    """The u-face index of each active v-face, in v-face order.
+
+    Transposing the cell maps v-faces onto u-faces and the grain at corner
+    (i0, j0) onto the grain at (j0, i0); the periodic shift by
+    ``(i0 - j0, j0 - i0)`` puts it back.  Neighbours, walls and ghost nodes
+    map with the faces, so ``A_v == A_u[q][:, q]``.
+    """
+    i0, j0 = cell.grain_corner
+    return np.roll(iu, (j0 - i0, i0 - j0), axis=(0, 1)).T[v_active]
+
+
+def _is_permuted(A_v, A_u, q) -> bool:
+    """Whether ``A_v == A_u[q][:, q]`` bitwise (CSR in canonical form).
+
+    The entries of A_v, moved to rows and columns q, must rebuild A_u:
+    dtype, structure and values.  A q that is not a permutation leaves a
+    row of the rebuilt matrix without the diagonal that every row of A_u
+    has, so it fails too.
+    """
+    if A_v.shape != A_u.shape or q.shape != (A_u.shape[0],) or np.any(q < 0):
+        return False
+    C = A_v.tocoo()
+    B = sp.csr_matrix((C.data, (q[C.row], q[C.col])), shape=A_u.shape)
+    return B.dtype == A_u.dtype and all(
+        np.array_equal(b, a) for b, a in ((B.indptr, A_u.indptr), (B.indices, A_u.indices), (B.data, A_u.data))
+    )
 
 
 def solve_stokes_cell(cell: UnitCell, direction: int, div_tol: float = 1e-12, ops=None) -> StokesCellSolution:
@@ -474,7 +519,7 @@ class EffectiveTensors:
 
 def effective_tensors(cell: UnitCell, D: float = 1.0, tol: float = DEFAULT_TOL) -> EffectiveTensors:
     """Solve all cell problems on `cell` and assemble both tensors; Stokes
-    first, so that its factors are released before the corrector's is built."""
+    first, so that its factor is released before the corrector's is built."""
     first = solve_stokes_cell(cell, 0)
     sols = [first, solve_stokes_cell(cell, 1, ops=first.ops)]
     xi = solve_diffusion_cell(cell, 0, tol)

@@ -56,7 +56,7 @@ def _prepare_out(args, cfg):
 def _compute_tensors(cfg):
     tol = cfg.tolerances["cell"]
     D = cfg.micro_config().D
-    # as in effective_tensors: Stokes first, its factors released before the
+    # as in effective_tensors: Stokes first, its factor released before the
     # corrector's is built; each second direction reuses the first's factor
     first = solve_stokes_cell(cfg.cell, 0)
     sols = [first, solve_stokes_cell(cfg.cell, 1, ops=first.ops)]
@@ -246,6 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        cfg.check_budget(args.command)
         return _COMMANDS[args.command](args, cfg)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -79,6 +79,22 @@ _DEFAULTS = {
 }
 
 
+# the most cells a grid of a run may have, a 512 x 512 grid: at n = 512 the
+# factor of the Stokes u-block, and that of the corrector matrix, holds 15.4M
+# nonzeros (59 per cell, 49 at n = 256), about 185 MB of values and indices
+CELL_BUDGET = 512 * 512
+
+# the grids each subcommand builds: the unit cell, the micro grid at
+# [geometry] eps, the micro grid at the smallest [sweep] eps, the macro grid
+_COMMAND_GRIDS = {
+    "cell": ("cell",),
+    "micro": ("cell", "micro"),
+    "macro": ("macro",),
+    "converge": ("cell", "sweep", "macro"),
+    "unfold": ("micro", "sweep"),
+}
+
+
 def _number(section, key, text, kind=float, positive=False):
     """``text`` (all or part of ``[section] key``) as a finite number of the
     given kind; anything else is a ConfigError that names the key."""
@@ -199,6 +215,25 @@ class RunConfig:
             p_right=_number("macro", "p_right", m["p_right"]),
             **self._transport_fields("macro"),
         )
+
+    def check_budget(self, command):
+        """ConfigError naming ``[section] key`` when a grid that subcommand
+        ``command`` builds has more than CELL_BUDGET cells.  It allocates
+        nothing, so a run checks it before any work."""
+        n = self.cell.n
+        m = _number("macro", "resolution", self.raw["macro"]["resolution"], int)
+        grids = {  # grid: (section, key, what, cells per edge)
+            "cell": ("geometry", "n", "cell", n),
+            "micro": ("geometry", "eps", "micro", n * cells_per_edge(self.eps)),
+            "sweep": ("sweep", "eps_list", "micro", n * cells_per_edge(min(self.sweep_eps, default=1.0))),
+            "macro": ("macro", "resolution", "macro", m),
+        }
+        for section, key, what, edge in (grids[g] for g in _COMMAND_GRIDS[command]):
+            if edge * edge > CELL_BUDGET:
+                raise ConfigError(
+                    f"[{section}] {key}: the {what} grid has {edge} x {edge} cells, more than the "
+                    f"budget of {CELL_BUDGET:,} (512 x 512)"
+                )
 
     def write_resolved(self, path):
         """Echo every key (defaults included) in a fixed order."""

@@ -95,6 +95,12 @@ class UnitCell:
         """Grain perimeter |Gamma| = 4*hole_side."""
         return 4.0 * self.hole_side
 
+    @property
+    def grain_corner(self) -> tuple[int, int]:
+        """Grid index (i0, j0) of the grain's lower-left cell."""
+        a = self.hole_side
+        return tuple(_aligned_int(self.n * (c - a / 2.0), "corner") for c in self.hole_center)
+
     @cached_property
     def solid(self) -> np.ndarray:
         """Boolean (n, n) mask of solid cells."""
@@ -102,8 +108,7 @@ class UnitCell:
         if self.hole_side == 0.0:
             return mask
         na = self.hole_cells
-        i0 = _aligned_int(self.n * (self.hole_center[0] - self.hole_side / 2.0), "corner")
-        j0 = _aligned_int(self.n * (self.hole_center[1] - self.hole_side / 2.0), "corner")
+        i0, j0 = self.grain_corner
         mask[i0 : i0 + na, j0 : j0 + na] = True
         return mask
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from porechem import cell_problems
+from porechem import cell_problems, linalg
 from porechem.cell_problems import (
     assemble_K,
     assemble_S,
@@ -275,11 +275,87 @@ def test_corrector_tolerance_is_an_acceptance_bound(cell64):
 def test_stokes_factors_released_with_the_second_direction():
     c = build_unit_cell(0.5, (0.5, 0.5), 16)
     first = solve_stokes_cell(c, 0)
-    assert first.ops.lu_u is not None
+    assert first.ops.lu is not None
     second = solve_stokes_cell(c, 1, ops=first.ops)
-    assert second.ops.lu_u is None and second.ops.lu_v is None
+    assert second.ops.lu is None
     with pytest.raises(ValueError, match="released"):
         solve_stokes_cell(c, 0, ops=first.ops)
     # what assemble_K reads stays
     K, info = assemble_K(c, [first, second])
     assert info["grad_err"] <= 1e-10
+
+
+# cells whose transpose is a nontrivial periodic shift of the cell, and the
+# extremes: one-cell margins all round and two-cell channels
+TRANSPOSE_CELLS = [
+    (0.5, (0.5, 0.5), 256),
+    (0.5, (0.5, 0.375), 64),
+    (0.25, (0.375, 0.625), 16),
+    (31 / 32, (0.5, 0.5), 64),
+    (14 / 16, (0.5, 0.5), 16),            # one-cell margins
+    (13 / 16, (7.5 / 16, 8.5 / 16), 16),  # one-cell margins at left and bottom
+]
+
+
+@pytest.mark.parametrize("side, center, n", TRANSPOSE_CELLS)
+def test_v_block_is_the_permuted_u_block(side, center, n):
+    ops = cell_problems._MacOperators(build_unit_cell(side, center, n))
+    q, nu = ops.q, ops.nu
+    A_u, A_v = ops.A[:nu, :nu].tocsr(), ops.A[nu:, nu:].tocsr()
+    assert np.array_equal(np.sort(q), np.arange(nu))  # a permutation of the u-faces
+    B = A_u[q][:, q].tocsr()
+    B.sort_indices()
+    A_v.sort_indices()
+    assert A_v.shape == B.shape and A_v.dtype == B.dtype == np.float64
+    assert np.array_equal(A_v.indptr, B.indptr) and np.array_equal(A_v.indices, B.indices)
+    assert A_v.data.tobytes() == B.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda q: q[np.r_[q.size - 1, 1 : q.size - 1, 0]],  # first and last face swapped
+        lambda q: np.roll(q, 1),
+        lambda q: q[:-1],
+    ],
+    ids=["swap", "roll", "short"],
+)
+def test_corrupted_face_map_is_rejected(monkeypatch, corrupt):
+    v_to_u = cell_problems._v_to_u
+    monkeypatch.setattr(cell_problems, "_v_to_u", lambda *a: corrupt(v_to_u(*a)))
+    with pytest.raises(AssemblyError, match="not the permuted u-block"):
+        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16), 0)
+
+
+def test_face_map_needs_the_shift(monkeypatch):
+    # the plain transpose is right for a centred grain only
+    def transpose_only(cell, iu, v_active):
+        return iu.T[v_active]
+
+    monkeypatch.setattr(cell_problems, "_v_to_u", transpose_only)
+    solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.5), 16), 0)
+    with pytest.raises(AssemblyError, match="not the permuted u-block"):
+        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16), 0)
+
+
+@pytest.mark.parametrize("side, center, n", [c for c in TRANSPOSE_CELLS if c[1] != (0.5, 0.5)])
+def test_square_grain_gives_isotropic_tensors(side, center, n):
+    t = effective_tensors(build_unit_cell(side, center, n))
+    assert t.K[1, 1] == pytest.approx(t.K[0, 0], rel=1e-12)
+    assert t.S[1, 1] == pytest.approx(t.S[0, 0], rel=1e-12)
+
+
+def test_effective_tensors_factor_twice(monkeypatch):
+    c = build_unit_cell(0.25, (0.375, 0.625), 16)
+    nu = cell_problems._MacOperators(c).nu
+    shapes = []
+    factor_spd = linalg.factor_spd
+
+    def counting_factor(A):
+        shapes.append(A.shape[0])
+        return factor_spd(A)
+
+    monkeypatch.setattr(linalg, "factor_spd", counting_factor)
+    effective_tensors(c)
+    # the Stokes u-block (it serves the v-block too), then the pinned corrector
+    assert shapes == [nu, int(c.fluid.sum()) - 1]

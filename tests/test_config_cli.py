@@ -1,4 +1,6 @@
 import gc
+import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU
 
-from porechem import cell_problems, linalg
+from porechem import cell_problems, cli, config, linalg
 from porechem.cell_problems import read_tensor_csv
 from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
@@ -309,7 +311,7 @@ def _reaches(obj, kind):
     return False
 
 
-def test_compute_tensors_factors_three_times_and_keeps_no_factor(monkeypatch):
+def test_compute_tensors_factors_twice_and_keeps_no_factor(monkeypatch):
     cfg = parse_config(MINIMAL.replace("n = 8", "n = 32"))
     built = []
     init = cell_problems._MacOperators.__init__
@@ -322,7 +324,7 @@ def test_compute_tensors_factors_three_times_and_keeps_no_factor(monkeypatch):
     factor_spd = linalg.factor_spd
 
     def counting_factor(A):
-        stokes_factor_held = any(getattr(ops, "lu_u", None) is not None for ops in built)
+        stokes_factor_held = any(getattr(ops, "lu", None) is not None for ops in built)
         factored.append((A.shape[0], stokes_factor_held))
         return factor_spd(A)
 
@@ -330,9 +332,9 @@ def test_compute_tensors_factors_three_times_and_keeps_no_factor(monkeypatch):
     monkeypatch.setattr(linalg, "factor_spd", counting_factor)
     result = _compute_tensors(cfg)
     ops = built[0]
-    # the two Stokes blocks, then the pinned corrector matrix once the Stokes
-    # factors are released
-    assert factored == [(ops.nu, False), (ops.nv, True), (int(cfg.cell.fluid.sum()) - 1, False)]
+    # the u-block of the Stokes velocity Laplacian (it serves the v-block as
+    # well), then the pinned corrector matrix once the Stokes factor is released
+    assert factored == [(ops.nu, False), (int(cfg.cell.fluid.sum()) - 1, False)]
     assert not _reaches(result, SuperLU)
     assert _reaches(result, sp.csr_matrix)  # the walk does reach the operators kept
 
@@ -382,3 +384,49 @@ def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):
     assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     record = (out / "error_record.txt").read_text()
     assert "kind = runtime" in record and "corrector solve left relative residual" in record
+
+
+# grids past the cell budget, each with a subcommand that builds it and the
+# key its error names
+OVER_BUDGET = [
+    ("cell", "[geometry]\nn = 100000\n", "[geometry] n"),
+    ("micro", "[geometry]\nn = 100000\n", "[geometry] n"),
+    ("micro", "[geometry]\neps = 1e-6\n", "[geometry] eps"),
+    ("unfold", "[geometry]\neps = 1e-6\n", "[geometry] eps"),
+    ("converge", "[sweep]\neps_list = 0.25, 1e-6\n", "[sweep] eps_list"),
+    ("converge", "[geometry]\nn = 256\n", "[sweep] eps_list"),  # default sweep down to 1/16: 4096^2
+    ("macro", "[macro]\nresolution = 513\n", "[macro] resolution"),
+    ("converge", "[macro]\nresolution = 100000\n", "[macro] resolution"),
+]
+
+
+@pytest.mark.parametrize("command, text, key", OVER_BUDGET, ids=lambda v: v.strip().replace("\n", ":"))
+def test_parse_bounds_the_grids_a_command_builds(command, text, key):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: the .* grid has .* cells, more than the budget"):
+            parse_config(text).check_budget(command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # rejected on parse alone, before any grid exists
+
+
+def test_grids_within_the_budget_pass():
+    parse_config("[geometry]\nn = 8\neps = 0.015625\n").check_budget("micro")  # 512^2, the budget
+    parse_config("[macro]\nresolution = 512\n").check_budget("converge")
+    # a grid the command does not build is not bounded: the cell at n = 256
+    # with the default sweep, which only converge runs
+    for command in ("cell", "macro"):
+        parse_config("[geometry]\nn = 256\n").check_budget(command)
+    assert set(config._COMMAND_GRIDS) == set(cli._COMMANDS)  # every subcommand is bounded
+
+
+def test_cli_rejects_a_grid_past_the_budget(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[geometry]\nn = 100000\n")
+    out = tmp_path / "o"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record and "[geometry] n" in record
+    assert not (out / "effective_tensors.csv").exists()
