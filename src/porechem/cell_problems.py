@@ -25,15 +25,20 @@ error contracts quadratically in the corrector error (observed refinement
 order ~ h^(4/3), the grain-corner limit).  The tensors use the pore-volume
 normalization ``(1/|Y|) * integral over Y``.
 
-The corrector matrix, with one unknown pinned, is factored once per cell
-for both directions.  Each Stokes problem is solved by CG on the pressure
-Schur complement over the velocity Laplacian.  Its v-block is its u-block
-with rows and columns permuted (the transposed cell is a periodic shift of
-the cell), so the u-block alone is factored, once per cell, and every
-application of the inverse is one two-column solve.  The factors travel
-with the first direction's solution (``ops``) to the second, which
-releases them: a solution keeps the operators its certificates read,
-never a factor.
+No cell problem needs a sparse factorization.  The corrector matrix and
+the velocity Laplacian are the periodic 5-point Laplacian of the cell grid
+changed only on the ring of nodes around the grain, and
+`linalg.CapacitanceSolver` inverts each exactly with two FFT solves and a
+dense system on the ring, built once per cell for both directions.  The
+corrector ring is the 4a fluid-solid edges (a grain cells per side).  Each
+Stokes problem is solved by CG on the pressure Schur complement over the
+velocity Laplacian.  Its v-block is its u-block with rows and columns
+permuted (the transposed cell is a periodic shift of the cell), so one
+ring system of the u-block (4a - 2 wall and ghost nodes) serves both, and
+every application of the inverse is one two-column solve.  The ring
+solvers travel with the first direction's solution (``ops``) to the
+second, which releases them: a solution keeps the operators its
+certificates read, never a ring solver.
 """
 
 from __future__ import annotations
@@ -44,11 +49,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import linalg
 from .errors import AssemblyError, DegeneracyError, SolverError
 from .geometry import UnitCell, index_map
 from .gridio import read_csv, write_csv
-from .linalg import cg
+from .linalg import CapacitanceSolver, cg
 
 DEFAULT_TOL = 1e-10
 
@@ -72,28 +76,43 @@ class CellScalarField:
     values: np.ndarray        # (n, n), zero-mean over fluid, 0 in solid
     residual: float           # true relative residual of the solve
     degenerate: bool = False  # True for the no-perforation cell (xi == 0)
-    ops: _CorrectorOperator | None = None  # the factor of the solve, for the other direction
+    ops: _CorrectorOperator | None = None  # the ring solver of the solve, for the other direction
 
 
 class _CorrectorOperator:
-    """The corrector matrix of a cell and its factor with the first fluid
-    unknown pinned (the constants span the null space of the connected pore
-    space), shared by the two directions until both are solved."""
+    """The corrector matrix of a cell and its ring solver, shared by the two
+    directions until both are solved.
+
+    The matrix is the fluid block of ``L - U U^T``, L the periodic 5-point
+    Laplacian of the cell grid and U the dipoles ``e_f - e_s`` of the 4a
+    fluid-solid edges, so `linalg.CapacitanceSolver` inverts it with the
+    dipoles as its ring.
+    """
 
     def __init__(self, cell: UnitCell):
         self.cell, self.A, self.pending = cell, _fluid_adjacency(cell), {0, 1}
-        self.lu = linalg.factor_spd(self.A[1:, 1:])
+        self.lu = CapacitanceSolver(cell.fluid, _cut_edges(cell))
 
     def solve(self, b, direction):
         """Zero-mean solution of ``A x = b`` for compatible ``b``."""
         if self.lu is None:
-            raise ValueError("ops released their factor once both directions were solved")
+            raise ValueError("ops released their ring solver once both directions were solved")
         x = np.zeros(b.size)
-        for _ in range(2):  # one refinement step: relres 6e-13 -> 6e-14 at n = 256
-            x[1:] += self.lu.solve((b - self.A @ x)[1:])
+        for _ in range(2):  # one refinement step: relres 2.4e-13 -> 5.6e-14 at n = 256
+            x += self.lu.solve(b - self.A @ x)
         self.pending.discard(direction)
         self.lu = self.lu if self.pending else None
         return x - x.mean()
+
+
+def _cut_edges(cell: UnitCell):
+    """Dipoles ``e_f - e_s`` of the fluid-solid edges (the grain faces), as
+    the flat grid indices (fluid cell, solid cell) of each edge and the
+    weights (1, -1)."""
+    owner_i, owner_j, axis, sign, _ = cell.grain_faces
+    solid = ((owner_i + sign * (axis == 0)) % cell.n, (owner_j + sign * (axis == 1)) % cell.n)
+    edges = np.column_stack([owner_i * cell.n + owner_j, solid[0] * cell.n + solid[1]])
+    return edges, np.tile([1.0, -1.0], (len(edges), 1))
 
 
 def _fluid_adjacency(cell: UnitCell):
@@ -121,7 +140,7 @@ def _surface_functional(cell: UnitCell, direction: int) -> np.ndarray:
 def solve_diffusion_cell(cell: UnitCell, direction: int, tol: float = DEFAULT_TOL, ops=None) -> CellScalarField:
     """Solve the corrector problem in the given direction (0 or 1), to a
     true relative residual of at most ``tol``, with the ``ops`` of the other
-    direction's field on the same cell or, without them, a new factor."""
+    direction's field on the same cell or, without them, a new ring solver."""
     if direction not in (0, 1):
         raise ValueError(f"direction must be 0 or 1, got {direction}")
     values = np.zeros((cell.n, cell.n))
@@ -273,17 +292,19 @@ class StokesCellSolution:
     div_inf: float         # max cell divergence
     momentum_res: float    # relative residual of the momentum solve
     iters: int             # pressure Schur-complement CG iterations
-    ops: _MacOperators     # operators and factor of the solve, for the other direction
+    ops: _MacOperators     # operators and ring solver of the solve, for the other direction
 
 
 class _MacOperators:
-    """Sparse operators of the periodic MAC discretization and the factor of
-    the velocity Laplacian, shared by the two force directions.
+    """Sparse operators of the periodic MAC discretization and the ring
+    solver of the velocity Laplacian, shared by the two force directions.
 
     The velocity components decouple, ``A = diag(A_u, A_v)``, and
     ``A_v == A_u[q][:, q]`` exactly for the face map ``q`` of `_v_to_u`.
     That identity is checked bitwise here (`AssemblyError` otherwise), so
-    the one factor of ``A_u`` is verified to serve both blocks.
+    the one ring solver of ``A_u`` is verified to serve both blocks.  Its
+    ring holds ``X_q = 0`` on the wall nodes and ``X_q + X_p = 0`` on the
+    ghost nodes of `_wall_ring`.
     """
 
     def __init__(self, cell: UnitCell):
@@ -317,7 +338,7 @@ class _MacOperators:
         self.q = _v_to_u(cell, self.iu, self.v_active)
         if not _is_permuted(A_v, A_u, self.q):
             raise AssemblyError("the v-block of the velocity Laplacian is not the permuted u-block")
-        self.lu = linalg.factor_spd(A_u)
+        self.lu = CapacitanceSolver(self.u_active, *_wall_ring(self.u_active, self.u_interior, tangential_axis=1))
         self.pending = {0, 1}
 
     def _component_laplacian(self, active, interior, idx, m, tangential_axis):
@@ -353,16 +374,16 @@ class _MacOperators:
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
     def _solve_A(self, r):
-        """Apply A^-1 as one two-column solve with the factor of A_u: the
-        v-part enters scattered to u-face order by q and is gathered back,
-        since ``A_v^-1 r_v = (A_u^-1 w)[q]`` with ``w[q] = r_v``."""
-        rhs = np.empty((self.nu, 2), order="F")
-        rhs[:, 0] = r[: self.nu]
-        rhs[self.q, 1] = r[self.nu :]
+        """Apply A^-1 as one two-column solve with the ring solver of A_u:
+        the v-part enters scattered to u-face order by q and is gathered
+        back, since ``A_v^-1 r_v = (A_u^-1 w)[q]`` with ``w[q] = r_v``."""
+        rhs = np.empty((2, self.nu))
+        rhs[0] = r[: self.nu]
+        rhs[1, self.q] = r[self.nu :]
         z = self.lu.solve(rhs)
-        return np.concatenate([z[:, 0], z[self.q, 1]])
+        return np.concatenate([z[0], z[1, self.q]])
 
-    def solve(self, direction: int, div_tol: float = 1e-12):
+    def solve(self, direction: int, tol: float = DEFAULT_TOL, div_tol: float = 1e-12):
         """Pressure Schur-complement CG for body force e_direction.
 
         Eliminating the velocity from ``A x + G p = b, G^T x = 0`` leaves
@@ -372,10 +393,12 @@ class _MacOperators:
         unpreconditioned CG converges in a mesh-independent number of
         iterations.  Its residual is the cell divergence of the recovered
         velocity ``x = A^-1 (b - G p)``, which solves the momentum equation
-        to factorization accuracy.
+        to the accuracy of the ring solver; ``tol`` bounds the relative
+        momentum residual and ``div_tol`` the divergence (`SolverError`
+        when either is missed).
         """
         if self.lu is None:
-            raise ValueError("ops released their factor once both directions were solved")
+            raise ValueError("ops released their ring solver once both directions were solved")
         h2 = self.h * self.h
         b = np.zeros(self.nu + self.nv)
         if direction == 0:
@@ -391,15 +414,46 @@ class _MacOperators:
         )
         x = self._solve_A(b - self.G @ p)
         self.pending.discard(direction)
-        if not self.pending:  # the other direction is done: release the factor
+        if not self.pending:  # the other direction is done: release the ring solver
             self.lu = None
         div_max = float(np.max(np.abs(self.G.T @ x))) / h2   # G^T x = -h^2 * cell divergence
         vel_scale = max(float(np.max(np.abs(x))), 1e-300)
         if div_max > div_tol * max(vel_scale / self.h, 1.0):
             raise SolverError(f"Stokes solve left max divergence {div_max:.3e}", residual=div_max)
-        mom_res = np.linalg.norm(self.A @ x + self.G @ p - b) / np.linalg.norm(b)
+        mom_res = float(np.linalg.norm(self.A @ x + self.G @ p - b) / np.linalg.norm(b))
+        if mom_res > tol:
+            raise SolverError(f"Stokes solve left momentum residual {mom_res:.3e} > {tol:g}", residual=mom_res)
         p -= p.mean()
-        return x, p, div_max, float(mom_res), iters
+        return x, p, div_max, mom_res, iters
+
+
+def _wall_ring(active, interior, tangential_axis):
+    """Sources and conditions of a velocity block's ring: a source on each
+    non-active node q next to an active one, and the condition
+    ``X_q + X_p = 0`` when q is an interior node tangentially next to the
+    active node p (mirror ghost), ``X_q = 0`` otherwise (Dirichlet).
+
+    On the grid-aligned grain every ring node gets one condition: a wall
+    node gets ``X_q = 0`` from each active neighbour, and an interior node
+    has at most one active neighbour, across the tangential wall next to it
+    (two would need a grain one cell thick, which has no interior nodes).
+    With ``a`` grain cells per side the ring has ``4a - 2`` nodes, the 2a
+    wall nodes and 2(a - 1) ghost nodes.
+    """
+    n = active.shape[0]
+    flat = np.arange(n * n).reshape(n, n)
+    ring, partner = [], []
+    for axis in (0, 1):
+        for step in (1, -1):
+            edge = active & ~np.roll(active, -step, axis=axis)
+            ghost = (axis == tangential_axis) & np.roll(interior, -step, axis=axis)[edge]
+            ring.append(np.roll(flat, -step, axis=axis)[edge])
+            partner.append(np.where(ghost, flat[edge], -1))
+    ring, first = np.unique(np.concatenate(ring), return_index=True)
+    partner = np.concatenate(partner)[first]
+    ghost = partner >= 0
+    sources = np.column_stack([ring, ring]), np.tile([1.0, 0.0], (ring.size, 1))
+    return sources, (np.column_stack([ring, np.where(ghost, partner, ring)]), np.column_stack([np.ones(ring.size), ghost]))
 
 
 def _v_to_u(cell: UnitCell, iu: np.ndarray, v_active: np.ndarray) -> np.ndarray:
@@ -431,11 +485,15 @@ def _is_permuted(A_v, A_u, q) -> bool:
     )
 
 
-def solve_stokes_cell(cell: UnitCell, direction: int, div_tol: float = 1e-12, ops=None) -> StokesCellSolution:
-    """Solve the Stokes cell problem with body force e_direction (0 or 1).
+def solve_stokes_cell(
+    cell: UnitCell, direction: int, tol: float = DEFAULT_TOL, ops=None, div_tol: float = 1e-12
+) -> StokesCellSolution:
+    """Solve the Stokes cell problem with body force e_direction (0 or 1),
+    to a relative momentum residual of at most ``tol``.
 
     ``ops`` are the operators of an earlier solution on the same cell
-    (``solution.ops``); without them the velocity Laplacian is factored anew.
+    (``solution.ops``); without them the operators and the ring solver of
+    the velocity Laplacian are built anew.
     """
     if direction not in (0, 1):
         raise ValueError(f"direction must be 0 or 1, got {direction}")
@@ -443,7 +501,7 @@ def solve_stokes_cell(cell: UnitCell, direction: int, div_tol: float = 1e-12, op
         ops = _MacOperators(cell)
     elif ops.cell != cell:
         raise ValueError("ops were built for a different unit cell")
-    x, p, div_max, mom_res, iters = ops.solve(direction, div_tol=div_tol)
+    x, p, div_max, mom_res, iters = ops.solve(direction, tol=tol, div_tol=div_tol)
     n = cell.n
     u = np.zeros((n, n))
     v = np.zeros((n, n))
@@ -518,12 +576,13 @@ class EffectiveTensors:
 
 
 def effective_tensors(cell: UnitCell, D: float = 1.0, tol: float = DEFAULT_TOL) -> EffectiveTensors:
-    """Solve all cell problems on `cell` and assemble both tensors; Stokes
-    first, so that its factor is released before the corrector's is built."""
-    first = solve_stokes_cell(cell, 0)
-    sols = [first, solve_stokes_cell(cell, 1, ops=first.ops)]
+    """Solve all cell problems on `cell` to ``tol`` and assemble both
+    tensors: the cheaper corrector pair first, and each second direction
+    reuses the first's ring solver."""
     xi = solve_diffusion_cell(cell, 0, tol)
     fields = [xi, solve_diffusion_cell(cell, 1, tol, ops=xi.ops)]
+    first = solve_stokes_cell(cell, 0, tol)
+    sols = [first, solve_stokes_cell(cell, 1, tol, ops=first.ops)]
     S, s_info = assemble_S(cell, fields, D=D)
     K, k_info = assemble_K(cell, sols)
     return tensors_with_provenance(cell, fields, sols, S, s_info, K, k_info, D, tol)

@@ -56,12 +56,12 @@ def _prepare_out(args, cfg):
 def _compute_tensors(cfg):
     tol = cfg.tolerances["cell"]
     D = cfg.micro_config().D
-    # as in effective_tensors: Stokes first, its factor released before the
-    # corrector's is built; each second direction reuses the first's factor
-    first = solve_stokes_cell(cfg.cell, 0)
-    sols = [first, solve_stokes_cell(cfg.cell, 1, ops=first.ops)]
+    # as in effective_tensors: the cheaper corrector pair first, and each second
+    # direction reuses the first's ring solver
     xi = solve_diffusion_cell(cfg.cell, 0, tol)
     fields = [xi, solve_diffusion_cell(cfg.cell, 1, tol, ops=xi.ops)]
+    first = solve_stokes_cell(cfg.cell, 0, tol)
+    sols = [first, solve_stokes_cell(cfg.cell, 1, tol, ops=first.ops)]
     S, s_info = assemble_S(cfg.cell, fields, D=D, spd_tol=cfg.tolerances["spd"])
     K, k_info = assemble_K(cfg.cell, sols, spd_tol=cfg.tolerances["spd"])
     return tensors_with_provenance(cfg.cell, fields, sols, S, s_info, K, k_info, D, tol), fields, sols
@@ -115,8 +115,9 @@ def cmd_micro(args, cfg):
     micro_cfg = cfg.micro_config()
     stokes = None
     if micro_cfg.velocity_mode == "reconstructed":
-        first = solve_stokes_cell(cfg.cell, 0)
-        stokes = [first, solve_stokes_cell(cfg.cell, 1, ops=first.ops)]
+        tol = cfg.tolerances["cell"]
+        first = solve_stokes_cell(cfg.cell, 0, tol)
+        stokes = [first, solve_stokes_cell(cfg.cell, 1, tol, ops=first.ops)]
     solver = MicroSolver(micro_cfg, grid, stokes)
     run = solver.run()
     write_classification(grid, out / "grid_classification.txt")

@@ -79,9 +79,10 @@ _DEFAULTS = {
 }
 
 
-# the most cells a grid of a run may have, a 512 x 512 grid: at n = 512 the
-# factor of the Stokes u-block, and that of the corrector matrix, holds 15.4M
-# nonzeros (59 per cell, 49 at n = 256), about 185 MB of values and indices
+# the most cells a grid of a run may have, a 512 x 512 grid: `cell` at
+# n = 512 peaks at about 200 MB resident (sparse operators, n x n FFT arrays,
+# the 1023 x 1023 dense ring matrix of the Stokes u-block), and the micro
+# step's sparse factor at 512 x 512 (n = 8, eps = 1/64) holds 6.4M nonzeros
 CELL_BUDGET = 512 * 512
 
 # the grids each subcommand builds: the unit cell, the micro grid at

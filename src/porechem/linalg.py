@@ -1,25 +1,29 @@
-"""Conjugate-gradient solver for the package's SPD structured-grid systems.
+"""Linear solvers for the package's structured-grid systems.
 
-The caller passes the preconditioner M^-1, and ``A`` only has to support
-``A @ x``: the implicit transport step passes the solve of its
-once-factored backward-Euler operator and applies its Newton matrix
-matrix-free, and the Stokes cell solve runs unpreconditioned CG on the
-pressure Schur complement.  The stopping rule is on the true residual of
-``A``.
+``cg`` is conjugate gradients for SPD systems.  The caller passes the
+preconditioner M^-1, and ``A`` only has to support ``A @ x``: the implicit
+transport step passes the solve of its once-factored backward-Euler
+operator and applies its Newton matrix matrix-free, and the Stokes cell
+solve runs unpreconditioned CG on the pressure Schur complement.  The
+stopping rule is on the true residual of ``A``.
 
 Pure-Neumann/periodic operators are singular with a constant null vector;
 for those the iteration projects the constant out of the iterates and the
 right-hand side, which keeps CG on the orthogonal complement where the
 operator is definite.
 
-``factor_spd`` is the one sparse LU factorization of the package, shared
-by the implicit transport step and both cell solves.
+``factor_spd`` is the sparse LU factorization of the implicit transport
+step.  The cell problems need none: their operators are the periodic
+5-point Laplacian of the cell grid changed on the ring of nodes around the
+grain, which `CapacitanceSolver` inverts exactly with FFTs and a small
+dense system on the ring.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SolverError
 
@@ -97,3 +101,96 @@ def factor_spd(A):
     return spla.splu(
         A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
+
+
+class CapacitanceSolver:
+    """Direct solves with a periodic 5-point operator changed on a ring of nodes.
+
+    ``L = 4I - (periodic adjacency)`` on the n x n torus is diagonal in
+    Fourier space, with symbol ``4 - 2cos(2 pi k/n) - 2cos(2 pi l/n)``, so
+    its pseudo-inverse ``L+`` (the constant mode dropped) costs one
+    rfft2/irfft2 pair.  An operator that differs from L only next to a ring
+    of nodes is inverted by adding sources on the ring and choosing their
+    strengths ``lam`` so that the ring conditions hold (the capacitance
+    method; Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971):
+
+        X = L+ (B + S lam) + c,    K^T X = D lam.
+
+    Two kinds of ring are supported.  Without ``conditions`` the operator is
+    ``L - U U^T`` for the dipoles ``U = S = K`` of cut edges (the graph
+    Laplacian with those edges removed) and ``D = I``; the all-ones vector
+    spans the null space of the capacitance matrix ``C = K^T L+ S - I``
+    (dipoles do not see constants), so ``C - 1 1^T / m`` is solved instead.
+    With ``conditions``, the sources sit on the ring nodes, ``K^T X = 0``
+    holds conditions such as Dirichlet or mirror-ghost values there,
+    ``D = 0``, and the constant c and the balance ``1^T (B + S lam) = 0``
+    (without which ``L X = B + S lam`` could not hold) close the system.
+
+    L is translation-invariant, so the entries of C are gathers of one
+    Green's function ``g = L+ e_0`` at index differences: building C needs
+    no solves.  C is factored once with dense LU, and every solve is two
+    FFT solves and one pair of triangular solves.
+
+    ``sources`` and ``conditions`` are ``(nodes, weights)`` pairs of (m, 2)
+    arrays: row i is the vector with ``weights[i, k]`` at flat torus node
+    ``nodes[i, k]``.  ``domain`` is the (n, n) mask of the operator's
+    unknowns, numbered in C order; B is zero off it.
+    """
+
+    def __init__(self, domain, sources, conditions=None):
+        n = domain.shape[0]
+        self.domain = domain
+        self.cut = conditions is None
+        self.sources, self.conditions = sources, sources if self.cut else conditions
+        freq = 2.0 * np.pi * np.arange(n) / n
+        symbol = 4.0 - 2.0 * np.cos(freq)[:, None] - 2.0 * np.cos(freq[: n // 2 + 1])[None, :]
+        symbol[0, 0] = np.inf  # the pseudo-inverse drops the constant mode
+        self.inverse_symbol = 1.0 / symbol
+        C = _gather_pairs(np.fft.irfft2(self.inverse_symbol, s=(n, n)), self.conditions, sources)
+        m = C.shape[0]
+        if self.cut:
+            C[np.diag_indices(m)] -= 1.0
+            C -= 1.0 / m
+        else:
+            C = np.block([[C, conditions[1].sum(axis=1)[:, None]], [sources[1].sum(axis=1)[None, :], np.zeros((1, 1))]])
+        self.capacitance = lu_factor(C, check_finite=False)
+
+    def _lplus(self, B):
+        return np.fft.irfft2(np.fft.rfft2(B) * self.inverse_symbol, s=B.shape[-2:])
+
+    def solve(self, b):
+        """Solution on the domain for right-hand sides ``b`` of shape
+        ``(number of domain nodes,)`` or ``(k, number of domain nodes)``."""
+        rows = b.reshape(-1, b.shape[-1])
+        B = np.zeros((len(rows),) + self.domain.shape)
+        for B_k, b_k in zip(B, rows):  # row by row: masked assignment is fastest on 2-d arrays
+            B_k[self.domain] = b_k
+        nodes, weights = self.conditions
+        rhs = -(self._lplus(B).reshape(len(B), -1)[:, nodes] * weights).sum(axis=-1)
+        if not self.cut:
+            rhs = np.column_stack([rhs, -rows.sum(axis=1)])
+        lam = lu_solve(self.capacitance, rhs.T, check_finite=False).T
+        nodes, weights = self.sources
+        for B_k, lam_k in zip(B, lam):
+            B_k += np.bincount(nodes.ravel(), (weights * lam_k[: len(nodes), None]).ravel(), B_k.size).reshape(B_k.shape)
+        X = np.array([X_k[self.domain] for X_k in self._lplus(B)])
+        if not self.cut:
+            X += lam[:, -1:]
+        return X.reshape(b.shape)
+
+
+def _gather_pairs(g, rows, cols):
+    """``rows^T L+ cols`` from the Green's function g of ``L+``: entry (i, j)
+    sums the weight products times g at the index differences of the nodes
+    of row i and column j."""
+    n = g.shape[0]
+    out = np.zeros((rows[0].shape[0], cols[0].shape[0]))
+    for s in range(2):
+        rx, ry = np.divmod(rows[0][:, s], n)
+        for t in range(2):
+            if cols[1][:, t].any():  # a monopole column has no second node
+                cx, cy = np.divmod(cols[0][:, t], n)
+                diff = (rx[:, None] - cx) % n * n
+                diff += (ry[:, None] - cy) % n
+                out += np.outer(rows[1][:, s], cols[1][:, t]) * g.ravel()[diff]
+    return out

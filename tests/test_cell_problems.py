@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -345,17 +347,70 @@ def test_square_grain_gives_isotropic_tensors(side, center, n):
     assert t.S[1, 1] == pytest.approx(t.S[0, 0], rel=1e-12)
 
 
-def test_effective_tensors_factor_twice(monkeypatch):
+def test_effective_tensors_build_one_ring_system_per_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cell layer factored a sparse matrix")
+
+    monkeypatch.setattr(linalg, "factor_spd", refuse)
+    monkeypatch.setattr(spla, "splu", refuse)
+    built = []
+    init = linalg.CapacitanceSolver.__init__
+
+    def tracking_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(linalg.CapacitanceSolver, "__init__", tracking_init)
     c = build_unit_cell(0.25, (0.375, 0.625), 16)
-    nu = cell_problems._MacOperators(c).nu
-    shapes = []
-    factor_spd = linalg.factor_spd
-
-    def counting_factor(A):
-        shapes.append(A.shape[0])
-        return factor_spd(A)
-
-    monkeypatch.setattr(linalg, "factor_spd", counting_factor)
     effective_tensors(c)
-    # the Stokes u-block (it serves the v-block too), then the pinned corrector
-    assert shapes == [nu, int(c.fluid.sum()) - 1]
+    # the corrector's 4a cut edges, then the Stokes u-block's 4a - 2 wall
+    # and ghost nodes and its constant (the u-block serves the v-block too)
+    a = c.hole_cells
+    assert [len(s.capacitance[1]) for s in built] == [4 * a, 4 * a - 1]
+    assert [s.cut for s in built] == [True, False]
+
+
+@st.composite
+def aligned_cells(draw):
+    """Every grid-aligned cell validation accepts up to n = 64: any grain
+    side and corner that leave at least one fluid cell on each side."""
+    n = draw(st.integers(3, 64))
+    a = draw(st.integers(1, n - 2))
+    i0, j0 = (draw(st.integers(1, n - 1 - a)) for _ in range(2))
+    return build_unit_cell(a / n, ((i0 + a / 2) / n, (j0 + a / 2) / n), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(aligned_cells(), st.integers(0, 2**32 - 1))
+@example(build_unit_cell(31 / 32, (0.5, 0.5), 64), 0)  # one-cell channels
+@example(build_unit_cell(61 / 64, (31.5 / 64, 32.5 / 64), 64), 1)  # one-cell margins at left and bottom
+@example(build_unit_cell(1 / 64, (1.5 / 64, 62.5 / 64), 64), 2)  # one-cell grain in a corner
+def test_ring_solves_match_sparse_direct_solves(cell, seed):
+    rng = np.random.default_rng(seed)
+    ops = cell_problems._MacOperators(cell)
+    A_u = ops.A[: ops.nu, : ops.nu].tocsc()
+    b = rng.standard_normal((2, ops.nu))
+    x = ops.lu.solve(b)
+    for x_k, b_k in zip(x, b):
+        ref = spla.spsolve(A_u, b_k)
+        assert np.max(np.abs(x_k - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert np.linalg.norm(A_u @ x_k - b_k) <= 1e-12 * np.linalg.norm(b_k)
+    corrector = cell_problems._CorrectorOperator(cell)
+    A = corrector.A.tocsc()
+    for i in range(2):
+        # the corrector right-hand side, against the system with its first unknown pinned
+        b = -cell_problems._surface_functional(cell, i)
+        ref = np.zeros(b.size)
+        ref[1:] = spla.spsolve(A[1:, 1:], b[1:])
+        ref -= ref.mean()
+        x = corrector.solve(b, i)
+        assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_stokes_tolerance_is_an_acceptance_bound():
+    c = build_unit_cell(0.5, (0.5, 0.5), 16)
+    with pytest.raises(SolverError, match="Stokes solve left momentum residual"):
+        solve_stokes_cell(c, 0, tol=1e-20)
+    sol = solve_stokes_cell(c, 0, tol=1e-12)
+    assert sol.momentum_res <= 1e-12

@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import SuperLU
 
 from porechem import cell_problems, cli, config, linalg
@@ -311,31 +312,33 @@ def _reaches(obj, kind):
     return False
 
 
-def test_compute_tensors_factors_twice_and_keeps_no_factor(monkeypatch):
+def test_compute_tensors_builds_two_ring_systems_and_keeps_none(monkeypatch):
     cfg = parse_config(MINIMAL.replace("n = 8", "n = 32"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cell layer factored a sparse matrix")
+
+    monkeypatch.setattr(linalg, "factor_spd", refuse)
+    monkeypatch.setattr(spla, "splu", refuse)
     built = []
-    init = cell_problems._MacOperators.__init__
+    init = linalg.CapacitanceSolver.__init__
 
-    def tracking_init(self, cell):
+    def tracking_init(self, *args):
+        init(self, *args)
         built.append(self)
-        init(self, cell)
 
-    factored = []
-    factor_spd = linalg.factor_spd
-
-    def counting_factor(A):
-        stokes_factor_held = any(getattr(ops, "lu", None) is not None for ops in built)
-        factored.append((A.shape[0], stokes_factor_held))
-        return factor_spd(A)
-
-    monkeypatch.setattr(cell_problems._MacOperators, "__init__", tracking_init)
-    monkeypatch.setattr(linalg, "factor_spd", counting_factor)
+    monkeypatch.setattr(linalg.CapacitanceSolver, "__init__", tracking_init)
     result = _compute_tensors(cfg)
-    ops = built[0]
-    # the u-block of the Stokes velocity Laplacian (it serves the v-block as
-    # well), then the pinned corrector matrix once the Stokes factor is released
-    assert factored == [(ops.nu, False), (int(cfg.cell.fluid.sum()) - 1, False)]
-    assert not _reaches(result, SuperLU)
+    _, fields, sols = result
+    # one ring system per operator, each shared by both directions: the
+    # corrector's 4a cut edges, then the Stokes u-block's 4a - 2 wall and
+    # ghost nodes and its constant (the u-block serves the v-block too)
+    a = cfg.cell.hole_cells
+    assert [len(s.capacitance[1]) for s in built] == [4 * a, 4 * a - 1]
+    assert fields[1].ops is fields[0].ops and sols[1].ops is sols[0].ops
+    # the second direction released them: nothing returned keeps one
+    assert fields[0].ops.lu is None and sols[0].ops.lu is None
+    assert not _reaches(result, (SuperLU, linalg.CapacitanceSolver))
     assert _reaches(result, sp.csr_matrix)  # the walk does reach the operators kept
 
 
@@ -384,6 +387,16 @@ def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):
     assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     record = (out / "error_record.txt").read_text()
     assert "kind = runtime" in record and "corrector solve left relative residual" in record
+
+
+def test_cli_cell_tolerance_reaches_the_stokes_solve(tmp_path):
+    # micro with the reconstructed velocity solves the Stokes cell problems alone
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[tolerances]\ncell = 1e-20\n[micro]\nvelocity_mode = reconstructed\n")
+    out = tmp_path / "o"
+    assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    record = (out / "error_record.txt").read_text()
+    assert "kind = runtime" in record and "Stokes solve left momentum residual" in record
 
 
 # grids past the cell budget, each with a subcommand that builds it and the
