@@ -17,9 +17,9 @@ from porechem.cell_problems import assemble_K, solve_stokes_cell, velocity_mean
 print("grain size -> effective tensors (n = 32):")
 for a in (0.25, 0.5, 0.75):
     cell = build_unit_cell(a, (0.5, 0.5), 32)
-    fields = [solve_diffusion_cell(cell, i) for i in range(2)]
+    fields = solve_diffusion_cell(cell)
     S, s_info = assemble_S(cell, fields, D=1.0)
-    sols = [solve_stokes_cell(cell, j) for j in range(2)]
+    sols = solve_stokes_cell(cell)
     K, k_info = assemble_K(cell, sols)
     print(
         f"  a = {a}: s = {S[0, 0]:.5f} (quad check {s_info['quad_err']:.1e}), "
@@ -33,7 +33,7 @@ print("refinement of s11 on the a = 0.5 cell:")
 vals = {}
 for n in (32, 64, 128):
     cell = build_unit_cell(0.5, (0.5, 0.5), n)
-    fields = [solve_diffusion_cell(cell, i) for i in range(2)]
+    fields = solve_diffusion_cell(cell)
     S, _ = assemble_S(cell, fields)
     vals[n] = S[0, 0]
     print(f"  n = {n}: s11 = {S[0, 0]:.8f}")
@@ -43,7 +43,7 @@ print(f"observed refinement order: {order:.2f} (grain corners cap it below 2)\n"
 # --- structure of the Stokes cell solution -----------------------------------
 
 cell = build_unit_cell(0.5, (0.5, 0.5), 32)
-sol = solve_stokes_cell(cell, 0)
+sol = solve_stokes_cell(cell)[0]
 print(f"Stokes solve: max |div| = {sol.div_inf:.2e}, momentum residual = {sol.momentum_res:.2e}")
 mean = velocity_mean(sol)
 print(f"pore-average velocity for unit x-forcing: {mean}  (first entry is kappa)")

@@ -12,8 +12,8 @@ from porechem.cell_problems import assemble_K, solve_stokes_cell
 from porechem.macro_sim import MacroConfig, darcy_solve, run
 
 cell = build_unit_cell(0.5, (0.5, 0.5), 32)
-S, _ = assemble_S(cell, [solve_diffusion_cell(cell, i) for i in range(2)], D=1.0)
-K, _ = assemble_K(cell, [solve_stokes_cell(cell, j) for j in range(2)])
+S, _ = assemble_S(cell, solve_diffusion_cell(cell), D=1.0)
+K, _ = assemble_K(cell, solve_stokes_cell(cell))
 print(f"S = diag({S[0, 0]:.5f}), K = diag({K[0, 0]:.6f})")
 
 qx, qy, P, div = darcy_solve(K, 32, p_left=1.0, p_right=0.0)

@@ -26,7 +26,7 @@ for r in rows:
 
 # effective diffusion from a finer reference cell (decoupled resolutions)
 c64 = build_unit_cell(0.5, (0.5, 0.5), 64)
-S, _ = assemble_S(c64, [solve_diffusion_cell(c64, i) for i in range(2)], D=1.0)
+S, _ = assemble_S(c64, solve_diffusion_cell(c64), D=1.0)
 
 micro_cfg = MicroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),
                         D=1.0, u_init=0.0, v_init=0.05)

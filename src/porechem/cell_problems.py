@@ -25,20 +25,23 @@ error contracts quadratically in the corrector error (observed refinement
 order ~ h^(4/3), the grain-corner limit).  The tensors use the pore-volume
 normalization ``(1/|Y|) * integral over Y``.
 
+The grain is one grid-aligned square, so the transposed cell is a periodic
+shift of the cell (`_transposed`), and it maps each direction-0 problem
+onto its direction-1 problem.  Each family is solved once, in direction 0;
+the direction-1 solution is the mapped one, certified against its own
+operators and data like a solve.
+
 No cell problem needs a sparse factorization.  The corrector matrix and
 the velocity Laplacian are the periodic 5-point Laplacian of the cell grid
 changed only on the ring of nodes around the grain, and
 `linalg.CapacitanceSolver` inverts each exactly with two FFT solves and a
-dense system on the ring, built once per cell for both directions.  The
-corrector ring is the 4a fluid-solid edges (a grain cells per side).  Each
-Stokes problem is solved by CG on the pressure Schur complement over the
-velocity Laplacian.  Its v-block is its u-block with rows and columns
-permuted (the transposed cell is a periodic shift of the cell), so one
-ring system of the u-block (4a - 2 wall and ghost nodes) serves both, and
-every application of the inverse is one two-column solve.  The ring
-solvers travel with the first direction's solution (``ops``) to the
-second, which releases them: a solution keeps the operators its
-certificates read, never a ring solver.
+dense system on the ring.  The corrector ring is the 4a fluid-solid edges
+(a grain cells per side).  The Stokes problem is solved by CG on the
+pressure Schur complement over the velocity Laplacian.  Its v-block is its
+u-block with rows and columns permuted, so one ring system of the u-block
+(4a - 2 wall and ghost nodes) serves both, and every application of the
+inverse is one two-column solve.  Each ring solver lives only for its
+solve: a solution keeps the sparse operators its certificates read.
 """
 
 from __future__ import annotations
@@ -72,37 +75,21 @@ class CellScalarField:
     """Corrector field xi_i on the unit cell (zero on solid cells)."""
 
     cell: UnitCell
-    direction: int
     values: np.ndarray        # (n, n), zero-mean over fluid, 0 in solid
     residual: float           # true relative residual of the solve
     degenerate: bool = False  # True for the no-perforation cell (xi == 0)
-    ops: _CorrectorOperator | None = None  # the ring solver of the solve, for the other direction
 
 
-class _CorrectorOperator:
-    """The corrector matrix of a cell and its ring solver, shared by the two
-    directions until both are solved.
+def _transposed(cell: UnitCell, f: np.ndarray) -> np.ndarray:
+    """The transposed cell's field ``f.T`` as a field of the cell.
 
-    The matrix is the fluid block of ``L - U U^T``, L the periodic 5-point
-    Laplacian of the cell grid and U the dipoles ``e_f - e_s`` of the 4a
-    fluid-solid edges, so `linalg.CapacitanceSolver` inverts it with the
-    dipoles as its ring.
+    Transposing moves the grain at corner (i0, j0) to (j0, i0); the periodic
+    shift by ``(i0 - j0, j0 - i0)`` puts it back.  Cell values stay cell
+    values and u-faces become v-faces (and back), so the map takes each
+    direction-0 cell problem to its direction-1 problem.
     """
-
-    def __init__(self, cell: UnitCell):
-        self.cell, self.A, self.pending = cell, _fluid_adjacency(cell), {0, 1}
-        self.lu = CapacitanceSolver(cell.fluid, _cut_edges(cell))
-
-    def solve(self, b, direction):
-        """Zero-mean solution of ``A x = b`` for compatible ``b``."""
-        if self.lu is None:
-            raise ValueError("ops released their ring solver once both directions were solved")
-        x = np.zeros(b.size)
-        for _ in range(2):  # one refinement step: relres 2.4e-13 -> 5.6e-14 at n = 256
-            x += self.lu.solve(b - self.A @ x)
-        self.pending.discard(direction)
-        self.lu = self.lu if self.pending else None
-        return x - x.mean()
+    i0, j0 = cell.grain_corner
+    return np.roll(f.T, (i0 - j0, j0 - i0), axis=(0, 1))
 
 
 def _cut_edges(cell: UnitCell):
@@ -137,37 +124,46 @@ def _surface_functional(cell: UnitCell, direction: int) -> np.ndarray:
     return ell
 
 
-def solve_diffusion_cell(cell: UnitCell, direction: int, tol: float = DEFAULT_TOL, ops=None) -> CellScalarField:
-    """Solve the corrector problem in the given direction (0 or 1), to a
-    true relative residual of at most ``tol``, with the ``ops`` of the other
-    direction's field on the same cell or, without them, a new ring solver."""
-    if direction not in (0, 1):
-        raise ValueError(f"direction must be 0 or 1, got {direction}")
-    values = np.zeros((cell.n, cell.n))
+def solve_diffusion_cell(cell: UnitCell, tol: float = DEFAULT_TOL) -> list[CellScalarField]:
+    """Solve the corrector problems ``[xi_1, xi_2]``, each to a true
+    relative residual of at most ``tol`` (`SolverError` otherwise).
+
+    The corrector matrix is the fluid block of ``L - U U^T``, L the periodic
+    5-point Laplacian of the cell grid and U the dipoles ``e_f - e_s`` of
+    the 4a fluid-solid edges, so `linalg.CapacitanceSolver` inverts it with
+    the dipoles as its ring.  It solves direction 0; ``xi_2`` is the
+    `_transposed` ``xi_1``, and its residual is taken against the
+    direction-1 data like that of a solve.
+    """
+    fluid = cell.fluid
     if cell.hole_side == 0.0:
         # no grain boundary: zero Neumann data, zero field in the gauge
-        return CellScalarField(cell, direction, values, residual=0.0, degenerate=True)
-    if ops is None:
-        ops = _CorrectorOperator(cell)
-    elif ops.cell != cell:
-        raise ValueError("ops were built for a different unit cell")
+        return [CellScalarField(cell, np.zeros((cell.n, cell.n)), 0.0, degenerate=True) for _ in range(2)]
     # the grain condition is no total flux, nu . grad xi = -nu . e_i with nu
     # pointing into the grain, entering the weak form as -l_i.  With this
     # right-hand side the discrete solution is exactly the minimizer of the
     # face-sum energy  sum over fluid faces of (e_i t h + d xi)^2, which makes
     # the energy-based tensor evaluation quadratically accurate in the
     # corrector error
-    b = -_surface_functional(cell, direction)
+    rhs = [-_surface_functional(cell, i) for i in range(2)]
     # pure-Neumann/periodic solvability: the boundary data must integrate to
     # zero, which the closed grain contour guarantees on aligned geometry
-    if abs(float(b.sum())) > 1e-12 * max(float(np.abs(b).sum()), 1.0):
+    if any(abs(float(b.sum())) > 1e-12 * max(float(np.abs(b).sum()), 1.0) for b in rhs):
         raise AssemblyError("grain Neumann data are incompatible (nonzero total flux)")
-    x = ops.solve(b, direction)
-    relres = float(np.linalg.norm(ops.A @ x - b) / np.linalg.norm(b))
-    if relres > tol:
-        raise SolverError(f"corrector solve left relative residual {relres:.3e} > {tol:g}", residual=relres)
-    values[cell.fluid] = x
-    return CellScalarField(cell, direction, values, residual=relres, ops=ops)
+    A = _fluid_adjacency(cell)
+    ring = CapacitanceSolver(fluid, _cut_edges(cell))
+    x = np.zeros_like(rhs[0])
+    for _ in range(2):  # one refinement step: relres 2.4e-13 -> 5.6e-14 at n = 256
+        x += ring.solve(rhs[0] - A @ x)
+    values = np.zeros((cell.n, cell.n))
+    values[fluid] = x - x.mean()
+    fields = []
+    for b, f in zip(rhs, (values, _transposed(cell, values))):
+        relres = float(np.linalg.norm(A @ f[fluid] - b) / np.linalg.norm(b))
+        if not relres <= tol:  # a NaN residual fails too
+            raise SolverError(f"corrector solve left relative residual {relres:.3e} > {tol:g}", residual=relres)
+        fields.append(CellScalarField(cell, f, relres))
+    return fields
 
 
 def surface_moment(cell: UnitCell, values: np.ndarray, direction: int) -> float:
@@ -285,26 +281,24 @@ class StokesCellSolution:
     """
 
     cell: UnitCell
-    direction: int
     u: np.ndarray
     v: np.ndarray
     p: np.ndarray
     div_inf: float         # max cell divergence
-    momentum_res: float    # relative residual of the momentum solve
+    momentum_res: float    # relative residual of the momentum equation
     iters: int             # pressure Schur-complement CG iterations
-    ops: _MacOperators     # operators and ring solver of the solve, for the other direction
+    ops: _MacOperators     # the sparse operators its certificates read
 
 
 class _MacOperators:
-    """Sparse operators of the periodic MAC discretization and the ring
-    solver of the velocity Laplacian, shared by the two force directions.
+    """Sparse operators of the periodic MAC discretization of a cell.
 
     The velocity components decouple, ``A = diag(A_u, A_v)``, and
     ``A_v == A_u[q][:, q]`` exactly for the face map ``q`` of `_v_to_u`.
     That identity is checked bitwise here (`AssemblyError` otherwise), so
-    the one ring solver of ``A_u`` is verified to serve both blocks.  Its
-    ring holds ``X_q = 0`` on the wall nodes and ``X_q + X_p = 0`` on the
-    ghost nodes of `_wall_ring`.
+    one ring solver of ``A_u`` serves both blocks, and the transposed cell
+    is the cell itself.  The ring holds ``X_q = 0`` on the wall nodes and
+    ``X_q + X_p = 0`` on the ghost nodes of `_wall_ring`.
     """
 
     def __init__(self, cell: UnitCell):
@@ -338,8 +332,6 @@ class _MacOperators:
         self.q = _v_to_u(cell, self.iu, self.v_active)
         if not _is_permuted(A_v, A_u, self.q):
             raise AssemblyError("the v-block of the velocity Laplacian is not the permuted u-block")
-        self.lu = CapacitanceSolver(self.u_active, *_wall_ring(self.u_active, self.u_interior, tangential_axis=1))
-        self.pending = {0, 1}
 
     def _component_laplacian(self, active, interior, idx, m, tangential_axis):
         """Vector-Laplacian block for one velocity component.
@@ -373,18 +365,14 @@ class _MacOperators:
         shape = (self.nu + self.nv, self.np_)
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
-    def _solve_A(self, r):
-        """Apply A^-1 as one two-column solve with the ring solver of A_u:
-        the v-part enters scattered to u-face order by q and is gathered
-        back, since ``A_v^-1 r_v = (A_u^-1 w)[q]`` with ``w[q] = r_v``."""
-        rhs = np.empty((2, self.nu))
-        rhs[0] = r[: self.nu]
-        rhs[1, self.q] = r[self.nu :]
-        z = self.lu.solve(rhs)
-        return np.concatenate([z[0], z[1, self.q]])
+    def _force(self, direction: int) -> np.ndarray:
+        """The momentum right-hand side of body force e_direction."""
+        b = np.zeros(self.nu + self.nv)
+        b[slice(0, self.nu) if direction == 0 else slice(self.nu, None)] = self.h * self.h
+        return b
 
-    def solve(self, direction: int, tol: float = DEFAULT_TOL, div_tol: float = 1e-12):
-        """Pressure Schur-complement CG for body force e_direction.
+    def solve(self):
+        """Velocity, pressure and Schur CG iterations for body force e_1.
 
         Eliminating the velocity from ``A x + G p = b, G^T x = 0`` leaves
         ``G^T A^-1 G p / h^2 = G^T A^-1 b / h^2``.  The complement is SPSD
@@ -393,38 +381,46 @@ class _MacOperators:
         unpreconditioned CG converges in a mesh-independent number of
         iterations.  Its residual is the cell divergence of the recovered
         velocity ``x = A^-1 (b - G p)``, which solves the momentum equation
-        to the accuracy of the ring solver; ``tol`` bounds the relative
-        momentum residual and ``div_tol`` the divergence (`SolverError`
-        when either is missed).
+        to the accuracy of the ring solver.
         """
-        if self.lu is None:
-            raise ValueError("ops released their ring solver once both directions were solved")
+        ring = CapacitanceSolver(self.u_active, *_wall_ring(self.u_active, self.u_interior, tangential_axis=1))
+
+        def solve_A(r):
+            # one two-column solve with the ring solver of A_u: the v-part
+            # enters scattered to u-face order by q and is gathered back,
+            # since A_v^-1 r_v = (A_u^-1 w)[q] with w[q] = r_v
+            rhs = np.empty((2, self.nu))
+            rhs[0] = r[: self.nu]
+            rhs[1, self.q] = r[self.nu :]
+            z = ring.solve(rhs)
+            return np.concatenate([z[0], z[1, self.q]])
+
         h2 = self.h * self.h
-        b = np.zeros(self.nu + self.nv)
-        if direction == 0:
-            b[: self.nu] = h2
-        else:
-            b[self.nu :] = h2
+        b = self._force(0)
         schur = spla.LinearOperator(
-            (self.np_, self.np_), matvec=lambda q: self.G.T @ self._solve_A(self.G @ q) / h2, dtype=float
+            (self.np_, self.np_), matvec=lambda q: self.G.T @ solve_A(self.G @ q) / h2, dtype=float
         )
-        rhs = self.G.T @ self._solve_A(b) / h2
+        rhs = self.G.T @ solve_A(b) / h2
         p, _, iters = cg(
             schur, rhs, tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER, precond=np.copy, project_constant=True
         )
-        x = self._solve_A(b - self.G @ p)
-        self.pending.discard(direction)
-        if not self.pending:  # the other direction is done: release the ring solver
-            self.lu = None
-        div_max = float(np.max(np.abs(self.G.T @ x))) / h2   # G^T x = -h^2 * cell divergence
+        return solve_A(b - self.G @ p), p, iters
+
+    def certify(self, u, v, p, direction: int, tol: float, div_tol: float):
+        """Max cell divergence and relative momentum residual of the face
+        velocities ``u``, ``v`` and cell pressure ``p`` for body force
+        e_direction; `SolverError` when the divergence exceeds ``div_tol``
+        (relative to the velocity scale) or the residual exceeds ``tol``."""
+        x = np.concatenate([u[self.u_active], v[self.v_active]])
+        b = self._force(direction)
+        div_max = float(np.max(np.abs(self.G.T @ x))) / (self.h * self.h)  # G^T x = -h^2 * cell divergence
         vel_scale = max(float(np.max(np.abs(x))), 1e-300)
-        if div_max > div_tol * max(vel_scale / self.h, 1.0):
+        if not div_max <= div_tol * max(vel_scale / self.h, 1.0):  # NaN fails too
             raise SolverError(f"Stokes solve left max divergence {div_max:.3e}", residual=div_max)
-        mom_res = float(np.linalg.norm(self.A @ x + self.G @ p - b) / np.linalg.norm(b))
-        if mom_res > tol:
+        mom_res = float(np.linalg.norm(self.A @ x + self.G @ p[self.cell.fluid] - b) / np.linalg.norm(b))
+        if not mom_res <= tol:
             raise SolverError(f"Stokes solve left momentum residual {mom_res:.3e} > {tol:g}", residual=mom_res)
-        p -= p.mean()
-        return x, p, div_max, mom_res, iters
+        return div_max, mom_res
 
 
 def _wall_ring(active, interior, tangential_axis):
@@ -459,13 +455,10 @@ def _wall_ring(active, interior, tangential_axis):
 def _v_to_u(cell: UnitCell, iu: np.ndarray, v_active: np.ndarray) -> np.ndarray:
     """The u-face index of each active v-face, in v-face order.
 
-    Transposing the cell maps v-faces onto u-faces and the grain at corner
-    (i0, j0) onto the grain at (j0, i0); the periodic shift by
-    ``(i0 - j0, j0 - i0)`` puts it back.  Neighbours, walls and ghost nodes
-    map with the faces, so ``A_v == A_u[q][:, q]``.
+    `_transposed` maps v-faces onto u-faces, and neighbours, walls and
+    ghost nodes map with the faces, so ``A_v == A_u[q][:, q]``.
     """
-    i0, j0 = cell.grain_corner
-    return np.roll(iu, (j0 - i0, i0 - j0), axis=(0, 1)).T[v_active]
+    return _transposed(cell, iu)[v_active]
 
 
 def _is_permuted(A_v, A_u, q) -> bool:
@@ -485,33 +478,29 @@ def _is_permuted(A_v, A_u, q) -> bool:
     )
 
 
-def solve_stokes_cell(
-    cell: UnitCell, direction: int, tol: float = DEFAULT_TOL, ops=None, div_tol: float = 1e-12
-) -> StokesCellSolution:
-    """Solve the Stokes cell problem with body force e_direction (0 or 1),
-    to a relative momentum residual of at most ``tol``.
+def solve_stokes_cell(cell: UnitCell, tol: float = DEFAULT_TOL, div_tol: float = 1e-12) -> list[StokesCellSolution]:
+    """Solve the Stokes cell problems ``[chi^1, chi^2]`` for body forces
+    e_1 and e_2, each to a relative momentum residual of at most ``tol``
+    and a divergence of at most ``div_tol`` (`SolverError` otherwise).
 
-    ``ops`` are the operators of an earlier solution on the same cell
-    (``solution.ops``); without them the operators and the ring solver of
-    the velocity Laplacian are built anew.
+    Schur-complement CG solves e_1; ``chi^2`` is the `_transposed`
+    ``chi^1`` (``u^2 = T v^1``, ``v^2 = T u^1``, ``p^2 = T p^1``), and its
+    certificates are taken against the e_2 problem like those of a solve.
     """
-    if direction not in (0, 1):
-        raise ValueError(f"direction must be 0 or 1, got {direction}")
-    if ops is None:
-        ops = _MacOperators(cell)
-    elif ops.cell != cell:
-        raise ValueError("ops were built for a different unit cell")
-    x, p, div_max, mom_res, iters = ops.solve(direction, tol=tol, div_tol=div_tol)
+    ops = _MacOperators(cell)
+    x, p, iters = ops.solve()
     n = cell.n
     u = np.zeros((n, n))
     v = np.zeros((n, n))
     u[ops.u_active] = x[: ops.nu]
     v[ops.v_active] = x[ops.nu :]
     pf = np.full((n, n), np.nan)
-    pf[cell.fluid] = p
-    return StokesCellSolution(
-        cell, direction, u, v, pf, div_inf=div_max, momentum_res=mom_res, iters=iters, ops=ops
-    )
+    pf[cell.fluid] = p - p.mean()
+    sols = []
+    for direction, chi in enumerate([(u, v, pf), [_transposed(cell, f) for f in (v, u, pf)]]):
+        div_max, mom_res = ops.certify(*chi, direction, tol, div_tol)
+        sols.append(StokesCellSolution(cell, *chi, div_max, mom_res, iters, ops))
+    return sols
 
 
 def velocity_mean(sol: StokesCellSolution) -> np.ndarray:
@@ -577,12 +566,9 @@ class EffectiveTensors:
 
 def effective_tensors(cell: UnitCell, D: float = 1.0, tol: float = DEFAULT_TOL) -> EffectiveTensors:
     """Solve all cell problems on `cell` to ``tol`` and assemble both
-    tensors: the cheaper corrector pair first, and each second direction
-    reuses the first's ring solver."""
-    xi = solve_diffusion_cell(cell, 0, tol)
-    fields = [xi, solve_diffusion_cell(cell, 1, tol, ops=xi.ops)]
-    first = solve_stokes_cell(cell, 0, tol)
-    sols = [first, solve_stokes_cell(cell, 1, tol, ops=first.ops)]
+    tensors, the cheaper corrector pair first."""
+    fields = solve_diffusion_cell(cell, tol)
+    sols = solve_stokes_cell(cell, tol)
     S, s_info = assemble_S(cell, fields, D=D)
     K, k_info = assemble_K(cell, sols)
     return tensors_with_provenance(cell, fields, sols, S, s_info, K, k_info, D, tol)

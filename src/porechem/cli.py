@@ -56,12 +56,9 @@ def _prepare_out(args, cfg):
 def _compute_tensors(cfg):
     tol = cfg.tolerances["cell"]
     D = cfg.micro_config().D
-    # as in effective_tensors: the cheaper corrector pair first, and each second
-    # direction reuses the first's ring solver
-    xi = solve_diffusion_cell(cfg.cell, 0, tol)
-    fields = [xi, solve_diffusion_cell(cfg.cell, 1, tol, ops=xi.ops)]
-    first = solve_stokes_cell(cfg.cell, 0, tol)
-    sols = [first, solve_stokes_cell(cfg.cell, 1, tol, ops=first.ops)]
+    # as in effective_tensors: the cheaper corrector pair first
+    fields = solve_diffusion_cell(cfg.cell, tol)
+    sols = solve_stokes_cell(cfg.cell, tol)
     S, s_info = assemble_S(cfg.cell, fields, D=D, spd_tol=cfg.tolerances["spd"])
     K, k_info = assemble_K(cfg.cell, sols, spd_tol=cfg.tolerances["spd"])
     return tensors_with_provenance(cfg.cell, fields, sols, S, s_info, K, k_info, D, tol), fields, sols
@@ -115,9 +112,7 @@ def cmd_micro(args, cfg):
     micro_cfg = cfg.micro_config()
     stokes = None
     if micro_cfg.velocity_mode == "reconstructed":
-        tol = cfg.tolerances["cell"]
-        first = solve_stokes_cell(cfg.cell, 0, tol)
-        stokes = [first, solve_stokes_cell(cfg.cell, 1, tol, ops=first.ops)]
+        stokes = solve_stokes_cell(cfg.cell, cfg.tolerances["cell"])
     solver = MicroSolver(micro_cfg, grid, stokes)
     run = solver.run()
     write_classification(grid, out / "grid_classification.txt")

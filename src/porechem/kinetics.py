@@ -162,7 +162,8 @@ def _regularized_advance(law: RateLaw, delta: float, u, v, dt: float):
     if np.any(above):
         rr, vv = r[above], v0[above]
         lin = vv + dt * k * (rr - 1.0)
-        tau = np.where(rr < 1.0, (vv - delta) / (k * (1.0 - rr)), np.inf)
+        # time to reach the ramp; never when r >= 1 (no division there)
+        tau = np.divide(vv - delta, k * (1.0 - rr), out=np.full_like(vv, np.inf), where=rr < 1.0)
         res = np.where(tau >= dt, lin, np.nan)
         drop = tau < dt  # enters the ramp, finish there
         if np.any(drop):

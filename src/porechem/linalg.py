@@ -58,7 +58,7 @@ def cg(A, b, *, precond, tol=1e-10, maxiter=None, project_constant=False):
         _project_constant(b)
     x = np.zeros(n)
 
-    r = b - A @ x
+    r = b.copy()  # the residual at x = 0, without applying A
     bnorm = np.linalg.norm(b)
     floor = tol * max(bnorm, 1.0) if bnorm == 0.0 else tol * bnorm
     if np.linalg.norm(r) <= floor:

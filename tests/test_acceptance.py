@@ -61,14 +61,14 @@ def test_c01_kinetics_branch_table():
 
 def test_c02_effective_diffusion():
     c0 = build_unit_cell(0.0, (0.5, 0.5), 8)
-    S0, _ = assemble_S(c0, [solve_diffusion_cell(c0, i) for i in range(2)], D=1.0)
+    S0, _ = assemble_S(c0, solve_diffusion_cell(c0), D=1.0)
     assert np.max(np.abs(S0 - np.eye(2))) <= 1e-10
 
     vals = {}
     quad64 = None
     for n in (32, 64, 128):
         c = build_unit_cell(0.5, (0.5, 0.5), n)
-        fields = [solve_diffusion_cell(c, i) for i in range(2)]
+        fields = solve_diffusion_cell(c)
         S, info = assemble_S(c, fields, D=1.0)
         vals[n] = S
         if n == 64:
@@ -87,7 +87,7 @@ def test_c03_permeability():
     kappa = {}
     for a in (0.25, 0.5):
         c = build_unit_cell(a, (0.5, 0.5), 64)
-        sols = [solve_stokes_cell(c, j) for j in range(2)]
+        sols = solve_stokes_cell(c)
         for s in sols:
             assert s.div_inf <= 1e-9
         K, info = assemble_K(c, sols)
@@ -243,7 +243,7 @@ def test_c09_flagship_convergence_sweep():
     cell = build_unit_cell(0.5, (0.5, 0.5), 8)
     # effective tensor from a decoupled, finer cell resolution
     c64 = build_unit_cell(0.5, (0.5, 0.5), 64)
-    S, _ = assemble_S(c64, [solve_diffusion_cell(c64, i) for i in range(2)], D=1.0)
+    S, _ = assemble_S(c64, solve_diffusion_cell(c64), D=1.0)
 
     micro_cfg = MicroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),
                             D=1.0, u_init=0.0, v_init=0.05)

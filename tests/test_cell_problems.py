@@ -36,17 +36,17 @@ def cell64():
 
 @pytest.fixture(scope="module")
 def fields64(cell64):
-    return [solve_diffusion_cell(cell64, i) for i in range(2)]
+    return solve_diffusion_cell(cell64)
 
 
 @pytest.fixture(scope="module")
 def stokes64(cell64):
-    return [solve_stokes_cell(cell64, j) for j in range(2)]
+    return solve_stokes_cell(cell64)
 
 
 def test_no_perforation_gives_identity():
     c = build_unit_cell(0.0, (0.5, 0.5), 8)
-    fields = [solve_diffusion_cell(c, i) for i in range(2)]
+    fields = solve_diffusion_cell(c)
     assert all(f.degenerate for f in fields)
     S, info = assemble_S(c, fields, D=1.0)
     assert np.max(np.abs(S - np.eye(2))) <= 1e-10
@@ -55,12 +55,12 @@ def test_no_perforation_gives_identity():
 def test_no_perforation_stokes_degenerate():
     c = build_unit_cell(0.0, (0.5, 0.5), 8)
     with pytest.raises(DegeneracyError):
-        solve_stokes_cell(c, 0)
+        solve_stokes_cell(c)
 
 
 def test_corrector_symmetries():
     c = build_unit_cell(0.5, (0.5, 0.5), 32)
-    xi = solve_diffusion_cell(c, 0).values
+    xi = solve_diffusion_cell(c)[0].values
     assert np.max(np.abs(xi + xi[::-1, :])) <= 1e-9   # antisymmetric along x
     assert np.max(np.abs(xi - xi[:, ::-1])) <= 1e-9   # symmetric along y
 
@@ -97,7 +97,7 @@ def test_richardson_order_s11():
     vals = {}
     for n in (32, 64, 128):
         c = build_unit_cell(0.5, (0.5, 0.5), n)
-        fields = [solve_diffusion_cell(c, i) for i in range(2)]
+        fields = solve_diffusion_cell(c)
         S, _ = assemble_S(c, fields)
         vals[n] = S[0, 0]
     order = np.log2(abs(vals[64] - vals[32]) / abs(vals[128] - vals[64]))
@@ -105,7 +105,7 @@ def test_richardson_order_s11():
 
 
 def test_unconverged_solve_flagged(cell64):
-    bad = [solve_diffusion_cell(cell64, i) for i in range(2)]
+    bad = solve_diffusion_cell(cell64)
     bad[0].values = bad[0].values + np.where(cell64.fluid, 1e-3 * np.sin(
         7.0 * np.arange(64)[:, None] + 3.0 * np.arange(64)[None, :]), 0.0)
     with pytest.raises(AssemblyError):
@@ -121,8 +121,8 @@ def test_stokes_solution_quality(stokes64):
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_stokes_momentum_residual_does_not_grow_with_n(n):
     c = build_unit_cell(0.5, (0.5, 0.5), n)
-    for j in range(2):
-        assert solve_stokes_cell(c, j).momentum_res <= 1e-11
+    for s in solve_stokes_cell(c):
+        assert s.momentum_res <= 1e-11
 
 
 def test_stokes_schur_iterations_bounded(stokes64):
@@ -132,12 +132,11 @@ def test_stokes_schur_iterations_bounded(stokes64):
         assert 0 < s.iters <= 25
 
 
-@pytest.mark.parametrize("center", [(0.5, 0.5), (0.5, 0.375)])
-def test_stokes_matches_direct_saddle_point_solve(center):
-    c = build_unit_cell(0.5, center, 16)
-    sols = [solve_stokes_cell(c, j) for j in range(2)]
+def _check_against_direct_saddle_point_solve(c, sols):
+    """Both Stokes solutions against a sparse direct solve of
+    [[A, G], [G^T, 0]] with the first pressure pinned to zero; returns the
+    direct solves' K."""
     ops = sols[0].ops
-    # [[A, G], [G^T, 0]] with the first pressure pinned to zero
     G1 = ops.G[:, 1:]
     M = sp.bmat([[ops.A, G1], [G1.T, None]], format="csc")
     nvel = ops.nu + ops.nv
@@ -150,32 +149,16 @@ def test_stokes_matches_direct_saddle_point_solve(center):
         assert np.max(np.abs(got - x)) <= 1e-11 * np.max(np.abs(x))
         means.append(np.array([x[: ops.nu].sum(), x[ops.nu :].sum()]) * c.h**2 / c.pore_area)
     K_ref = np.column_stack(means)
-    K_ref = 0.5 * (K_ref + K_ref.T)
+    return 0.5 * (K_ref + K_ref.T)
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.5, 0.375)])
+def test_stokes_matches_direct_saddle_point_solve(center):
+    c = build_unit_cell(0.5, center, 16)
+    sols = solve_stokes_cell(c)
+    K_ref = _check_against_direct_saddle_point_solve(c, sols)
     K, _ = assemble_K(c, sols)
     assert np.max(np.abs(K - K_ref)) <= 1e-13
-
-
-def test_stokes_ops_travel_with_the_solutions(monkeypatch):
-    built = []
-    init = cell_problems._MacOperators.__init__
-
-    def counting_init(self, cell):
-        built.append(cell.n)
-        init(self, cell)
-
-    monkeypatch.setattr(cell_problems._MacOperators, "__init__", counting_init)
-    c = build_unit_cell(0.5, (0.5, 0.5), 16)
-    first = solve_stokes_cell(c, 0)
-    second = solve_stokes_cell(c, 1, ops=first.ops)
-    assert built == [16] and second.ops is first.ops
-    fresh = solve_stokes_cell(c, 1)  # no ops: factored anew
-    assert built == [16, 16]
-    assert np.array_equal(second.u, fresh.u) and np.array_equal(second.v, fresh.v)
-    other = build_unit_cell(0.5, (0.5, 0.375), 16)
-    with pytest.raises(ValueError, match="different unit cell"):
-        solve_stokes_cell(other, 1, ops=first.ops)
-    with pytest.raises(ValueError, match="different unit cell"):
-        assemble_K(other, [first, second])
 
 
 def test_stokes_symmetry_and_mean_flow(stokes64):
@@ -198,7 +181,7 @@ def test_larger_grains_lower_permeability():
     kappa = {}
     for a in (0.25, 0.5):
         c = build_unit_cell(a, (0.5, 0.5), 32)
-        sols = [solve_stokes_cell(c, j) for j in range(2)]
+        sols = solve_stokes_cell(c)
         K, _ = assemble_K(c, sols)
         kappa[a] = K[0, 0]
     assert kappa[0.25] > kappa[0.5]
@@ -210,10 +193,13 @@ def test_off_center_hole_translation_invariance():
     # grain must reproduce the centered tensors to solver accuracy
     c0 = build_unit_cell(0.25, (0.5, 0.5), 16)
     c1 = build_unit_cell(0.25, (0.375, 0.5), 16)
-    K0, _ = assemble_K(c0, [solve_stokes_cell(c0, j) for j in range(2)])
-    K1, info1 = assemble_K(c1, [solve_stokes_cell(c1, j) for j in range(2)])
+    sols1 = solve_stokes_cell(c1)
+    K0, _ = assemble_K(c0, solve_stokes_cell(c0))
+    K1, info1 = assemble_K(c1, sols1)
     assert np.max(np.abs(K0 - K1)) <= 1e-9
     assert info1["asymmetry"] <= 1e-8 * np.max(np.abs(K1))
+    with pytest.raises(ValueError, match="different unit cell"):
+        assemble_K(c0, sols1)
 
 
 def test_quadratic_form_is_gram(cell64, fields64):
@@ -232,13 +218,6 @@ def test_tensor_csv_roundtrip(tmp_path, cell64):
     assert alpha == tensors.alpha_s
 
 
-def test_direction_validation(cell64):
-    with pytest.raises(ValueError):
-        solve_diffusion_cell(cell64, 2)
-    with pytest.raises(ValueError):
-        solve_stokes_cell(cell64, -1)
-
-
 @pytest.mark.parametrize(
     "side, center, n",
     [
@@ -250,9 +229,7 @@ def test_direction_validation(cell64):
 def test_factored_correctors_match_a_direct_solve(side, center, n):
     c = build_unit_cell(side, center, n)
     A = cell_problems._fluid_adjacency(c).tocsc()
-    first = solve_diffusion_cell(c, 0)
-    fields = [first, solve_diffusion_cell(c, 1, ops=first.ops)]
-    for i, f in enumerate(fields):
+    for i, f in enumerate(solve_diffusion_cell(c)):
         # reference: the system with the last unknown pinned, by spsolve
         b = -cell_problems._surface_functional(c, i)
         x = np.zeros(b.size)
@@ -260,31 +237,11 @@ def test_factored_correctors_match_a_direct_solve(side, center, n):
         x -= x.mean()
         assert np.max(np.abs(f.values[c.fluid] - x)) <= 1e-11
         assert f.residual <= 1e-12
-        assert f.ops is first.ops
-    # one factor served both directions and was released with the second
-    assert first.ops.lu is None
-    with pytest.raises(ValueError, match="released"):
-        solve_diffusion_cell(c, 0, ops=first.ops)
-    with pytest.raises(ValueError, match="different unit cell"):
-        solve_diffusion_cell(build_unit_cell(0.5, (0.5, 0.5), 16), 0, ops=first.ops)
 
 
 def test_corrector_tolerance_is_an_acceptance_bound(cell64):
     with pytest.raises(SolverError, match="corrector solve left relative residual"):
-        solve_diffusion_cell(cell64, 0, tol=1e-20)
-
-
-def test_stokes_factors_released_with_the_second_direction():
-    c = build_unit_cell(0.5, (0.5, 0.5), 16)
-    first = solve_stokes_cell(c, 0)
-    assert first.ops.lu is not None
-    second = solve_stokes_cell(c, 1, ops=first.ops)
-    assert second.ops.lu is None
-    with pytest.raises(ValueError, match="released"):
-        solve_stokes_cell(c, 0, ops=first.ops)
-    # what assemble_K reads stays
-    K, info = assemble_K(c, [first, second])
-    assert info["grad_err"] <= 1e-10
+        solve_diffusion_cell(cell64, tol=1e-20)
 
 
 # cells whose transpose is a nontrivial periodic shift of the cell, and the
@@ -326,7 +283,7 @@ def test_corrupted_face_map_is_rejected(monkeypatch, corrupt):
     v_to_u = cell_problems._v_to_u
     monkeypatch.setattr(cell_problems, "_v_to_u", lambda *a: corrupt(v_to_u(*a)))
     with pytest.raises(AssemblyError, match="not the permuted u-block"):
-        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16), 0)
+        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16))
 
 
 def test_face_map_needs_the_shift(monkeypatch):
@@ -335,9 +292,9 @@ def test_face_map_needs_the_shift(monkeypatch):
         return iu.T[v_active]
 
     monkeypatch.setattr(cell_problems, "_v_to_u", transpose_only)
-    solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.5), 16), 0)
+    solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.5), 16))
     with pytest.raises(AssemblyError, match="not the permuted u-block"):
-        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16), 0)
+        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16))
 
 
 @pytest.mark.parametrize("side, center, n", [c for c in TRANSPOSE_CELLS if c[1] != (0.5, 0.5)])
@@ -361,13 +318,26 @@ def test_effective_tensors_build_one_ring_system_per_operator(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(linalg.CapacitanceSolver, "__init__", tracking_init)
+    solves = []
+    solve = linalg.CapacitanceSolver.solve
+
+    def counting_solve(self, b):
+        solves.append((built.index(self), b.shape))
+        return solve(self, b)
+
+    monkeypatch.setattr(linalg.CapacitanceSolver, "solve", counting_solve)
     c = build_unit_cell(0.25, (0.375, 0.625), 16)
-    effective_tensors(c)
+    t = effective_tensors(c)
     # the corrector's 4a cut edges, then the Stokes u-block's 4a - 2 wall
     # and ghost nodes and its constant (the u-block serves the v-block too)
     a = c.hole_cells
     assert [len(s.capacitance[1]) for s in built] == [4 * a, 4 * a - 1]
     assert [s.cut for s in built] == [True, False]
+    # each family is solved once, in direction 0: the corrector and its
+    # refinement step, then the Schur CG's right-hand side, one matvec per
+    # iteration and the recovered velocity, each one two-column solve
+    iters = t.provenance["stokes_iters"][0]
+    assert solves == [(0, (c.fluid.sum(),))] * 2 + [(1, (2, built[1].domain.sum()))] * (iters + 2)
 
 
 @st.composite
@@ -388,29 +358,52 @@ def aligned_cells(draw):
 def test_ring_solves_match_sparse_direct_solves(cell, seed):
     rng = np.random.default_rng(seed)
     ops = cell_problems._MacOperators(cell)
+    ring = linalg.CapacitanceSolver(ops.u_active, *cell_problems._wall_ring(ops.u_active, ops.u_interior, 1))
     A_u = ops.A[: ops.nu, : ops.nu].tocsc()
     b = rng.standard_normal((2, ops.nu))
-    x = ops.lu.solve(b)
+    x = ring.solve(b)
     for x_k, b_k in zip(x, b):
         ref = spla.spsolve(A_u, b_k)
         assert np.max(np.abs(x_k - ref)) <= 1e-11 * np.max(np.abs(ref))
         assert np.linalg.norm(A_u @ x_k - b_k) <= 1e-12 * np.linalg.norm(b_k)
-    corrector = cell_problems._CorrectorOperator(cell)
-    A = corrector.A.tocsc()
-    for i in range(2):
-        # the corrector right-hand side, against the system with its first unknown pinned
+    # both corrector fields, the second mapped from the first, against the
+    # system with its first unknown pinned
+    A = cell_problems._fluid_adjacency(cell).tocsc()
+    for i, f in enumerate(solve_diffusion_cell(cell)):
         b = -cell_problems._surface_functional(cell, i)
         ref = np.zeros(b.size)
         ref[1:] = spla.spsolve(A[1:, 1:], b[1:])
         ref -= ref.mean()
-        x = corrector.solve(b, i)
-        assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
-        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.max(np.abs(f.values[cell.fluid] - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert f.residual <= 1e-12
+    # both Stokes solutions, the second mapped from the first
+    _check_against_direct_saddle_point_solve(cell, solve_stokes_cell(cell))
+
+
+@pytest.mark.parametrize("center, fires", [((0.5, 0.375), True), ((0.5, 0.5), False)])
+def test_direction_1_certificates_need_the_shift(monkeypatch, center, fires):
+    # the plain transpose maps only a centred cell onto itself.  The face
+    # map keeps its shift, so the Stokes operators still build, and only
+    # the direction-1 certificates can see the misplaced fields
+    transposed = cell_problems._transposed
+    monkeypatch.setattr(cell_problems, "_v_to_u", lambda cell, iu, v_active: transposed(cell, iu)[v_active])
+    monkeypatch.setattr(cell_problems, "_transposed", lambda cell, f: f.T)
+    c = build_unit_cell(0.5, center, 16)
+    if not fires:
+        assert solve_diffusion_cell(c)[1].residual <= 1e-12
+        assert solve_stokes_cell(c)[1].momentum_res <= 1e-11
+        return
+    with pytest.raises(SolverError, match="corrector solve left relative residual"):
+        solve_diffusion_cell(c)
+    with pytest.raises(SolverError, match="Stokes solve left max divergence"):
+        solve_stokes_cell(c, tol=np.inf)
+    with pytest.raises(SolverError, match="Stokes solve left momentum residual"):
+        solve_stokes_cell(c, div_tol=np.inf)
 
 
 def test_stokes_tolerance_is_an_acceptance_bound():
     c = build_unit_cell(0.5, (0.5, 0.5), 16)
     with pytest.raises(SolverError, match="Stokes solve left momentum residual"):
-        solve_stokes_cell(c, 0, tol=1e-20)
-    sol = solve_stokes_cell(c, 0, tol=1e-12)
-    assert sol.momentum_res <= 1e-12
+        solve_stokes_cell(c, tol=1e-20)
+    for sol in solve_stokes_cell(c, tol=1e-12):
+        assert sol.momentum_res <= 1e-12

@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import SuperLU
 
 from porechem import cell_problems, cli, config, linalg
-from porechem.cell_problems import read_tensor_csv
 from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
@@ -254,7 +253,7 @@ def test_parse_rejects_what_would_fail_mid_run(text, message):
         parse_config(text)
 
 
-def test_cli_cell_threads_factor_stokes_once(tmp_path, monkeypatch):
+def test_cli_cell_builds_the_mac_operators_once(tmp_path, monkeypatch):
     cfg = tmp_path / "run.ini"
     cfg.write_text(MINIMAL.replace("n = 8", "n = 32"))
     built = []
@@ -265,18 +264,8 @@ def test_cli_cell_threads_factor_stokes_once(tmp_path, monkeypatch):
         init(self, cell)
 
     monkeypatch.setattr(cell_problems._MacOperators, "__init__", counting_init)
-    tensors = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("PORECHEM_THREADS", threads)
-        built.clear()
-        out = tmp_path / f"t{threads}"
-        assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        assert built == [32]
-        tensors[threads] = read_tensor_csv(out / "effective_tensors.csv")
-    S1, K1, _ = tensors["1"]
-    S2, K2, _ = tensors["2"]
-    assert np.array_equal(S1, S2)
-    assert np.array_equal(K1, K2)
+    assert main(["cell", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert built == [32]
 
 
 def test_cli_byte_identical_reruns(tmp_path):
@@ -329,15 +318,12 @@ def test_compute_tensors_builds_two_ring_systems_and_keeps_none(monkeypatch):
 
     monkeypatch.setattr(linalg.CapacitanceSolver, "__init__", tracking_init)
     result = _compute_tensors(cfg)
-    _, fields, sols = result
-    # one ring system per operator, each shared by both directions: the
-    # corrector's 4a cut edges, then the Stokes u-block's 4a - 2 wall and
-    # ghost nodes and its constant (the u-block serves the v-block too)
+    # one ring system per operator: the corrector's 4a cut edges, then the
+    # Stokes u-block's 4a - 2 wall and ghost nodes and its constant (the
+    # u-block serves the v-block too)
     a = cfg.cell.hole_cells
     assert [len(s.capacitance[1]) for s in built] == [4 * a, 4 * a - 1]
-    assert fields[1].ops is fields[0].ops and sols[1].ops is sols[0].ops
-    # the second direction released them: nothing returned keeps one
-    assert fields[0].ops.lu is None and sols[0].ops.lu is None
+    # each ring solver lived only for its solve: nothing returned keeps one
     assert not _reaches(result, (SuperLU, linalg.CapacitanceSolver))
     assert _reaches(result, sp.csr_matrix)  # the walk does reach the operators kept
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ def test_regularized_step_matches_brute_force():
         v_new, _ = ode_step(LAW, u, v0, dt, res)
         ref = ramp_ode_euler(power_rate(u), v0, dt, delta)
         assert v_new == pytest.approx(ref, abs=5e-6)
+
+
+def test_regularized_step_at_solubility_divides_by_nothing():
+    # u = u_sol gives r = 1: above the ramp v stays put and never reaches it
+    res = DissolutionResolution("regularized", 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v_new, _ = ode_step(RateLaw(), [1.0, 0.5], [0.5, 0.5], 0.01, res)
+        assert v_new[0] == 0.5
+        assert v_new[1] == ode_step(RateLaw(), 0.5, 0.5, 0.01, res)[0] < 0.5
 
 
 def test_regularized_limit_reproduces_selection():

@@ -198,7 +198,7 @@ def test_difference_quotient_lag_validation(grid):
 
 
 def test_reconstructed_velocity_properties(cell, grid):
-    sols = [solve_stokes_cell(cell, j) for j in range(2)]
+    sols = solve_stokes_cell(cell)
     vel0 = reconstruct_velocity(grid, sols, (0.0, 0.0))
     assert vel0.max_abs == 0.0
 
@@ -217,13 +217,13 @@ def test_reconstructed_velocity_properties(cell, grid):
 
 def test_reconstructed_velocity_geometry_mismatch(grid):
     other = build_unit_cell(0.25, (0.5, 0.5), 8)
-    sols = [solve_stokes_cell(other, j) for j in range(2)]
+    sols = solve_stokes_cell(other)
     with pytest.raises(ConfigError):
         reconstruct_velocity(grid, sols, (-1.0, 0.0))
 
 
 def test_advective_run_monotone_bounds(cell, grid):
-    sols = [solve_stokes_cell(cell, j) for j in range(2)]
+    sols = solve_stokes_cell(cell)
     cfg = MicroConfig(dt=0.02, t_end=1.0, output_every=10,
                       dirichlet_edges=("left", "right"), dirichlet_value=0.5,
                       u_init=0.0, v_init=0.01,
