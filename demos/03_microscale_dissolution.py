@@ -11,7 +11,7 @@ Run:  python3 demos/03_microscale_dissolution.py
 import numpy as np
 
 from porechem import build_unit_cell, tile_domain
-from porechem.micro_sim import MicroConfig, difference_quotient_norm, run
+from porechem.micro_sim import MicroConfig, MicroSolver, difference_quotient_norm
 
 cell = build_unit_cell(0.5, (0.5, 0.5), 8)
 grid = tile_domain(cell, 0.25)
@@ -23,7 +23,7 @@ cfg = MicroConfig(
     dirichlet_edges=(),      # closed box
     u_init=0.0, v_init=0.05,
 )
-result = run(cfg, grid)
+result = MicroSolver(cfg, grid).run()
 
 print(f"storage factor |Gamma|/|Y| = {c_g:.4f}; predicted final solute = {c_g * 0.05:.6f}\n")
 print("   t      mean u      mean v      total mass   drift")

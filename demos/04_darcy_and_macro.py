@@ -9,7 +9,7 @@ Run:  python3 demos/04_darcy_and_macro.py
 
 from porechem import build_unit_cell, solve_diffusion_cell, assemble_S
 from porechem.cell_problems import assemble_K, solve_stokes_cell
-from porechem.macro_sim import MacroConfig, darcy_solve, run
+from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve
 
 cell = build_unit_cell(0.5, (0.5, 0.5), 32)
 S, _ = assemble_S(cell, solve_diffusion_cell(cell), D=1.0)
@@ -27,7 +27,7 @@ cfg = MacroConfig(
     pore_area=cell.pore_area, surface_density=cell.surface_measure,
     u_init=0.0, v_init=0.02, resolution_cells=32,
 )
-result = run(cfg)
+result = MacroSolver(cfg).run()
 
 print("through-flow dissolution/precipitation (u = 0.6 held on both ends):")
 print("   t      min u     max u     mean v")

@@ -22,7 +22,6 @@ Layers, bottom to top:
 from .geometry import UnitCell, PerforatedGrid, build_unit_cell, tile_domain, measures
 from .kinetics import (
     RateLaw,
-    DissolutionResolution,
     precip_rate,
     dissolution_rate,
     regularized_heaviside,
@@ -46,7 +45,6 @@ __all__ = [
     "tile_domain",
     "measures",
     "RateLaw",
-    "DissolutionResolution",
     "precip_rate",
     "dissolution_rate",
     "regularized_heaviside",

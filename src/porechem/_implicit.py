@@ -2,11 +2,12 @@
 
 Both transport solvers advance the solute with backward-Euler diffusion
 while the precipitate exchange term is evaluated at the new solute level
-through the event-resolved net rate ``G(u) = k (r(u) - w_eff)``.  G is
-monotone nondecreasing in u and piecewise smooth, so Newton with the
-generalized derivative converges globally for this M-function system; we
-iterate until the nonlinear residual is small enough that the per-step
-mass-balance defect sits at round-off.
+through the event-resolved net rate ``G(u) = k (r(u) - w_eff)`` of the
+exact Heaviside selection (`kinetics.net_rate`).  G is monotone
+nondecreasing in u and piecewise smooth, so Newton with the generalized
+derivative (`kinetics.net_rate_derivative`) converges globally for this
+M-function system; we iterate until the nonlinear residual is small enough
+that the per-step mass-balance defect sits at round-off.
 
 Each solver factors its fixed backward-Euler operator ``B = A + diag(mass)``
 once (``ImplicitOperator``).  The Newton matrix ``J = B + diag(extra)``
@@ -23,29 +24,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .kinetics import DissolutionResolution, RateLaw, net_rate, net_rate_derivative, ode_step
+from .kinetics import RateLaw, net_rate, net_rate_derivative
+from .kinetics import ode_step  # noqa: F401 -- not called here; perfbench/spans.py traces this name
 from .linalg import cg, factor_spd
-
-
-def resolved_net_rate(law: RateLaw, resolution: DissolutionResolution, u, v, dt):
-    """Net precipitate rate (v_new - v)/dt under the configured resolution."""
-    if resolution.mode == "exact":
-        return net_rate(law, u, v, dt)
-    v_new, _ = ode_step(law, u, v, dt, resolution)
-    return (v_new - v) / dt
-
-
-def resolved_net_rate_slope(law: RateLaw, resolution: DissolutionResolution, u, v, dt):
-    """Nonnegative generalized derivative of the net rate w.r.t. u.
-
-    For the regularized resolution the in-ramp closed form is used as a
-    quasi-Newton slope; Newton still iterates on the true residual.
-    """
-    if resolution.mode == "exact":
-        return net_rate_derivative(law, u, v, dt)
-    delta = resolution.delta
-    gain = delta * (1.0 - np.exp(-law.k * dt / delta)) / dt
-    return np.minimum(gain, law.k) * law.rate_derivative(u)
 
 
 class ImplicitOperator:
@@ -72,7 +53,6 @@ def newton_reaction_diffusion(
     owners,
     weight,
     law: RateLaw,
-    resolution: DissolutionResolution,
     v,
     dt,
     u0,
@@ -94,7 +74,7 @@ def newton_reaction_diffusion(
     n = u.size
     A, mass_diag, scale = op.A, op.mass_diag, op.scale
     for _ in range(max_newton):
-        g = resolved_net_rate(law, resolution, u[owners], v, dt)
+        g = net_rate(law, u[owners], v, dt)
         F = mass_diag * u + A @ u - rhs
         F += np.bincount(owners, weights=weight * g, minlength=n)
         res = float(np.max(np.abs(F))) / scale
@@ -102,7 +82,7 @@ def newton_reaction_diffusion(
         # order further so conservation does not accumulate over long runs
         if res <= newton_tol and abs(float(F.sum())) <= 0.1 * newton_tol * scale:
             return u, res
-        gp = resolved_net_rate_slope(law, resolution, u[owners], v, dt)
+        gp = net_rate_derivative(law, u[owners], v, dt)
         d = mass_diag + np.bincount(owners, weights=weight * gp, minlength=n)
         J = spla.LinearOperator((n, n), matvec=lambda p, d=d: A @ p + d * p, dtype=float)
         delta, _, _ = cg(J, F, tol=lin_tol, precond=op.lu.solve)

@@ -252,16 +252,16 @@ def assemble_S(cell: UnitCell, fields, D: float = 1.0, spd_tol: float = 1e-8):
     C = correction_matrix(cell, fields)
     S_raw = D * (np.eye(2) + C / cell.pore_area)
     asym = float(np.max(np.abs(S_raw - S_raw.T)))
-    if asym > spd_tol * max(D, 1.0):
+    if not asym <= spd_tol * max(D, 1.0):
         raise AssemblyError(f"S asymmetry residual {asym:.3e} exceeds {spd_tol:g}")
     S = 0.5 * (S_raw + S_raw.T)
     eigs = np.linalg.eigvalsh(S)
-    if eigs[0] <= 0.0:
+    if not eigs[0] > 0.0:
         raise AssemblyError(f"S is not positive definite (eigenvalues {eigs})")
-    if np.any(np.diag(S) > D * (1.0 + spd_tol)):
+    if not np.all(np.diag(S) <= D * (1.0 + spd_tol)):
         raise AssemblyError(f"diagonal of S exceeds the molecular bound D = {D}")
     quad_err = float(np.max(np.abs(D * quadratic_form(cell, fields) / cell.pore_area - S)))
-    if quad_err > spd_tol * max(D, 1.0):
+    if not quad_err <= spd_tol * max(D, 1.0):
         raise AssemblyError(f"quadratic-form residual {quad_err:.3e} exceeds {spd_tol:g}")
     return S, {"asymmetry": asym, "alpha_s": float(eigs[0]), "quad_err": quad_err}
 
@@ -526,11 +526,11 @@ def assemble_K(cell: UnitCell, solutions, spd_tol: float = 1e-8):
     K_raw = np.column_stack([velocity_mean(s) for s in solutions])  # K[:, j] from chi^j
     asym = float(np.max(np.abs(K_raw - K_raw.T)))
     scale = float(np.max(np.abs(K_raw)))
-    if asym > spd_tol * max(scale, 1e-30):
+    if not asym <= spd_tol * max(scale, 1e-30):
         raise AssemblyError(f"K asymmetry residual {asym:.3e} exceeds {spd_tol:g} (relative)")
     K = 0.5 * (K_raw + K_raw.T)
     eigs = np.linalg.eigvalsh(K)
-    if eigs[0] <= 0.0:
+    if not eigs[0] > 0.0:
         raise AssemblyError(f"K is not symmetric positive definite (eigenvalues {eigs})")
     grad_err = _gradient_identity_error(solutions, K)
     return K, {"asymmetry": asym, "grad_err": grad_err, "eig_min": float(eigs[0])}

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import UnitCell, cells_per_edge
-from .kinetics import DissolutionResolution, RateLaw
+from .kinetics import RateLaw
 from .macro_sim import MacroConfig
 from .micro_sim import MicroConfig
 from .transport import EDGES
@@ -35,8 +35,6 @@ _DEFAULTS = {
         "u_solubility": "1.0",
         "exponent": "2.0",
         "rate_constant": "1.0",
-        "resolution_mode": "exact",
-        "delta": "0.01",
     },
     "micro": {
         "diffusivity": "1.0",
@@ -165,7 +163,6 @@ class RunConfig:
     eps: float = 0.25
     dirichlet_edges: tuple = ("left",)
     rate_law: RateLaw = None
-    resolution: DissolutionResolution = None
     sweep_eps: tuple = ()
     dump_fields: bool = False
     tolerances: dict = field(default_factory=dict)
@@ -178,7 +175,6 @@ class RunConfig:
             dt=_number(section, "dt", m["dt"]),
             t_end=_number(section, "t_end", m["t_end"]),
             rate_law=self.rate_law,
-            resolution=self.resolution,
             u_init=_parse_init(section, "u_init", m["u_init"], m0),
             v_init=_parse_init(section, "v_init", m["v_init"], m0),
             velocity_mode=m["velocity_mode"],
@@ -295,11 +291,6 @@ def parse_config(path_or_text) -> RunConfig:
         exponent=_number("kinetics", "exponent", k["exponent"]),
         k=_number("kinetics", "rate_constant", k["rate_constant"]),
     )
-    mode = k["resolution_mode"]
-    if mode == "exact":
-        cfg.resolution = DissolutionResolution()
-    else:
-        cfg.resolution = DissolutionResolution(mode=mode, delta=_number("kinetics", "delta", k["delta"]))
 
     # a tolerance that is not finite and positive stalls or disables its check
     cfg.tolerances = {

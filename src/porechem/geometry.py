@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError
+from .gridio import write_field
 
 _ALIGN_TOL = 1e-9
 
@@ -287,14 +288,9 @@ def measures(grid: PerforatedGrid) -> Measures:
 
 
 def write_classification(grid: PerforatedGrid, path):
-    """Dump the fluid/solid classification as a structured-grid text file.
+    """Dump the fluid/solid classification as a `gridio` field file.
 
-    Header: ``nx ny`` then ``h``; body: ny rows of nx integers (1 fluid,
-    0 solid), row iy increasing, x along each row.
+    Header: ``nx ny`` then ``h``; body: ny rows of nx values, 1 (fluid) or
+    0 (solid), row iy increasing, x along each row.
     """
-    ng = grid.n_global
-    with open(path, "w") as f:
-        f.write(f"{ng} {ng}\n{grid.h!r}\n")
-        mask = grid.fluid_mask
-        for iy in range(ng):
-            f.write(" ".join("1" if mask[ix, iy] else "0" for ix in range(ng)) + "\n")
+    write_field(path, grid.fluid_mask.astype(float), grid.h)

@@ -26,10 +26,8 @@ from .errors import ConfigError
 from .geometry import PerforatedGrid, UnitCell, cells_per_edge, tile_domain
 from .gridio import write_csv
 from .kinetics import RateLaw
-from .macro_sim import MacroConfig
-from .macro_sim import run as macro_run_fn
-from .micro_sim import MicroConfig, difference_quotient_norm
-from .micro_sim import run as micro_run_fn
+from .macro_sim import MacroConfig, MacroSolver
+from .micro_sim import MicroConfig, MicroSolver, difference_quotient_norm
 from .transport import Run
 
 
@@ -218,11 +216,11 @@ def sweep(
         raise ConfigError("eps_list must be strictly decreasing")
     for eps in eps_list:
         _check_resolution(macro_cfg.resolution_cells, cells_per_edge(eps))
-    macro = macro_run_fn(macro_cfg)
+    macro = MacroSolver(macro_cfg).run()
     rows = []
     for eps in eps_list:
         grid = tile_domain(cell, eps)
-        micro = micro_run_fn(micro_cfg, grid, stokes)
+        micro = MicroSolver(micro_cfg, grid, stokes).run()
         row = two_scale_errors(micro, macro)
         dq = [0.0] if len(micro.times) < 2 else difference_quotient_norm(micro, np.diff(micro.times)[0])
         row["dq_max"] = float(np.max(dq))

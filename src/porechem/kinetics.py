@@ -14,7 +14,10 @@ With the solute concentration frozen, the precipitate ODE
 including the event where ``v`` hits zero mid-step.  Every update returns a
 time-averaged effective rate so that ``v_new - v = dt * k * (r - w_eff)``
 holds to machine precision; the transport solvers rely on this identity for
-their mass bookkeeping.
+their mass bookkeeping.  This exact selection is the transport step's only
+resolver.  The ramp regularization ``clip(v/delta, 0, 1)`` of the graph
+(`regularized_step`, `regularized_steady_w`) serves only to check that its
+delta -> 0 limit reproduces the selection.
 """
 
 from __future__ import annotations
@@ -64,25 +67,6 @@ class RateLaw:
         return float(self.rate_derivative(max(m, self.u_onset)))
 
 
-@dataclass(frozen=True)
-class DissolutionResolution:
-    """How the Heaviside selection is evaluated: exact branch table or a
-    ramp regularization of width delta (for comparison runs)."""
-
-    mode: str = "exact"
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "regularized"):
-            raise ConfigError(f"unknown resolution mode {self.mode!r}")
-        if self.mode == "regularized":
-            if self.delta is None or self.delta <= 0.0:
-                raise ConfigError(f"regularized mode needs delta > 0, got {self.delta}")
-
-
-EXACT = DissolutionResolution()
-
-
 def precip_rate(law: RateLaw, u):
     """Precipitation rate r(u)."""
     return law.rate(u)
@@ -120,7 +104,7 @@ def net_rate_derivative(law: RateLaw, u, v, dt: float):
     return np.where(active, law.k * law.rate_derivative(u), 0.0)
 
 
-def ode_step(law: RateLaw, u, v, dt: float, resolution: DissolutionResolution = EXACT):
+def ode_step(law: RateLaw, u, v, dt: float):
     """Advance the precipitate ODE by dt with u frozen.
 
     Returns ``(v_new, w_eff)`` with ``v_new >= 0`` always and
@@ -133,23 +117,25 @@ def ode_step(law: RateLaw, u, v, dt: float, resolution: DissolutionResolution = 
     if np.any(v < 0.0):
         raise StateError("negative precipitate on input to ode_step")
     scalar = v.ndim == 0 and u.ndim == 0
-    if resolution.mode == "exact":
-        v_new = np.maximum(v + dt * law.k * (law.rate(u) - 1.0), 0.0)
-    else:
-        v_new = _regularized_advance(law, resolution.delta, u, v, dt)
+    v_new = np.maximum(v + dt * law.k * (law.rate(u) - 1.0), 0.0)
     w_eff = law.rate(u) - (v_new - v) / (law.k * dt)
     if scalar:
         return float(v_new), float(w_eff)
     return v_new, w_eff
 
 
-def _regularized_advance(law: RateLaw, delta: float, u, v, dt: float):
-    """Exact integration of dv/dt = k*(r - clip(v/delta, 0, 1)).
+def regularized_step(law: RateLaw, delta: float, u, v, dt: float):
+    """Advance dv/dt = k*(r - clip(v/delta, 0, 1)) exactly by dt with u
+    frozen; returns ``v_new``.
 
-    Piecewise: above the ramp the ODE is linear; inside the ramp it is an
-    affine exponential relaxing toward delta*r.  At most one region change
-    happens per step for each starting side, handled by event times.
+    This is the ramp-regularized precipitate ODE, kept for the delta -> 0
+    limit of `regularized_steady_w`.  Piecewise: above the ramp the ODE is
+    linear; inside the ramp it is an affine exponential relaxing toward
+    delta*r.  At most one region change happens per step for each starting
+    side, handled by event times.
     """
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     r = np.atleast_1d(law.rate(u)).astype(float)
     v0 = np.atleast_1d(np.asarray(v, dtype=float)).copy()
     r, v0 = np.broadcast_arrays(r, v0)
@@ -199,10 +185,9 @@ def regularized_steady_w(law: RateLaw, delta: float, u):
     die (40 ramp time constants), then evaluates the ramp.  As delta -> 0
     this reproduces min(r(u), 1), the exact resolver's value at v = 0.
     """
-    res = DissolutionResolution(mode="regularized", delta=delta)
     v = np.zeros_like(np.asarray(u, dtype=float))
     dt = 10.0 * delta / law.k
     for _ in range(4):
-        v, _ = ode_step(law, u, v, dt, res)
+        v = regularized_step(law, delta, u, v, dt)
     out = regularized_heaviside(delta, v)
     return out if np.asarray(u).ndim else float(out)

@@ -39,19 +39,19 @@ OFF_DIAGONAL_TOL = 1e-8
 
 
 def diagonal_tensor(name: str, T) -> np.ndarray:
-    """``T`` as a float 2x2 array, checked diagonal and positive definite."""
+    """``T`` as a float 2x2 array, checked finite, diagonal and positive definite."""
     T = np.asarray(T, dtype=float)
     if T.shape != (2, 2):
         raise ConfigError(f"{name} must be a 2x2 tensor")
-    off = max(abs(T[0, 1]), abs(T[1, 0]))
-    if off > OFF_DIAGONAL_TOL * np.max(np.abs(T)):
+    if not (np.all(np.isfinite(T)) and T[0, 0] > 0.0 and T[1, 1] > 0.0):
+        raise ConfigError(f"{name} must be finite and positive definite")
+    off = float(np.max(np.abs([T[0, 1], T[1, 0]])))
+    if not off <= OFF_DIAGONAL_TOL * np.max(np.abs(T)):
         raise ConfigError(
             f"{name} must be diagonal: off-diagonal {off:.3g} exceeds {OFF_DIAGONAL_TOL:g} * max|{name}|. "
             "A grid-aligned square grain gives a diagonal tensor by symmetry, and the 5-point "
             "scheme keeps the solute in its bounds only for diagonal tensors"
         )
-    if not (T[0, 0] > 0.0 and T[1, 1] > 0.0):
-        raise ConfigError(f"{name} must be positive definite")
     return T
 
 
@@ -128,10 +128,6 @@ class MacroSolver(TransportSolver):
 
     def run(self) -> Run:
         return self._run()
-
-
-def run(cfg: MacroConfig) -> Run:
-    return MacroSolver(cfg).run()
 
 
 @dataclass

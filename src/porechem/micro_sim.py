@@ -107,11 +107,6 @@ class MicroSolver(TransportSolver):
         return self._run()
 
 
-def run(cfg: MicroConfig, grid: PerforatedGrid, stokes=None) -> Run:
-    """Integrate to t_end, returning the trajectory and the mass report."""
-    return MicroSolver(cfg, grid, stokes).run()
-
-
 def l1_distance(a: State, b: State, grid: PerforatedGrid) -> float:
     """Discrete contraction functional:
     sum |u_a - u_b| h^2 over fluid cells + eps * sum |v_a - v_b| h."""

@@ -8,7 +8,7 @@ spacing h:
 2. backward-Euler diffusion by the masked 5-point operator, with the
    exchange term of every reaction carrier taken at the new solute level:
    the carrier's solute at the new level, the dissolution rate from the
-   event resolver;
+   exact event-resolved Heaviside selection, the only resolver;
 3. the exact per-carrier precipitate update with the owner-cell solute
    frozen.
 
@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from ._implicit import ImplicitOperator
 from .errors import ConfigError, StateError
 from .geometry import index_map
-from .kinetics import EXACT, DissolutionResolution, RateLaw, dissolution_rate, regularized_heaviside
+from .kinetics import RateLaw, dissolution_rate
 
 EDGES = ("left", "right", "bottom", "top")
 
@@ -59,7 +59,6 @@ class TransportConfig:
     dt: float
     t_end: float
     rate_law: RateLaw = field(default_factory=RateLaw)
-    resolution: DissolutionResolution = EXACT
     u_init: object = 0.0            # constant or f(x, y)
     v_init: object = 0.0
     velocity_mode: str = "zero"
@@ -264,18 +263,15 @@ class TransportSolver:
         v = state.v.ravel()
         u_act, _ = newton(
             self.implicit, rhs, self.owners, self.weight,
-            law, cfg.resolution, v, dt, u0,
+            law, v, dt, u0,
             lin_tol=cfg.lin_tol, newton_tol=cfg.newton_tol,
         )
         u_new = np.zeros_like(state.u)
         u_new[self.mask] = u_act
 
         u_own = u_act[self.owners]
-        v_new, _w_eff = ode_step(law, u_own, v, dt, cfg.resolution)
-        if cfg.resolution.mode == "exact":
-            w_new = dissolution_rate(law, u_own, v_new)
-        else:
-            w_new = regularized_heaviside(cfg.resolution.delta, v_new)
+        v_new, _w_eff = ode_step(law, u_own, v, dt)
+        w_new = dissolution_rate(law, u_own, v_new)
 
         diff_in = float(np.sum(self.dir_weight * (cfg.dirichlet_value - u_act))) * dt
         shape = state.v.shape
@@ -310,7 +306,7 @@ class TransportSolver:
             msg = f"negative precipitate at t={state.t}"
         elif w.size and (w.min() < -slack or w.max() > 1.0 + slack):
             msg = f"dissolution rate out of [0,1] at t={state.t}"
-        elif self.cfg.resolution.mode == "exact" and v.size and np.any((v > 0.0) & (np.abs(w - 1.0) > slack)):
+        elif v.size and np.any((v > 0.0) & (np.abs(w - 1.0) > slack)):
             msg = f"w != 1 where v > 0 at t={state.t}"
         if msg is not None:
             err = StateError(msg)

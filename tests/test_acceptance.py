@@ -25,10 +25,8 @@ from porechem.kinetics import (
     ode_step,
     regularized_steady_w,
 )
-from porechem.macro_sim import MacroConfig, stability_gap
-from porechem.macro_sim import run as macro_run
-from porechem.micro_sim import MicroConfig, l1_distance
-from porechem.micro_sim import run as micro_run
+from porechem.macro_sim import MacroConfig, MacroSolver, stability_gap
+from porechem.micro_sim import MicroConfig, MicroSolver, l1_distance
 
 from oracles import heaviside_selection, lumped_trajectory, power_rate
 
@@ -126,7 +124,7 @@ def test_c04_micro_invariants_randomized():
             D=D, rate_law=law, u_init=u_init, v_init=v0, m0=m0,
         )
         grid = tile_domain(build_unit_cell(a, (0.5, 0.5), n), eps)
-        r = micro_run(cfg, grid)  # per-step invariant checks run inside
+        r = MicroSolver(cfg, grid).run()  # per-step invariant checks run inside
         total0 = r.mass[0].mass_u + r.mass[0].mass_v
         drift = abs(r.mass[-1].drift)
         assert drift <= 1e-8 * max(total0, 1e-12)
@@ -153,7 +151,7 @@ def test_c05_l1_contraction():
         for u0, v0 in ((u1, v1), (u2, v2)):
             cfg = MicroConfig(dt=0.01, t_end=0.6, output_every=6, dirichlet_edges=edges,
                               u_init=u0, v_init=v0)
-            runs.append(micro_run(cfg, grid))
+            runs.append(MicroSolver(cfg, grid).run())
         d = [l1_distance(a, b, grid) for a, b in zip(runs[0].states, runs[1].states)]
         for i in range(1, len(d)):
             assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14
@@ -212,7 +210,7 @@ def test_c08_well_mixed_anchor():
                             S=np.eye(2) * D * 0.768, resolution_cells=32,
                             pore_area=cell.pore_area, surface_density=cell.surface_measure,
                             u_init=0.0, v_init=0.05)
-    macro = macro_run(macro_cfg)
+    macro = MacroSolver(macro_cfg).run()
     macro_u = np.array([s.u.mean() for s in macro.states])
     macro_v = np.array([s.v.mean() for s in macro.states])
     for t, mu, mv in zip(macro.times, macro_u, macro_v):
@@ -224,7 +222,7 @@ def test_c08_well_mixed_anchor():
         grid = tile_domain(cell, eps)
         cfg = MicroConfig(dt=0.002, t_end=t_end, output_every=10, dirichlet_edges=(),
                           D=D, u_init=0.0, v_init=0.05)
-        micro = micro_run(cfg, grid)
+        micro = MicroSolver(cfg, grid).run()
         fl = grid.fluid_mask
         for i, (t, state) in enumerate(zip(micro.times, micro.states)):
             u_ref, v_ref = oracle(t)
@@ -299,7 +297,7 @@ def test_c10_macro_stability():
     lams = []
     for seed in (1, 2):
         base, pert = cfgs(seed)
-        gap = stability_gap(macro_run(base), macro_run(pert))
+        gap = stability_gap(MacroSolver(base).run(), MacroSolver(pert).run())
         assert gap.norm_u[0] == pytest.approx(1e-3, rel=0.05)
         assert np.isfinite(gap.lam)
         # envelope 1e-3 * exp(lam t) dominates the measured gap
@@ -309,7 +307,7 @@ def test_c10_macro_stability():
 
     # identical configs replay bitwise
     base, _ = cfgs(1)
-    ra, rb = macro_run(base), macro_run(base)
+    ra, rb = MacroSolver(base).run(), MacroSolver(base).run()
     for sa, sb in zip(ra.states, rb.states):
         assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.v, sb.v)
     _report(10, f"fitted envelope exponents {lams} agree within 20%; replay bitwise")

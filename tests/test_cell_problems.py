@@ -112,6 +112,16 @@ def test_unconverged_solve_flagged(cell64):
         assemble_S(cell64, bad)
 
 
+def test_nan_in_a_corrector_is_rejected():
+    # every certificate compares with a bound, and a NaN compares False
+    cell = build_unit_cell(0.5, (0.5, 0.5), 16)
+    fields = solve_diffusion_cell(cell)
+    i, j = np.argwhere(cell.fluid)[0]
+    fields[0].values[i, j] = np.nan
+    with pytest.raises(AssemblyError):
+        assemble_S(cell, fields)
+
+
 def test_stokes_solution_quality(stokes64):
     for s in stokes64:
         assert s.div_inf <= 1e-9

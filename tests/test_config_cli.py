@@ -32,7 +32,7 @@ def test_minimal_config_resolves_defaults(tmp_path):
     cfg.write_resolved(out)
     text = out.read_text()
     # every defaulted key is echoed
-    for key in ("u_onset", "resolution_mode", "dt", "eps_list", "dump_fields"):
+    for key in ("u_onset", "rate_constant", "dt", "eps_list", "dump_fields"):
         assert key in text
     # resolved config parses back to the same values
     cfg2 = parse_config(str(out))
@@ -170,6 +170,20 @@ def test_cli_macro_rejects_off_diagonal_tensors(tmp_path):
     assert main(argv) == 2
     record = (out / "error_record.txt").read_text()
     assert "kind = config" in record and "S must be diagonal" in record
+    assert not (out / "macro_series.csv").exists()
+
+
+def test_cli_macro_rejects_nan_tensors(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    columns, rows = read_csv(out / "effective_tensors.csv")
+    rows[0]["s21"] = rows[0]["k12"] = float("nan")
+    tensors = tmp_path / "nan_tensors.csv"
+    write_csv(tensors, columns, rows)
+    argv = ["macro", "--config", str(cfg), "--out", str(out), "--quiet", "--tensors", str(tensors)]
+    assert main(argv) == 2
+    assert "kind = config" in (out / "error_record.txt").read_text()
     assert not (out / "macro_series.csv").exists()
 
 

@@ -14,10 +14,8 @@ from porechem.homogenize import (
     two_scale_errors,
     unfold,
 )
-from porechem.macro_sim import MacroConfig
-from porechem.macro_sim import run as macro_run
-from porechem.micro_sim import MicroConfig
-from porechem.micro_sim import run as micro_run
+from porechem.macro_sim import MacroConfig, MacroSolver
+from porechem.micro_sim import MicroConfig, MicroSolver
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +129,7 @@ def _matched_runs(cell, eps, m=16, t_end=0.2):
                             S=np.eye(2) * 50.0 * 0.768, resolution_cells=m,
                             pore_area=cell.pore_area, surface_density=cell.surface_measure,
                             u_init=0.0, v_init=0.05)
-    return micro_run(micro_cfg, grid), macro_run(macro_cfg)
+    return MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg).run()
 
 
 def test_two_scale_errors_well_mixed_floor(cell):
@@ -152,7 +150,7 @@ def test_two_scale_errors_equal_constant_states(cell):
                             S=np.eye(2) * 0.768, resolution_cells=16,
                             pore_area=cell.pore_area, surface_density=cell.surface_measure,
                             u_init=1.0, v_init=0.2)
-    row = two_scale_errors(micro_run(micro_cfg, grid), macro_run(macro_cfg))
+    row = two_scale_errors(MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg).run())
     assert row["err_u_L2"] <= 1e-13
     assert row["err_v_unfolded_L2"] <= 1e-13
 
@@ -165,7 +163,7 @@ def test_two_scale_errors_time_mismatch(cell):
                             pore_area=cell.pore_area, surface_density=cell.surface_measure,
                             u_init=0.1)
     with pytest.raises(ConfigError):
-        two_scale_errors(micro_run(micro_cfg, grid), macro_run(macro_cfg))
+        two_scale_errors(MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg).run())
 
 
 def test_sweep_single_eps(cell):
@@ -193,8 +191,8 @@ def test_sweep_checks_macro_resolution_before_running(cell, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("the sweep ran before checking the macro resolution")
 
-    monkeypatch.setattr(homogenize, "macro_run_fn", must_not_run)
-    monkeypatch.setattr(homogenize, "micro_run_fn", must_not_run)
+    monkeypatch.setattr(homogenize, "MacroSolver", must_not_run)
+    monkeypatch.setattr(homogenize, "MicroSolver", must_not_run)
     micro_cfg = MicroConfig(dt=0.01, t_end=0.1, dirichlet_edges=())
     macro_cfg = MacroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), S=np.eye(2) * 0.768,
                             resolution_cells=12, pore_area=cell.pore_area,

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from porechem import _implicit
 from porechem.geometry import build_unit_cell, tile_domain
-from porechem.kinetics import EXACT, RateLaw
+from porechem.kinetics import RateLaw, net_rate, net_rate_derivative
 from porechem.macro_sim import MacroConfig, MacroSolver
 from porechem.micro_sim import MicroConfig, MicroSolver
 
@@ -38,12 +38,12 @@ def reference_newton(op, rhs, owners, weights, v, u0, tol=1e-12):
     n = u.size
     B = op.A + sp.diags(op.mass_diag)
     for _ in range(60):
-        g = _implicit.resolved_net_rate(LAW, EXACT, u[owners], v, DT)
+        g = net_rate(LAW, u[owners], v, DT)
         F = op.mass_diag * u + op.A @ u - rhs
         np.add.at(F, owners, weights * g)
         if np.max(np.abs(F)) <= tol * op.scale and abs(F.sum()) <= 0.1 * tol * op.scale:
             return u
-        gp = _implicit.resolved_net_rate_slope(LAW, EXACT, u[owners], v, DT)
+        gp = net_rate_derivative(LAW, u[owners], v, DT)
         extra = np.zeros(n)
         np.add.at(extra, owners, weights * gp)
         u = u - spla.spsolve((B + sp.diags(extra)).tocsc(), F)
@@ -86,9 +86,9 @@ def test_newton_matches_direct_solve_with_few_cg_iterations(problem, monkeypatch
         return result
 
     monkeypatch.setattr(_implicit, "cg", counting_cg)
-    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weights, LAW, EXACT, v, DT, u0)
+    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weights, LAW, v, DT, u0)
 
-    slope = _implicit.resolved_net_rate_slope(LAW, EXACT, u[owners], v, DT)
+    slope = net_rate_derivative(LAW, u[owners], v, DT)
     assert np.all(slope > 0.0)
     assert res <= 1e-12
     ref = reference_newton(op, rhs, owners, weights, v, u0)

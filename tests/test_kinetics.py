@@ -5,7 +5,6 @@ import pytest
 
 from porechem.errors import StateError
 from porechem.kinetics import (
-    DissolutionResolution,
     RateLaw,
     dissolution_rate,
     net_rate,
@@ -13,6 +12,7 @@ from porechem.kinetics import (
     precip_rate,
     regularized_heaviside,
     regularized_steady_w,
+    regularized_step,
 )
 
 from oracles import power_rate, heaviside_selection, precipitate_decay_exact, ramp_ode_euler
@@ -146,21 +146,19 @@ def test_net_rate_matches_ode_step():
 
 def test_regularized_step_matches_brute_force():
     delta = 0.05
-    res = DissolutionResolution(mode="regularized", delta=delta)
     for u, v0, dt in ((0.5, 0.2, 0.3), (0.5, 0.01, 0.3), (1.5, 0.0, 0.2), (0.0, 0.3, 0.5)):
-        v_new, _ = ode_step(LAW, u, v0, dt, res)
+        v_new = regularized_step(LAW, delta, u, v0, dt)
         ref = ramp_ode_euler(power_rate(u), v0, dt, delta)
         assert v_new == pytest.approx(ref, abs=5e-6)
 
 
 def test_regularized_step_at_solubility_divides_by_nothing():
     # u = u_sol gives r = 1: above the ramp v stays put and never reaches it
-    res = DissolutionResolution("regularized", 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v_new, _ = ode_step(RateLaw(), [1.0, 0.5], [0.5, 0.5], 0.01, res)
+        v_new = regularized_step(RateLaw(), 0.1, [1.0, 0.5], [0.5, 0.5], 0.01)
         assert v_new[0] == 0.5
-        assert v_new[1] == ode_step(RateLaw(), 0.5, 0.5, 0.01, res)[0] < 0.5
+        assert v_new[1] == regularized_step(RateLaw(), 0.1, 0.5, 0.5, 0.01) < 0.5
 
 
 def test_regularized_limit_reproduces_selection():
@@ -173,9 +171,7 @@ def test_regularized_limit_reproduces_selection():
 
 def test_resolution_validation():
     with pytest.raises(ValueError):
-        DissolutionResolution(mode="regularized", delta=0.0)
-    with pytest.raises(ValueError):
-        DissolutionResolution(mode="fancy")
+        regularized_step(LAW, 0.0, 0.5, 0.1, 0.01)
 
 
 def test_branch_table_against_oracle_grid():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porechem.errors import ConfigError
 from porechem.geometry import build_unit_cell, tile_domain
-from porechem.macro_sim import MacroConfig, darcy_solve, run, stability_gap
-from porechem.micro_sim import MicroConfig
-from porechem.micro_sim import run as micro_run
+from porechem.kinetics import RateLaw
+from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor, stability_gap
+from porechem.micro_sim import MicroConfig, MicroSolver
 
 from oracles import lumped_trajectory
 
@@ -52,26 +54,35 @@ def test_darcy_requires_spd():
         darcy_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), 8)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_non_finite_tensor_entry_is_rejected(entry, value):
+    T = np.eye(2)
+    T[entry] = value
+    with pytest.raises(ConfigError):
+        diagonal_tensor("S", T)
+
+
 def test_zero_data_steady():
-    r = run(closed_box(u_init=0.0, v_init=0.0))
+    r = MacroSolver(closed_box(u_init=0.0, v_init=0.0)).run()
     for row in r.mass:
         assert row.max_u == 0.0 and row.max_v == 0.0
 
 
 def test_equilibrium_steady():
     # arbitrary nonnegative precipitate profile is a fixed point at u = u_sol
-    r = run(closed_box(u_init=1.0, v_init=lambda x, y: 0.4 + 0.3 * np.cos(np.pi * x) ** 2))
+    r = MacroSolver(closed_box(u_init=1.0, v_init=lambda x, y: 0.4 + 0.3 * np.cos(np.pi * x) ** 2)).run()
     assert np.array_equal(r.states[0].u, r.states[-1].u)
     assert np.array_equal(r.states[0].v, r.states[-1].v)
 
 
 def test_t_end_zero():
-    r = run(closed_box(t_end=0.0, u_init=0.2))
+    r = MacroSolver(closed_box(t_end=0.0, u_init=0.2)).run()
     assert len(r.states) == 1
 
 
 def test_storage_coupled_conservation():
-    r = run(closed_box(u_init=0.0, v_init=0.05, t_end=1.0))
+    r = MacroSolver(closed_box(u_init=0.0, v_init=0.05, t_end=1.0)).run()
     total0 = r.mass[0].mass_u + r.mass[0].mass_v
     for row in r.mass:
         assert abs(row.mass_u + row.mass_v - total0) <= 1e-12 * total0 + 1e-14
@@ -81,7 +92,7 @@ def test_storage_coupled_conservation():
 def test_matches_lumped_oracle():
     c_g = GEOM["surface_density"] / GEOM["pore_area"]
     cfg = closed_box(dt=0.002, t_end=0.2, output_every=10, u_init=0.0, v_init=0.05)
-    r = run(cfg)
+    r = MacroSolver(cfg).run()
     oracle = lumped_trajectory(c_g, 0.0, 0.05, 0.2)
     u_scale = max(abs(oracle(t)[0]) for t in r.times)
     for t, state in zip(r.times, r.states):
@@ -92,7 +103,7 @@ def test_matches_lumped_oracle():
 
 def test_replay_bitwise():
     cfg = closed_box(u_init=0.3, v_init=0.02, t_end=0.2)
-    ra, rb = run(cfg), run(cfg)
+    ra, rb = MacroSolver(cfg).run(), MacroSolver(cfg).run()
     for sa, sb in zip(ra.states, rb.states):
         assert np.array_equal(sa.u, sb.u)
         assert np.array_equal(sa.v, sb.v)
@@ -104,7 +115,7 @@ def test_dt_self_convergence():
                           dirichlet_edges=("left",), resolution_cells=16,
                           u_init=lambda x, y: 0.8 * np.sin(np.pi * x) * np.sin(np.pi * y),
                           v_init=0.02, **GEOM)
-        return run(cfg).states[-1]
+        return MacroSolver(cfg).run().states[-1]
 
     ref = final(0.0025)
     e1 = np.max(np.abs(final(0.02).u - ref.u))
@@ -113,7 +124,7 @@ def test_dt_self_convergence():
 
 
 def test_w_consistency():
-    r = run(closed_box(u_init=0.4, v_init=0.03))
+    r = MacroSolver(closed_box(u_init=0.4, v_init=0.03)).run()
     for s in r.states:
         assert np.all((s.w >= 0.0) & (s.w <= 1.0))
         assert np.all(s.w[s.v > 0.0] == 1.0)
@@ -138,9 +149,9 @@ def test_hole_free_micro_equals_macro():
     common = dict(dt=0.01, t_end=0.2, output_every=5, dirichlet_edges=("left",),
                   u_init=bump, v_init=bump)
     grid = tile_domain(build_unit_cell(0.0, (0.5, 0.5), n), eps)
-    micro = micro_run(MicroConfig(D=D, **common), grid)
-    macro = run(MacroConfig(S=D * np.eye(2), pore_area=1.0, surface_density=0.0,
-                            resolution_cells=grid.n_global, **common))
+    micro = MicroSolver(MicroConfig(D=D, **common), grid).run()
+    macro = MacroSolver(MacroConfig(S=D * np.eye(2), pore_area=1.0, surface_density=0.0,
+                                    resolution_cells=grid.n_global, **common)).run()
     assert len(micro.states) == len(macro.states) == 5
     assert np.array_equal(micro.times, macro.times)
     for a, b in zip(micro.states, macro.states):
@@ -153,7 +164,7 @@ def test_darcy_transport_bounds():
                       velocity_mode="darcy", dirichlet_edges=("left", "right"),
                       dirichlet_value=0.6, resolution_cells=16,
                       u_init=0.0, v_init=0.01, **GEOM)
-    r = run(cfg)
+    r = MacroSolver(cfg).run()
     for row in r.mass:
         assert row.min_u >= -1e-10
         assert row.max_u <= 1.0 + 1e-10
@@ -162,7 +173,7 @@ def test_darcy_transport_bounds():
 
 def test_stability_gap_identical_runs():
     cfg = closed_box(u_init=0.3, v_init=0.05, t_end=0.2)
-    g = stability_gap(run(cfg), run(cfg))
+    g = stability_gap(MacroSolver(cfg).run(), MacroSolver(cfg).run())
     assert np.all(g.norm_u == 0.0)
     assert np.all(g.norm_v == 0.0)
 
@@ -172,7 +183,7 @@ def test_stability_gap_perturbation():
                       t_end=0.4, dirichlet_edges=("left",))
     pert = closed_box(u_init=lambda x, y: 0.3 + 1e-3 * np.sin(np.pi * x) * np.sin(np.pi * y),
                       v_init=0.05, t_end=0.4, dirichlet_edges=("left",))
-    g = stability_gap(run(base), run(pert))
+    g = stability_gap(MacroSolver(base).run(), MacroSolver(pert).run())
     assert g.norm_u[0] > 0.0
     assert np.isfinite(g.lam)
     # fitted envelope bounds the trajectory
@@ -180,8 +191,8 @@ def test_stability_gap_perturbation():
 
 
 def test_stability_gap_config_mismatch():
-    r1 = run(closed_box(t_end=0.2, u_init=0.1))
-    r2 = run(closed_box(t_end=0.3, u_init=0.1))
+    r1 = MacroSolver(closed_box(t_end=0.2, u_init=0.1)).run()
+    r2 = MacroSolver(closed_box(t_end=0.3, u_init=0.1)).run()
     with pytest.raises(ConfigError):
         stability_gap(r1, r2)
 
@@ -195,3 +206,56 @@ def test_config_validation():
         MacroConfig(dt=0.01, t_end=1.0, S=S_ISO, velocity_mode="darcy", **GEOM)
     with pytest.raises(ConfigError):
         MacroConfig(dt=0.01, t_end=1.0, S=S_ISO, dirichlet_edges=("up",), **GEOM)
+
+
+def _values(a):
+    return lambda x, y: a
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    exponent=st.floats(1.0, 3.0),
+    k=st.floats(0.5, 20.0),
+    u_onset=st.floats(0.0, 0.5),
+    u_span=st.floats(0.2, 1.0),
+    s=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+    pore_area=st.floats(0.2, 1.0),
+    surface_density=st.floats(0.0, 4.0),
+    cfl=st.floats(0.01, 1.0),
+    pressures=st.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
+    edges=st.sampled_from([(), ("left",), ("left", "right"), ("bottom", "top")]),
+    dirichlet_value=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_properties_at_kinetic_bound(exponent, k, u_onset, u_span, s, pore_area, surface_density,
+                                          cfl, pressures, edges, dirichlet_value, seed):
+    # the macro twin of the micro test: dt at the kinetic bound
+    # dt*k*L_r = 1, and a Darcy velocity at the advective CFL number cfl
+    law = RateLaw(u_onset=u_onset, u_sol=u_onset + u_span, exponent=exponent, k=k)
+    m0, m = 1.0, 8
+    dt = 1.0 / (k * law.lipschitz_bound(max(m0, law.u_sol, dirichlet_value)))
+    K = np.diag([cfl / (m * dt), 1.0])  # |q| = K11 * |p_left - p_right| = cfl * h / dt
+    rng = np.random.default_rng(seed)
+    u_lo, v_lo = rng.uniform(0.0, m0, m * m), rng.uniform(0.0, m0, (m, m))
+    u_hi = u_lo + rng.uniform(0.0, 1.0, m * m) * (m0 - u_lo)
+    v_hi = v_lo + rng.uniform(0.0, 1.0, (m, m)) * (m0 - v_lo)
+    runs = []
+    for u0, v0 in ((u_lo, v_lo), (u_hi, v_hi)):
+        cfg = MacroConfig(dt=dt, t_end=6 * dt, S=np.diag(s), K=K, velocity_mode="darcy",
+                          p_left=pressures[0], p_right=pressures[1], pore_area=pore_area,
+                          surface_density=surface_density, resolution_cells=m, rate_law=law,
+                          m0=m0, dirichlet_edges=edges, dirichlet_value=dirichlet_value,
+                          u_init=_values(u0), v_init=_values(v0))
+        r = MacroSolver(cfg).run()  # per-step invariant checks run inside
+        for row in r.mass:
+            assert -cfg.invariant_slack <= row.min_u
+            assert row.max_u <= cfg.box_bound + cfg.invariant_slack
+            assert row.min_v >= 0.0
+            assert abs(row.drift) <= cfg.invariant_slack
+        runs.append(r)
+    h2 = 1.0 / (m * m)
+    c_g = surface_density / pore_area
+    d = [np.abs(a.u - b.u).sum() * h2 + c_g * h2 * np.abs(a.v - b.v).sum()
+         for a, b in zip(runs[0].states, runs[1].states)]
+    for i in range(1, len(d)):
+        assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from porechem.cell_problems import assemble_K, solve_stokes_cell
 from porechem.errors import ConfigError
 from porechem.geometry import build_unit_cell, measures, tile_domain
-from porechem.kinetics import DissolutionResolution, RateLaw
+from porechem.kinetics import RateLaw
 from porechem.micro_sim import (
     MicroConfig,
     MicroSolver,
     difference_quotient_norm,
     l1_distance,
     reconstruct_velocity,
-    run,
 )
 
 from oracles import lumped_trajectory
@@ -40,7 +39,7 @@ def closed_box(**kw):
 
 
 def test_zero_data_is_steady(grid):
-    r = run(closed_box(u_init=0.0, v_init=0.0), grid)
+    r = MicroSolver(closed_box(u_init=0.0, v_init=0.0), grid).run()
     for row in r.mass:
         assert row.max_u == 0.0 and row.max_v == 0.0
 
@@ -48,29 +47,20 @@ def test_zero_data_is_steady(grid):
 def test_solubility_equilibrium_is_steady(grid):
     # any nonnegative precipitate profile is a fixed point at u = u_sol
     v_profile = lambda x, y: 0.3 + 0.2 * np.sin(2 * np.pi * x) ** 2
-    r = run(closed_box(u_init=1.0, v_init=v_profile), grid)
+    r = MicroSolver(closed_box(u_init=1.0, v_init=v_profile), grid).run()
     s0, s1 = r.states[0], r.states[-1]
     assert np.array_equal(s0.u, s1.u)
     assert np.array_equal(s0.v, s1.v)
 
 
-def test_regularized_resolution_approaches_exact(grid):
-    exact = run(closed_box(u_init=0.0, v_init=0.05, t_end=0.3), grid)
-    reg = run(closed_box(u_init=0.0, v_init=0.05, t_end=0.3,
-                         resolution=DissolutionResolution(mode="regularized", delta=1e-7)), grid)
-    du = np.max(np.abs(exact.states[-1].u - reg.states[-1].u))
-    dv = np.max(np.abs(exact.states[-1].v - reg.states[-1].v))
-    assert du <= 1e-5 and dv <= 1e-5
-
-
 def test_t_end_zero_returns_initial(grid):
-    r = run(closed_box(t_end=0.0, u_init=0.2, v_init=0.1), grid)
+    r = MicroSolver(closed_box(t_end=0.0, u_init=0.2, v_init=0.1), grid).run()
     assert len(r.states) == 1
     assert r.times[0] == 0.0
 
 
 def test_closed_box_conservation(grid):
-    r = run(closed_box(u_init=0.0, v_init=0.05, t_end=1.0), grid)
+    r = MicroSolver(closed_box(u_init=0.0, v_init=0.05, t_end=1.0), grid).run()
     total0 = r.mass[0].mass_u + r.mass[0].mass_v
     for row in r.mass:
         assert abs(row.mass_u + row.mass_v - total0) <= 1e-12 * total0 + 1e-14
@@ -82,7 +72,7 @@ def test_closed_box_matches_lumped_oracle(grid, cell):
     # conserved equilibrium u = c_g v0
     c_g = cell.surface_measure / cell.pore_area
     cfg = closed_box(D=50.0, dt=0.002, t_end=0.2, output_every=10, u_init=0.0, v_init=0.05)
-    r = run(cfg, grid)
+    r = MicroSolver(cfg, grid).run()
     oracle = lumped_trajectory(c_g, 0.0, 0.05, 0.2)
     h2 = grid.h**2
     fl = grid.fluid_mask
@@ -104,7 +94,7 @@ def test_oracle_eps_independent(cell):
     for eps in (0.5, 0.25, 0.125):
         grid = tile_domain(cell, eps)
         cfg = closed_box(D=50.0, dt=0.002, t_end=0.2, output_every=100, u_init=0.0, v_init=0.05)
-        r = run(cfg, grid)
+        r = MicroSolver(cfg, grid).run()
         fl = grid.fluid_mask
         u_mean = r.states[-1].u[fl].mean()
         assert abs(u_mean - u_ref) <= 0.02 * max(u_ref, 0.05)
@@ -112,7 +102,7 @@ def test_oracle_eps_independent(cell):
 
 def test_l1_distance_basics(grid):
     cfg = closed_box(t_end=0.0, u_init=0.3, v_init=0.1)
-    s = run(cfg, grid).states[0]
+    s = MicroSolver(cfg, grid).run().states[0]
     assert l1_distance(s, s, grid) == 0.0
     s2 = s.copy()
     s2.u = s.u + np.where(grid.fluid_mask, 0.25, 0.0)
@@ -127,7 +117,7 @@ def test_l1_contraction_ordered_data(grid):
         c2 = MicroConfig(dt=0.01, t_end=0.4, output_every=5, dirichlet_edges=("left",),
                          u_init=lambda x, y: low_u(x, y) + hi_off if callable(low_u) else low_u + hi_off,
                          v_init=v_hi)
-        return run(c1, grid), run(c2, grid)
+        return MicroSolver(c1, grid).run(), MicroSolver(c2, grid).run()
 
     r1, r2 = pair(lambda x, y: 0.2 * np.sin(np.pi * x) * np.sin(np.pi * y), 0.3, 0.02, 0.05)
     d = [l1_distance(a, b, grid) for a, b in zip(r1.states, r2.states)]
@@ -138,8 +128,8 @@ def test_l1_contraction_ordered_data(grid):
 
 def test_replay_is_bitwise(grid):
     cfg = closed_box(u_init=0.3, v_init=0.02, t_end=0.2)
-    ra = run(cfg, grid)
-    rb = run(cfg, grid)
+    ra = MicroSolver(cfg, grid).run()
+    rb = MicroSolver(cfg, grid).run()
     for sa, sb in zip(ra.states, rb.states):
         assert np.array_equal(sa.u, sb.u)
         assert np.array_equal(sa.v, sb.v)
@@ -151,7 +141,7 @@ def test_dt_self_convergence(grid):
         cfg = MicroConfig(dt=dt, t_end=0.16, output_every=10**6, dirichlet_edges=("left",),
                           u_init=lambda x, y: 0.8 * np.sin(np.pi * x) * np.sin(np.pi * y),
                           v_init=0.02)
-        return run(cfg, grid).states[-1]
+        return MicroSolver(cfg, grid).run().states[-1]
 
     ref = final(0.0025)
     e1 = np.max(np.abs(final(0.02).u - ref.u))
@@ -162,7 +152,7 @@ def test_dt_self_convergence(grid):
 def test_box_bounds_with_dirichlet(grid):
     cfg = MicroConfig(dt=0.01, t_end=0.3, output_every=5, dirichlet_edges=("left", "right"),
                       dirichlet_value=0.8, u_init=0.1, v_init=0.02)
-    r = run(cfg, grid)
+    r = MicroSolver(cfg, grid).run()
     for row in r.mass:
         assert row.min_u >= -1e-10
         assert row.max_u <= 1.0 + 1e-10  # box bound max(m0, u_sol, u_D) = 1
@@ -171,7 +161,7 @@ def test_box_bounds_with_dirichlet(grid):
 
 def test_w_consistency(grid):
     cfg = closed_box(u_init=0.4, v_init=0.03, t_end=0.3)
-    r = run(cfg, grid)
+    r = MicroSolver(cfg, grid).run()
     law = cfg.rate_law
     for state in r.states:
         assert np.all((state.w >= 0.0) & (state.w <= 1.0))
@@ -180,19 +170,19 @@ def test_w_consistency(grid):
 
 def test_difference_quotient_norm(grid):
     cfg = closed_box(u_init=1.0, v_init=0.3, t_end=0.3)  # equilibrium
-    r = run(cfg, grid)
+    r = MicroSolver(cfg, grid).run()
     dq = difference_quotient_norm(r, r.times[1] - r.times[0])
     assert np.all(dq == 0.0)
 
     cfg = closed_box(u_init=0.0, v_init=0.05, t_end=0.5)
-    r = run(cfg, grid)
+    r = MicroSolver(cfg, grid).run()
     dq = difference_quotient_norm(r, r.times[1] - r.times[0])
     assert dq[0] == 0.0  # extension by the initial state
     assert np.all(dq[1:] <= dq[1] * (1.0 + 1e-8) + 1e-14)  # monotone bound
 
 
 def test_difference_quotient_lag_validation(grid):
-    r = run(closed_box(t_end=0.2, u_init=0.1), grid)
+    r = MicroSolver(closed_box(t_end=0.2, u_init=0.1), grid).run()
     with pytest.raises(ValueError):
         difference_quotient_norm(r, 0.0371)
 
@@ -228,7 +218,7 @@ def test_advective_run_monotone_bounds(cell, grid):
                       dirichlet_edges=("left", "right"), dirichlet_value=0.5,
                       u_init=0.0, v_init=0.01,
                       velocity_mode="reconstructed", pressure_gradient=(-1.0, 0.0))
-    r = run(cfg, grid, sols)
+    r = MicroSolver(cfg, grid, sols).run()
     for row in r.mass:
         assert -1e-10 <= row.min_u and row.max_u <= 1.0 + 1e-10
         assert row.min_v >= 0.0
@@ -247,7 +237,7 @@ def test_config_validation(grid):
     with pytest.raises(ConfigError):
         MicroConfig(dt=0.01, t_end=0.015).n_steps
     with pytest.raises(ConfigError):
-        run(MicroConfig(dt=0.01, t_end=0.1, u_init=2.5), grid)  # above m0
+        MicroSolver(MicroConfig(dt=0.01, t_end=0.1, u_init=2.5), grid).run()  # above m0
     with pytest.raises(ConfigError):
         MicroSolver(MicroConfig(dt=0.01, t_end=0.1, velocity_mode="reconstructed"), grid)
 
@@ -284,7 +274,7 @@ def test_step_properties_at_kinetic_bound(grid, exponent, k, u_onset, u_span, D,
         cfg = MicroConfig(dt=dt, t_end=6 * dt, D=D, rate_law=law, m0=m0,
                           dirichlet_edges=edges, dirichlet_value=dirichlet_value,
                           u_init=_values(u0), v_init=_values(v0))
-        r = run(cfg, grid)  # per-step invariant checks run inside
+        r = MicroSolver(cfg, grid).run()  # per-step invariant checks run inside
         for row in r.mass:
             assert -cfg.invariant_slack <= row.min_u
             assert row.max_u <= cfg.box_bound + cfg.invariant_slack
