@@ -22,7 +22,6 @@ Layers, bottom to top:
 from .geometry import UnitCell, PerforatedGrid, build_unit_cell, tile_domain, measures
 from .kinetics import (
     RateLaw,
-    precip_rate,
     dissolution_rate,
     regularized_heaviside,
     ode_step,
@@ -45,7 +44,6 @@ __all__ = [
     "tile_domain",
     "measures",
     "RateLaw",
-    "precip_rate",
     "dissolution_rate",
     "regularized_heaviside",
     "ode_step",

@@ -46,7 +46,7 @@ solve: a solution keeps the sparse operators its certificates read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,9 +75,8 @@ class CellScalarField:
     """Corrector field xi_i on the unit cell (zero on solid cells)."""
 
     cell: UnitCell
-    values: np.ndarray        # (n, n), zero-mean over fluid, 0 in solid
-    residual: float           # true relative residual of the solve
-    degenerate: bool = False  # True for the no-perforation cell (xi == 0)
+    values: np.ndarray  # (n, n), zero-mean over fluid, 0 in solid
+    residual: float     # true relative residual of the solve
 
 
 def _transposed(cell: UnitCell, f: np.ndarray) -> np.ndarray:
@@ -138,7 +137,7 @@ def solve_diffusion_cell(cell: UnitCell, tol: float = DEFAULT_TOL) -> list[CellS
     fluid = cell.fluid
     if cell.hole_side == 0.0:
         # no grain boundary: zero Neumann data, zero field in the gauge
-        return [CellScalarField(cell, np.zeros((cell.n, cell.n)), 0.0, degenerate=True) for _ in range(2)]
+        return [CellScalarField(cell, np.zeros((cell.n, cell.n)), 0.0) for _ in range(2)]
     # the grain condition is no total flux, nu . grad xi = -nu . e_i with nu
     # pointing into the grain, entering the weak form as -l_i.  With this
     # right-hand side the discrete solution is exactly the minimizer of the
@@ -173,18 +172,6 @@ def surface_moment(cell: UnitCell, values: np.ndarray, direction: int) -> float:
     volume integral of the j-derivative of f over the face-covered pore.
     """
     return float(_surface_functional(cell, direction) @ values[cell.fluid])
-
-
-def dirichlet_form(cell: UnitCell, f: np.ndarray, g: np.ndarray) -> float:
-    """Discrete energy  sum over fluid-fluid faces of (df)(dg), periodic."""
-    fluid = cell.fluid
-    total = 0.0
-    for axis in (0, 1):
-        both = fluid & np.roll(fluid, -1, axis=axis)
-        df = np.roll(f, -1, axis=axis) - f
-        dg = np.roll(g, -1, axis=axis) - g
-        total += float(np.sum(df[both] * dg[both]))
-    return total
 
 
 def face_volumes(cell: UnitCell) -> np.ndarray:
@@ -517,9 +504,9 @@ def velocity_mean(sol: StokesCellSolution) -> np.ndarray:
 def assemble_K(cell: UnitCell, solutions, spd_tol: float = 1e-8):
     """Permeability  K_ij = (1/|Y|) integral over Y of chi_i^j, symmetrized.
 
-    Returns ``(K, diagnostics)``; the gradient-inner-product identity
-    ``K_ij |Y| = (grad chi^i, grad chi^j)`` is evaluated as an independent
-    certificate and reported in the diagnostics.
+    Returns ``(K, diagnostics)``.  The gradient-inner-product identity
+    ``K_ij |Y| = (grad chi^i, grad chi^j)`` is the independent certificate:
+    its deviation ``grad_err`` must stay within ``spd_tol * max|K|``.
     """
     if any(s.cell != cell for s in solutions):
         raise ValueError("Stokes solutions were computed on a different unit cell")
@@ -533,6 +520,8 @@ def assemble_K(cell: UnitCell, solutions, spd_tol: float = 1e-8):
     if not eigs[0] > 0.0:
         raise AssemblyError(f"K is not symmetric positive definite (eigenvalues {eigs})")
     grad_err = _gradient_identity_error(solutions, K)
+    if not grad_err <= spd_tol * np.max(np.abs(K)):
+        raise AssemblyError(f"K gradient-identity residual {grad_err:.3e} exceeds {spd_tol:g} (relative)")
     return K, {"asymmetry": asym, "grad_err": grad_err, "eig_min": float(eigs[0])}
 
 
@@ -550,18 +539,29 @@ def _gradient_identity_error(solutions, K: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# combined driver and provenance
+# combined driver and the record of one cell solve
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EffectiveTensors:
-    """Effective diffusion and permeability with solve provenance."""
+    """Both cell-problem families of one cell, the tensors assembled from
+    them, and the certificates of each: the solutions carry their solve
+    residuals, ``s_info`` and ``k_info`` those of `assemble_S` and
+    `assemble_K`."""
 
-    S: np.ndarray
-    K: np.ndarray
-    alpha_s: float
+    cell: UnitCell
     D: float
-    provenance: dict = field(default_factory=dict)
+    fields: list   # [xi_1, xi_2], CellScalarField
+    sols: list     # [chi^1, chi^2], StokesCellSolution
+    S: np.ndarray
+    s_info: dict
+    K: np.ndarray
+    k_info: dict
+
+    @property
+    def alpha_s(self) -> float:
+        """Smallest eigenvalue of S."""
+        return self.s_info["alpha_s"]
 
 
 def effective_tensors(cell: UnitCell, D: float = 1.0, tol: float = DEFAULT_TOL) -> EffectiveTensors:
@@ -569,27 +569,7 @@ def effective_tensors(cell: UnitCell, D: float = 1.0, tol: float = DEFAULT_TOL) 
     tensors, the cheaper corrector pair first."""
     fields = solve_diffusion_cell(cell, tol)
     sols = solve_stokes_cell(cell, tol)
-    S, s_info = assemble_S(cell, fields, D=D)
-    K, k_info = assemble_K(cell, sols)
-    return tensors_with_provenance(cell, fields, sols, S, s_info, K, k_info, D, tol)
-
-
-def tensors_with_provenance(cell, fields, sols, S, s_info, K, k_info, D, tol) -> EffectiveTensors:
-    """Package assembled S and K with the certificates of the solves behind them."""
-    prov = {
-        "n": cell.n,
-        "hole_side": cell.hole_side,
-        "xi_residuals": [f.residual for f in fields],
-        "stokes_div": [s.div_inf for s in sols],
-        "stokes_momentum_res": [s.momentum_res for s in sols],
-        "stokes_iters": [s.iters for s in sols],
-        "s_asymmetry": s_info["asymmetry"],
-        "s_quad_err": s_info["quad_err"],
-        "k_asymmetry": k_info["asymmetry"],
-        "k_grad_err": k_info["grad_err"],
-        "tol": tol,
-    }
-    return EffectiveTensors(S=S, K=K, alpha_s=s_info["alpha_s"], D=D, provenance=prov)
+    return EffectiveTensors(cell, D, fields, sols, *assemble_S(cell, fields, D=D), *assemble_K(cell, sols))
 
 
 _CSV_COLUMNS = [
@@ -602,16 +582,15 @@ _CSV_COLUMNS = [
 ]
 
 
-def write_tensor_csv(path, cell: UnitCell, tensors: EffectiveTensors):
+def write_tensor_csv(path, tensors: EffectiveTensors):
     """effective_tensors.csv: one header row plus one data row, fixed order."""
-    p = tensors.provenance
-    S, K = tensors.S, tensors.K
+    cell, S, K, s, k = tensors.cell, tensors.S, tensors.K, tensors.s_info, tensors.k_info
     row = [
         cell.n, cell.hole_side, cell.hole_center[0], cell.hole_center[1], tensors.D,
         S[0, 0], S[0, 1], S[1, 0], S[1, 1],
         K[0, 0], K[0, 1], K[1, 0], K[1, 1],
-        tensors.alpha_s, p["s_asymmetry"], p["s_quad_err"], p["k_asymmetry"], p["k_grad_err"],
-        p["xi_residuals"][0], p["xi_residuals"][1], p["stokes_div"][0], p["stokes_div"][1],
+        tensors.alpha_s, s["asymmetry"], s["quad_err"], k["asymmetry"], k["grad_err"],
+        *(f.residual for f in tensors.fields), *(sol.div_inf for sol in tensors.sols),
         int(np.all(np.linalg.eigvalsh(S) > 0)), int(np.all(np.linalg.eigvalsh(K) > 0)),
     ]
     write_csv(path, _CSV_COLUMNS, [row])

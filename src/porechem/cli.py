@@ -22,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .cell_problems import (
+    EffectiveTensors,
     assemble_K,
     assemble_S,
     read_tensor_csv,
     solve_diffusion_cell,
     solve_stokes_cell,
-    tensors_with_provenance,
     write_tensor_csv,
 )
 from .config import parse_config
@@ -53,26 +53,25 @@ def _prepare_out(args, cfg):
     return out
 
 
-def _compute_tensors(cfg):
-    tol = cfg.tolerances["cell"]
-    D = cfg.micro_config().D
+def _compute_tensors(cfg) -> EffectiveTensors:
+    cell, tol, spd_tol, D = cfg.cell, cfg.tolerances["cell"], cfg.tolerances["spd"], cfg.micro.D
     # as in effective_tensors: the cheaper corrector pair first
-    fields = solve_diffusion_cell(cfg.cell, tol)
-    sols = solve_stokes_cell(cfg.cell, tol)
-    S, s_info = assemble_S(cfg.cell, fields, D=D, spd_tol=cfg.tolerances["spd"])
-    K, k_info = assemble_K(cfg.cell, sols, spd_tol=cfg.tolerances["spd"])
-    return tensors_with_provenance(cfg.cell, fields, sols, S, s_info, K, k_info, D, tol), fields, sols
+    fields = solve_diffusion_cell(cell, tol)
+    sols = solve_stokes_cell(cell, tol)
+    S, s_info = assemble_S(cell, fields, D=D, spd_tol=spd_tol)
+    K, k_info = assemble_K(cell, sols, spd_tol=spd_tol)
+    return EffectiveTensors(cell, D, fields, sols, S, s_info, K, k_info)
 
 
 def cmd_cell(args, cfg):
     out = _prepare_out(args, cfg)
-    tensors, fields, sols = _compute_tensors(cfg)
-    write_tensor_csv(out / "effective_tensors.csv", cfg.cell, tensors)
+    tensors = _compute_tensors(cfg)
+    write_tensor_csv(out / "effective_tensors.csv", tensors)
     if cfg.dump_fields:
         h = cfg.cell.h
-        for i, f in enumerate(fields):
+        for i, f in enumerate(tensors.fields):
             write_field(out / f"xi_{i + 1}.txt", f.values, h, cfg.cell.fluid)
-        for j, s in enumerate(sols):
+        for j, s in enumerate(tensors.sols):
             write_field(out / f"chi_{j + 1}_u.txt", s.u, h)
             write_field(out / f"chi_{j + 1}_v.txt", s.v, h)
             write_field(out / f"chi_{j + 1}_p.txt", s.p, h, cfg.cell.fluid)
@@ -109,11 +108,10 @@ def _series_rows(run):
 def cmd_micro(args, cfg):
     out = _prepare_out(args, cfg)
     grid = tile_domain(cfg.cell, cfg.eps)
-    micro_cfg = cfg.micro_config()
     stokes = None
-    if micro_cfg.velocity_mode == "reconstructed":
+    if cfg.micro.velocity_mode == "reconstructed":
         stokes = solve_stokes_cell(cfg.cell, cfg.tolerances["cell"])
-    solver = MicroSolver(micro_cfg, grid, stokes)
+    solver = MicroSolver(cfg.micro, grid, stokes)
     run = solver.run()
     write_classification(grid, out / "grid_classification.txt")
     write_csv(out / "micro_series.csv", _SERIES_COLUMNS, _series_rows(run))
@@ -143,8 +141,7 @@ def cmd_macro(args, cfg):
             "or pass --tensors"
         )
     S, K, _ = read_tensor_csv(tensor_path)
-    macro_cfg = cfg.macro_config(S, K)
-    solver = MacroSolver(macro_cfg)
+    solver = MacroSolver(cfg.macro_config(S, K))
     run = solver.run()
     write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     for i, state in enumerate(run.states):
@@ -158,12 +155,10 @@ def cmd_macro(args, cfg):
 
 def cmd_converge(args, cfg):
     out = _prepare_out(args, cfg)
-    tensors, _, sols = _compute_tensors(cfg)
-    write_tensor_csv(out / "effective_tensors.csv", cfg.cell, tensors)
-    macro_cfg = cfg.macro_config(tensors.S, tensors.K)
-    micro_cfg = cfg.micro_config()
-    stokes = sols if micro_cfg.velocity_mode == "reconstructed" else None
-    report = sweep(cfg.cell, cfg.sweep_eps, micro_cfg, macro_cfg, stokes)
+    tensors = _compute_tensors(cfg)
+    write_tensor_csv(out / "effective_tensors.csv", tensors)
+    stokes = tensors.sols if cfg.micro.velocity_mode == "reconstructed" else None
+    report = sweep(cfg.cell, cfg.sweep_eps, cfg.micro, cfg.macro_config(tensors.S, tensors.K), stokes)
     report.write_csv(out / "convergence_report.csv")
     for r in report.rows:
         _say(

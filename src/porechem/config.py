@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import UnitCell, cells_per_edge
+from .homogenize import _check_resolution, _check_times
 from .kinetics import RateLaw
 from .macro_sim import MacroConfig
 from .micro_sim import MicroConfig
@@ -23,7 +25,6 @@ from .transport import EDGES
 
 _DEFAULTS = {
     "geometry": {
-        "dim": "2",
         "eps": "0.25",
         "n": "8",
         "hole_side": "0.5",
@@ -145,6 +146,29 @@ def _in_section(section, make, **fields):
         raise ConfigError(f"[{section}] {e}") from None
 
 
+def _transport_fields(section, m) -> dict:
+    """The fields both transport configs read from their own section."""
+    m0 = _number(section, "m0", m["m0"])
+    return dict(
+        dt=_number(section, "dt", m["dt"]),
+        t_end=_number(section, "t_end", m["t_end"]),
+        u_init=_parse_init(section, "u_init", m["u_init"], m0),
+        v_init=_parse_init(section, "v_init", m["v_init"], m0),
+        velocity_mode=m["velocity_mode"],
+        dirichlet_value=_number(section, "dirichlet_value", m["dirichlet_value"]),
+        m0=m0,
+        output_every=_number(section, "output_every", m["output_every"], int),
+    )
+
+
+def _snapshot_times(c) -> list:
+    """The snapshot count of a run of ``c`` and its last two snapshot times.
+    The snapshots before them are evenly spaced from t = 0, so two runs
+    store matching times exactly when these match."""
+    count = -(-c.n_steps // c.output_every) + 1
+    return [count] + [min(i * c.output_every, c.n_steps) * c.dt for i in (max(count - 2, 0), count - 1)]
+
+
 def _parse_bool(text):
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -158,67 +182,25 @@ def _parse_bool(text):
 class RunConfig:
     """Fully resolved run configuration (all defaults applied)."""
 
-    raw: dict                       # section -> key -> string
-    cell: UnitCell = None
-    eps: float = 0.25
-    dirichlet_edges: tuple = ("left",)
-    rate_law: RateLaw = None
-    sweep_eps: tuple = ()
-    dump_fields: bool = False
-    tolerances: dict = field(default_factory=dict)
-
-    def _transport_fields(self, section) -> dict:
-        """The fields both transport configs read from their section."""
-        m = self.raw[section]
-        m0 = _number(section, "m0", m["m0"])
-        return dict(
-            dt=_number(section, "dt", m["dt"]),
-            t_end=_number(section, "t_end", m["t_end"]),
-            rate_law=self.rate_law,
-            u_init=_parse_init(section, "u_init", m["u_init"], m0),
-            v_init=_parse_init(section, "v_init", m["v_init"], m0),
-            velocity_mode=m["velocity_mode"],
-            dirichlet_edges=self.dirichlet_edges,
-            dirichlet_value=_number(section, "dirichlet_value", m["dirichlet_value"]),
-            m0=m0,
-            output_every=_number(section, "output_every", m["output_every"], int),
-            lin_tol=self.tolerances["linear"],
-            newton_tol=self.tolerances["newton"],
-            invariant_slack=self.tolerances["invariant_slack"],
-        )
-
-    def micro_config(self) -> MicroConfig:
-        m = self.raw["micro"]
-        return _in_section(
-            "micro",
-            MicroConfig,
-            D=_number("micro", "diffusivity", m["diffusivity"]),
-            pressure_gradient=_parse_floats("micro", "pressure_gradient", m["pressure_gradient"], 2),
-            **self._transport_fields("micro"),
-        )
+    raw: dict                # section -> key -> string
+    cell: UnitCell
+    eps: float
+    sweep_eps: tuple
+    dump_fields: bool
+    tolerances: dict
+    micro: MicroConfig
+    macro: MacroConfig       # S = K = I until the tensors are read
 
     def macro_config(self, S, K) -> MacroConfig:
         """The macro config for tensors S, K on the configured cell."""
-        m = self.raw["macro"]
-        return _in_section(
-            "macro",
-            MacroConfig,
-            S=S,
-            K=K,
-            pore_area=self.cell.pore_area,
-            surface_density=self.cell.surface_measure,
-            resolution_cells=_number("macro", "resolution", m["resolution"], int),
-            p_left=_number("macro", "p_left", m["p_left"]),
-            p_right=_number("macro", "p_right", m["p_right"]),
-            **self._transport_fields("macro"),
-        )
+        return _in_section("macro", partial(replace, self.macro), S=S, K=K)
 
     def check_budget(self, command):
         """ConfigError naming ``[section] key`` when a grid that subcommand
-        ``command`` builds has more than CELL_BUDGET cells.  It allocates
-        nothing, so a run checks it before any work."""
-        n = self.cell.n
-        m = _number("macro", "resolution", self.raw["macro"]["resolution"], int)
+        ``command`` builds has more than CELL_BUDGET cells, and for
+        ``converge`` when the sweep cannot compare its micro and macro runs.
+        It allocates nothing, so a run checks it before any work."""
+        n, m = self.cell.n, self.macro.resolution_cells
         grids = {  # grid: (section, key, what, cells per edge)
             "cell": ("geometry", "n", "cell", n),
             "micro": ("geometry", "eps", "micro", n * cells_per_edge(self.eps)),
@@ -231,6 +213,10 @@ class RunConfig:
                     f"[{section}] {key}: the {what} grid has {edge} x {edge} cells, more than the "
                     f"budget of {CELL_BUDGET:,} (512 x 512)"
                 )
+        if command == "converge":  # what `sweep` checks, before the cell problems
+            for eps in self.sweep_eps:
+                _check_resolution(m, cells_per_edge(eps))
+            _check_times(_snapshot_times(self.micro), _snapshot_times(self.macro))
 
     def write_resolved(self, path):
         """Echo every key (defaults included) in a fixed order."""
@@ -271,21 +257,18 @@ def parse_config(path_or_text) -> RunConfig:
                 )
             raw[section][key] = value.strip()
 
-    cfg = RunConfig(raw=raw)
     g = raw["geometry"]
-    if _number("geometry", "dim", g["dim"], int) != 2:
-        raise ConfigError("only dim = 2 is supported")
-    cfg.eps = _number("geometry", "eps", g["eps"])
-    cells_per_edge(cfg.eps)
-    cfg.cell = UnitCell(
+    eps = _number("geometry", "eps", g["eps"])
+    cells_per_edge(eps)
+    cell = UnitCell(
         n=_number("geometry", "n", g["n"], int),
         hole_side=_number("geometry", "hole_side", g["hole_side"]),
         hole_center=_parse_floats("geometry", "hole_center", g["hole_center"], 2),
     )
-    cfg.dirichlet_edges = _parse_edges(g["dirichlet_edges"])
+    dirichlet_edges = _parse_edges(g["dirichlet_edges"])
 
     k = raw["kinetics"]
-    cfg.rate_law = RateLaw(
+    rate_law = RateLaw(
         u_onset=_number("kinetics", "u_onset", k["u_onset"]),
         u_sol=_number("kinetics", "u_solubility", k["u_solubility"]),
         exponent=_number("kinetics", "exponent", k["exponent"]),
@@ -293,20 +276,32 @@ def parse_config(path_or_text) -> RunConfig:
     )
 
     # a tolerance that is not finite and positive stalls or disables its check
-    cfg.tolerances = {
-        key: _number("tolerances", key, text, positive=True) for key, text in raw["tolerances"].items()
-    }
-    cfg.dump_fields = _parse_bool(raw["output"]["dump_fields"])
+    tol = {key: _number("tolerances", key, text, positive=True) for key, text in raw["tolerances"].items()}
+    dump_fields = _parse_bool(raw["output"]["dump_fields"])
 
     sweep_eps = _parse_floats("sweep", "eps_list", raw["sweep"]["eps_list"])
     for e in sweep_eps:
         cells_per_edge(e)
     if any(b >= a for a, b in zip(sweep_eps, sweep_eps[1:])):
         raise ConfigError("sweep eps_list must be strictly decreasing")
-    cfg.sweep_eps = sweep_eps
 
-    # cross-field invariants: building the sub-configs runs their checks
-    # (kinetic time-step bound, box bounds on initial data ranges, modes)
-    cfg.micro_config()
-    cfg.macro_config(np.eye(2), np.eye(2))
-    return cfg
+    # building the transport configs runs their cross-field checks (kinetic
+    # time-step bound, box bounds on initial data ranges, modes)
+    common = dict(rate_law=rate_law, dirichlet_edges=dirichlet_edges, lin_tol=tol["linear"],
+                  newton_tol=tol["newton"], invariant_slack=tol["invariant_slack"])
+    mi, ma = raw["micro"], raw["macro"]
+    micro = _in_section(
+        "micro", MicroConfig,
+        D=_number("micro", "diffusivity", mi["diffusivity"]),
+        pressure_gradient=_parse_floats("micro", "pressure_gradient", mi["pressure_gradient"], 2),
+        **_transport_fields("micro", mi), **common,
+    )
+    macro = _in_section(
+        "macro", MacroConfig,
+        S=np.eye(2), K=np.eye(2), pore_area=cell.pore_area, surface_density=cell.surface_measure,
+        resolution_cells=_number("macro", "resolution", ma["resolution"], int),
+        p_left=_number("macro", "p_left", ma["p_left"]),
+        p_right=_number("macro", "p_right", ma["p_right"]),
+        **_transport_fields("macro", ma), **common,
+    )
+    return RunConfig(raw, cell, eps, sweep_eps, dump_fields, tol, micro, macro)

@@ -246,11 +246,6 @@ class PerforatedGrid:
             centers=centers,
         )
 
-    def eps_cell_of(self, ix, iy):
-        """eps-cell index (kx, ky) and local cell index of global cell (ix, iy)."""
-        n = self.cell.n
-        return (ix // n, iy // n), (ix % n, iy % n)
-
 
 @dataclass(frozen=True)
 class Measures:

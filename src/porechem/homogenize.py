@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import PerforatedGrid, UnitCell, cells_per_edge, tile_domain
 from .gridio import write_csv
-from .kinetics import RateLaw
 from .macro_sim import MacroConfig, MacroSolver
 from .micro_sim import MicroConfig, MicroSolver, difference_quotient_norm
 from .transport import Run
@@ -63,14 +62,13 @@ class UnfoldedTrace:
     values: np.ndarray      # (N*N, faces per cell), eps-cell kx-major
     eps: float
     y_measure: float        # reference face length, 1/n
-    t: float = 0.0
 
     def norm_sq(self) -> float:
         """Squared L2 norm over Omega x Gamma."""
         return float(self.eps**2 * self.y_measure * np.sum(self.values**2))
 
 
-def unfold(f: np.ndarray, grid: PerforatedGrid, t: float = 0.0) -> UnfoldedTrace:
+def unfold(f: np.ndarray, grid: PerforatedGrid) -> UnfoldedTrace:
     """Unfold a per-face field; verifies the isometry against the eps-scaled
     surface norm as a construction check."""
     nf_loc = grid.cell.n_grain_faces
@@ -81,7 +79,6 @@ def unfold(f: np.ndarray, grid: PerforatedGrid, t: float = 0.0) -> UnfoldedTrace
         values=f.reshape(N * N, nf_loc).copy(),
         eps=grid.eps,
         y_measure=1.0 / grid.cell.n,
-        t=t,
     )
     surface = grid.eps * grid.h * float(np.sum(f**2))
     if abs(tr.norm_sq() - surface) > 1e-12 * max(surface, 1.0):
@@ -152,7 +149,7 @@ def _check_times(t1, t2):
         raise ConfigError("micro and macro output times do not match")
 
 
-def two_scale_errors(micro: Run, macro: Run, law: RateLaw | None = None) -> dict:
+def two_scale_errors(micro: Run, macro: Run) -> dict:
     """Space-time errors between one micro run and the macro run.
 
     Volume error: L2(Omega x (0,T)) distance between the grain-filled
@@ -165,7 +162,7 @@ def two_scale_errors(micro: Run, macro: Run, law: RateLaw | None = None) -> dict
     grid = micro.grid
     N, n = grid.cells_per_edge, grid.cell.n
     h2 = grid.h**2
-    law = law if law is not None else micro.cfg.rate_law
+    law = micro.cfg.rate_law
     e_u = np.empty(len(micro.times))
     e_v = np.empty(len(micro.times))
     e_r = np.empty(len(micro.times))

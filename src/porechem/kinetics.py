@@ -67,11 +67,6 @@ class RateLaw:
         return float(self.rate_derivative(max(m, self.u_onset)))
 
 
-def precip_rate(law: RateLaw, u):
-    """Precipitation rate r(u)."""
-    return law.rate(u)
-
-
 def dissolution_rate(law: RateLaw, u, v):
     """Single-valued resolution of the Heaviside dissolution rate, in [0, 1]."""
     u = np.asarray(u, dtype=float)

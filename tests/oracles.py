@@ -76,3 +76,21 @@ def ramp_ode_euler(r, v0, dt_total, delta, k=1.0, n_sub=400_000):
         w = min(max(v / delta, 0.0), 1.0)
         v += h * k * (r - w)
     return v
+
+
+def dirichlet_form(cell, f, g):
+    """Discrete energy  sum over fluid-fluid faces of (df)(dg), periodic."""
+    fluid = cell.fluid
+    total = 0.0
+    for axis in (0, 1):
+        both = fluid & np.roll(fluid, -1, axis=axis)
+        df = np.roll(f, -1, axis=axis) - f
+        dg = np.roll(g, -1, axis=axis) - g
+        total += float(np.sum(df[both] * dg[both]))
+    return total
+
+
+def eps_cell_of(grid, ix, iy):
+    """eps-cell index (kx, ky) and local cell index of global cell (ix, iy)."""
+    n = grid.cell.n
+    return (ix // n, iy // n), (ix % n, iy % n)

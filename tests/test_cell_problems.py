@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,6 @@ from porechem import cell_problems, linalg
 from porechem.cell_problems import (
     assemble_K,
     assemble_S,
-    dirichlet_form,
     effective_tensors,
     quadratic_form,
     read_tensor_csv,
@@ -21,6 +22,9 @@ from porechem.cell_problems import (
 )
 from porechem.errors import AssemblyError, DegeneracyError, SolverError
 from porechem.geometry import build_unit_cell
+from porechem.gridio import read_csv
+
+from oracles import dirichlet_form
 
 # fine-grid (n = 256) oracle values, recorded at build time and frozen as
 # regression targets; tolerances reflect the measured refinement gap to n=64
@@ -47,7 +51,7 @@ def stokes64(cell64):
 def test_no_perforation_gives_identity():
     c = build_unit_cell(0.0, (0.5, 0.5), 8)
     fields = solve_diffusion_cell(c)
-    assert all(f.degenerate for f in fields)
+    assert not any(f.values.any() for f in fields)
     S, info = assemble_S(c, fields, D=1.0)
     assert np.max(np.abs(S - np.eye(2))) <= 1e-10
 
@@ -187,6 +191,18 @@ def test_permeability_assembly(cell64, stokes64):
     assert K[0, 0] == pytest.approx(KAPPA_FINE_A050, rel=0.03)
 
 
+def test_permeability_gradient_certificate_is_gated():
+    # doubled velocities double K but quadruple the gradient inner products,
+    # so the identity K |Y| = (grad chi^i, grad chi^j) misses by K itself
+    c = build_unit_cell(0.5, (0.5, 0.5), 16)
+    sols = solve_stokes_cell(c)
+    doubled = [dataclasses.replace(s, u=2.0 * s.u, v=2.0 * s.v) for s in sols]
+    with pytest.raises(AssemblyError, match="gradient-identity residual"):
+        assemble_K(c, doubled)
+    K, info = assemble_K(c, sols)
+    assert info["grad_err"] <= 1e-12 * np.max(np.abs(K))
+
+
 def test_larger_grains_lower_permeability():
     kappa = {}
     for a in (0.25, 0.5):
@@ -221,11 +237,18 @@ def test_quadratic_form_is_gram(cell64, fields64):
 def test_tensor_csv_roundtrip(tmp_path, cell64):
     tensors = effective_tensors(cell64, D=1.5)
     path = tmp_path / "effective_tensors.csv"
-    write_tensor_csv(path, cell64, tensors)
+    write_tensor_csv(path, tensors)
     S, K, alpha = read_tensor_csv(path)
     assert np.array_equal(S, tensors.S)
     assert np.array_equal(K, tensors.K)
     assert alpha == tensors.alpha_s
+    # the certificates come from the record's solutions and infos
+    row = read_csv(path)[1][0]
+    for i in range(2):
+        assert row[f"xi_res_{i + 1}"] == tensors.fields[i].residual
+        assert row[f"stokes_div_{i + 1}"] == tensors.sols[i].div_inf
+    assert row["s_quad_err"] == tensors.s_info["quad_err"]
+    assert row["k_grad_err"] == tensors.k_info["grad_err"]
 
 
 @pytest.mark.parametrize(
@@ -346,7 +369,7 @@ def test_effective_tensors_build_one_ring_system_per_operator(monkeypatch):
     # each family is solved once, in direction 0: the corrector and its
     # refinement step, then the Schur CG's right-hand side, one matvec per
     # iteration and the recovered velocity, each one two-column solve
-    iters = t.provenance["stokes_iters"][0]
+    iters = t.sols[0].iters
     assert solves == [(0, (c.fluid.sum(),))] * 2 + [(1, (2, built[1].domain.sum()))] * (iters + 2)
 
 

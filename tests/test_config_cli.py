@@ -27,7 +27,7 @@ def test_minimal_config_resolves_defaults(tmp_path):
     cfg = parse_config(MINIMAL)
     assert cfg.eps == 0.25
     assert cfg.cell.n == 8
-    assert cfg.rate_law.u_sol == 1.0
+    assert cfg.micro.rate_law.u_sol == 1.0
     out = tmp_path / "resolved_config.ini"
     cfg.write_resolved(out)
     text = out.read_text()
@@ -75,7 +75,7 @@ def test_misaligned_geometry_error():
 
 def test_init_profile_parsing():
     cfg = parse_config(MINIMAL + "\n[micro]\nu_init = bump:0.5\n")
-    mc = cfg.micro_config()
+    mc = cfg.micro
     assert callable(mc.u_init)
     assert mc.u_init(0.5, 0.5) == pytest.approx(0.5)
     with pytest.raises(ConfigError):
@@ -243,7 +243,7 @@ def test_cli_errors_exit_with_a_record(tmp_path, command, text, code):
 # them would otherwise fail mid-run or escape as a traceback
 PARSE_ERRORS = [
     ("[micro]\ndt = abc\n", "\\[micro\\] dt must be a finite number, got 'abc'"),
-    ("[geometry]\ndim = x\n", "\\[geometry\\] dim must be an integer"),
+    ("[geometry]\ndim = x\n", "unknown key 'dim' in \\[geometry\\]"),
     ("[micro]\nu_init = constant:abc\n", "\\[micro\\] u_init must be a finite number"),
     ("[geometry]\nhole_center = 0.5, half\n", "\\[geometry\\] hole_center must be a finite number"),
     ("[kinetics]\nrate_constant = inf\n", "\\[kinetics\\] rate_constant must be a finite number"),
@@ -378,6 +378,34 @@ def test_cli_rejects_initial_data_before_any_work(tmp_path):
     assert main(["converge", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "kind = config" in (out / "error_record.txt").read_text()
     assert not (out / "effective_tensors.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[macro]\nresolution = 60\n", "macro resolution 60 is not a multiple of 1/eps = 8"),
+        ("[micro]\nt_end = 0.5\n", "micro and macro output times do not match"),
+    ],
+    ids=lambda v: v.strip().replace("\n", ":"),
+)
+def test_cli_converge_checks_its_sweep_before_any_work(tmp_path, text, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record and message in record
+    assert not (out / "effective_tensors.csv").exists()
+
+
+def test_converge_accepts_different_steps_with_the_same_snapshots():
+    parse_config(
+        "[micro]\ndt = 0.005\noutput_every = 20\n[macro]\ndt = 0.01\noutput_every = 10\n"
+    ).check_budget("converge")
+    # the same snapshot count, with the final or the spacing differing
+    for text in ("[micro]\nt_end = 0.95\n", "[macro]\ndt = 0.005\noutput_every = 21\n"):
+        with pytest.raises(ConfigError, match="output times do not match"):
+            parse_config(text).check_budget("converge")
 
 
 def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):

@@ -15,6 +15,8 @@ from porechem.geometry import (
     write_classification,
 )
 
+from oracles import eps_cell_of
+
 
 def test_unit_cell_measures():
     c = build_unit_cell(0.5, (0.5, 0.5), 8)
@@ -205,9 +207,16 @@ def test_classification_dump(tmp_path):
 def test_eps_cell_map():
     c = build_unit_cell(0.5, (0.5, 0.5), 8)
     g = tile_domain(c, 0.25)
-    (kx, ky), (li, lj) = g.eps_cell_of(19, 5)
+    (kx, ky), (li, lj) = eps_cell_of(g, 19, 5)
     assert (kx, ky) == (2, 0)
     assert (li, lj) == (3, 5)
+    # each grain face of the tiling lies in its eps-cell, owned by the cell
+    # that owns its reference face
+    f = g.faces
+    (fkx, fky), (fi, fj) = eps_cell_of(g, f.owner_ix, f.owner_iy)
+    owner_i, owner_j = c.grain_faces[:2]
+    assert np.array_equal(fkx, f.kx) and np.array_equal(fky, f.ky)
+    assert np.array_equal(fi, owner_i[f.local]) and np.array_equal(fj, owner_j[f.local])
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from porechem.kinetics import (
     dissolution_rate,
     net_rate,
     ode_step,
-    precip_rate,
     regularized_heaviside,
     regularized_steady_w,
     regularized_step,
@@ -21,14 +20,14 @@ LAW = RateLaw()
 
 
 def test_rate_examples():
-    assert precip_rate(LAW, -0.3) == 0.0
-    assert precip_rate(LAW, 1.0) == 1.0
-    assert precip_rate(LAW, 0.5) == 0.25
+    assert LAW.rate(-0.3) == 0.0
+    assert LAW.rate(1.0) == 1.0
+    assert LAW.rate(0.5) == 0.25
 
 
 def test_rate_matches_oracle_on_grid():
     for u in np.linspace(-1, 3, 41):
-        assert precip_rate(LAW, u) == pytest.approx(power_rate(u), abs=1e-15)
+        assert LAW.rate(u) == pytest.approx(power_rate(u), abs=1e-15)
 
 
 def test_rate_law_validation():
