@@ -36,7 +36,8 @@ from .geometry import tile_domain, write_classification
 from .gridio import read_csv, write_csv, write_field
 from .homogenize import isometry_residual, oscillation_check, sweep
 from .macro_sim import MacroSolver
-from .micro_sim import MicroSolver, l1_distance
+from .micro_sim import MicroSolver, difference_quotient_norm
+from .micro_sim import l1_distance  # noqa: F401 -- not called here; perfbench/spans.py traces this name
 
 
 def _say(quiet, *args):
@@ -85,24 +86,17 @@ _SERIES_COLUMNS = ["t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v", 
 
 
 def _series_rows(run):
-    """Series CSV rows at the snapshot cadence (the mass report itself is
-    per step; snapshot rows are selected by time).  The L1 step rate uses
-    the contraction functional on a pore-scale run, the solute alone on a
-    macro run."""
-    mass_t = np.array([r.t for r in run.mass])
-    rows = []
-    for i, t in enumerate(run.times):
-        row = run.mass[int(np.argmin(np.abs(mass_t - t)))]
-        lag = t - run.times[i - 1] if i > 0 else 0.0
-        if lag <= 0:
-            rate = 0.0
-        elif run.grid is not None:
-            rate = l1_distance(run.states[i], run.states[i - 1], run.grid) / lag
-        else:
-            h2 = 1.0 / run.states[i].u.size
-            rate = float(np.abs(run.states[i].u - run.states[i - 1].u).sum() * h2) / lag
-        rows.append({c: getattr(row, c) for c in _SERIES_COLUMNS[:-1]} | {"l1_step_rate": rate})
-    return rows
+    """Series CSV rows, one per snapshot: the mass report's row at each stored
+    step and the L1 step rate, ``difference_quotient_norm`` on a pore-scale
+    run, the same quotient of the solute alone on a macro run."""
+    if run.grid is not None:
+        rates = difference_quotient_norm(run)
+    else:
+        h2 = 1.0 / run.states[0].u.size
+        rates = [0.0] + [float(np.abs(b.u - a.u).sum() * h2) / (b.t - a.t)
+                         for a, b in zip(run.states, run.states[1:])]
+    return [{c: getattr(run.mass[s], c) for c in _SERIES_COLUMNS[:-1]} | {"l1_step_rate": rate}
+            for s, rate in zip(run.cfg.snapshot_steps, rates)]
 
 
 def cmd_micro(args, cfg):

@@ -84,8 +84,17 @@ _DEFAULTS = {
 # step's sparse factor at 512 x 512 (n = 8, eps = 1/64) holds 6.4M nonzeros
 CELL_BUDGET = 512 * 512
 
-# the grids each subcommand builds: the unit cell, the micro grid at
-# [geometry] eps, the micro grid at the smallest [sweep] eps, the macro grid
+# the most steps a transport run may take, and the most grid cells its stored
+# snapshots may cover: the mass report keeps a 384-byte row per step (Python
+# 3.11), 38 MB for 10^5 steps, a thousand times the default run's 100; a
+# snapshot keeps u, v and w, at most 24 bytes per cell (v and w live on grain
+# faces or macro cells), 201 MB for 32 snapshots of 512 x 512 cells, as `cell` at n = 512
+STEP_BUDGET = 100_000
+SNAPSHOT_BUDGET = 32 * CELL_BUDGET
+
+# the grids each subcommand builds (the unit cell, the micro grid at
+# [geometry] eps, the micro grid at the smallest [sweep] eps, the macro
+# grid), and those of them that its transport runs step on
 _COMMAND_GRIDS = {
     "cell": ("cell",),
     "micro": ("cell", "micro"),
@@ -93,6 +102,7 @@ _COMMAND_GRIDS = {
     "converge": ("cell", "sweep", "macro"),
     "unfold": ("micro", "sweep"),
 }
+_COMMAND_RUNS = {"micro": ("micro",), "macro": ("macro",), "converge": ("sweep", "macro")}
 
 
 def _number(section, key, text, kind=float, positive=False):
@@ -161,14 +171,6 @@ def _transport_fields(section, m) -> dict:
     )
 
 
-def _snapshot_times(c) -> list:
-    """The snapshot count of a run of ``c`` and its last two snapshot times.
-    The snapshots before them are evenly spaced from t = 0, so two runs
-    store matching times exactly when these match."""
-    count = -(-c.n_steps // c.output_every) + 1
-    return [count] + [min(i * c.output_every, c.n_steps) * c.dt for i in (max(count - 2, 0), count - 1)]
-
-
 def _parse_bool(text):
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -176,6 +178,12 @@ def _parse_bool(text):
     if t in ("false", "0", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _within_budget(message, amount, budget):
+    """ConfigError ``message`` when ``amount`` is more than ``budget``."""
+    if amount > budget:
+        raise ConfigError(f"{message}, more than the budget of {budget:,}")
 
 
 @dataclass
@@ -197,9 +205,9 @@ class RunConfig:
 
     def check_budget(self, command):
         """ConfigError naming ``[section] key`` when a grid that subcommand
-        ``command`` builds has more than CELL_BUDGET cells, and for
-        ``converge`` when the sweep cannot compare its micro and macro runs.
-        It allocates nothing, so a run checks it before any work."""
+        ``command`` builds, or one of its transport runs, is over its budget,
+        and for ``converge`` when the sweep cannot compare its micro and macro
+        runs.  It allocates next to nothing, so a run checks it before any work."""
         n, m = self.cell.n, self.macro.resolution_cells
         grids = {  # grid: (section, key, what, cells per edge)
             "cell": ("geometry", "n", "cell", n),
@@ -208,15 +216,17 @@ class RunConfig:
             "macro": ("macro", "resolution", "macro", m),
         }
         for section, key, what, edge in (grids[g] for g in _COMMAND_GRIDS[command]):
-            if edge * edge > CELL_BUDGET:
-                raise ConfigError(
-                    f"[{section}] {key}: the {what} grid has {edge} x {edge} cells, more than the "
-                    f"budget of {CELL_BUDGET:,} (512 x 512)"
-                )
+            _within_budget(f"[{section}] {key}: the {what} grid has {edge} x {edge} cells", edge * edge, CELL_BUDGET)
+        for _, _, what, edge in (grids[g] for g in _COMMAND_RUNS.get(command, ())):
+            run = getattr(self, what)
+            _within_budget(f"[{what}] t_end: the {what} run takes {run.n_steps:,} steps", run.n_steps, STEP_BUDGET)
+            stored = len(run.snapshot_steps)  # at most STEP_BUDGET + 1 steps, after the check above
+            _within_budget(f"[{what}] output_every: the {what} run stores {stored:,} snapshots of {edge} x {edge} "
+                           f"cells, {stored * edge * edge:,} in all", stored * edge * edge, SNAPSHOT_BUDGET)
         if command == "converge":  # what `sweep` checks, before the cell problems
             for eps in self.sweep_eps:
                 _check_resolution(m, cells_per_edge(eps))
-            _check_times(_snapshot_times(self.micro), _snapshot_times(self.macro))
+            _check_times(*(np.multiply(c.snapshot_steps, c.dt) for c in (self.micro, self.macro)))
 
     def write_resolved(self, path):
         """Echo every key (defaults included) in a fixed order."""

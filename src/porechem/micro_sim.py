@@ -12,7 +12,6 @@ discrete mass identity reads  d[sum u h^2 + eps sum v h] = boundary fluxes.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -23,8 +22,6 @@ from .errors import ConfigError
 from .geometry import PerforatedGrid
 from .kinetics import ode_step
 from .transport import FaceVelocity, MassRow, Run, State, TransportConfig, TransportSolver
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -84,22 +81,6 @@ class MicroSolver(TransportSolver):
         )
         self.m = grid.n_fluid_cells
 
-    def initial_state(self) -> State:
-        """The core's initial state, checked for flux compatibility: the
-        grain flux of u_I should balance the initial surface rate.  Constant
-        profiles have zero normal gradient, so the residual is
-        eps*k*(r - w); report, never fail."""
-        state = super().initial_state()
-        law = self.cfg.rate_law
-        res = self.grid.eps * law.k * (law.rate(state.u[self.mask][self.owners]) - state.w)
-        worst = float(np.max(np.abs(res))) if res.size else 0.0
-        if worst > self.cfg.invariant_slack:
-            logger.warning(
-                "initial data violate the flux compatibility condition "
-                "(max residual %.3e); continuing", worst,
-            )
-        return state
-
     def step(self, state: State) -> tuple[State, MassRow]:
         return self._step(state, newton_reaction_diffusion, ode_step)
 
@@ -119,22 +100,13 @@ def l1_distance(a: State, b: State, grid: PerforatedGrid) -> float:
     return du + dv
 
 
-def difference_quotient_norm(run: Run, h_lag: float) -> np.ndarray:
-    """Time difference-quotient functional at each stored output time.
-
-    The trajectory is extended to negative times by its initial state, so
-    the quotient vanishes identically at t = 0 and stays bounded by its
-    value at the first lag for monotone (contractive) dynamics.
-    """
+def difference_quotient_norm(run: Run) -> np.ndarray:
+    """L1 step rate of a pore-scale run at each snapshot: 0 at t = 0, then
+    the ``l1_distance`` to the snapshot before over their actual time gap
+    (the last gap is shorter when ``output_every`` does not divide the step
+    count).  By L1 contraction it does not grow between gaps of one length."""
     times = run.times
-    if len(times) < 2:
-        return np.zeros(len(times))
-    spacing = times[1] - times[0]
-    steps = int(round(h_lag / spacing))
-    if steps < 1 or abs(steps * spacing - h_lag) > 1e-9 * max(h_lag, spacing):
-        raise ValueError(f"lag {h_lag} is not a multiple of the output spacing {spacing}")
     out = np.zeros(len(times))
-    for i in range(len(times)):
-        j = max(i - steps, 0)
-        out[i] = l1_distance(run.states[i], run.states[j], run.grid) / h_lag
+    for i in range(1, len(times)):
+        out[i] = l1_distance(run.states[i], run.states[i - 1], run.grid) / (times[i] - times[i - 1])
     return out

@@ -96,10 +96,15 @@ class TransportConfig:
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.dt))
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
+        n = self.t_end / self.dt
+        if not (n < np.inf and abs(round(n) * self.dt - self.t_end) <= 1e-9 * max(self.t_end, self.dt)):
             raise ConfigError(f"t_end = {self.t_end} is not a multiple of dt = {self.dt}")
-        return n
+        return round(n)
+
+    @property
+    def snapshot_steps(self) -> list:
+        """The steps a run stores: every ``output_every``-th, and the last."""
+        return [*range(0, self.n_steps, self.output_every), self.n_steps]
 
 
 @dataclass
@@ -315,12 +320,12 @@ class TransportSolver:
 
     def _run(self) -> Run:
         """Integrate to t_end.  The mass report has one row per step; field
-        snapshots are stored every ``output_every`` steps plus the final."""
+        snapshots are stored at ``cfg.snapshot_steps``."""
         cfg = self.cfg
+        stored = set(cfg.snapshot_steps)
         state = self.initial_state()
         states = [state.copy()]
         rows = [self._mass_row(state, 0.0, 0.0)]
-        times = [0.0]
         base = rows[0].mass_u + rows[0].mass_v
         influx = 0.0
         for k in range(1, cfg.n_steps + 1):
@@ -328,7 +333,6 @@ class TransportSolver:
             influx += row.flux_adv + row.flux_diff
             row.drift = (row.mass_u + row.mass_v) - base - influx
             rows.append(row)
-            if k % cfg.output_every == 0 or k == cfg.n_steps:
+            if k in stored:
                 states.append(state.copy())
-                times.append(state.t)
-        return Run(cfg=cfg, times=np.asarray(times), states=states, mass=rows, grid=self.grid)
+        return Run(cfg=cfg, times=np.array([s.t for s in states]), states=states, mass=rows, grid=self.grid)

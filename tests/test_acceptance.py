@@ -6,8 +6,6 @@ expected values come from closed forms, independent oracles in oracles.py,
 or frozen fine-grid solves recorded in the module tests.
 """
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -29,8 +27,6 @@ from porechem.macro_sim import MacroConfig, MacroSolver, stability_gap
 from porechem.micro_sim import MicroConfig, MicroSolver, l1_distance
 
 from oracles import heaviside_selection, lumped_trajectory, power_rate
-
-logging.getLogger("porechem.micro_sim").setLevel(logging.ERROR)
 
 LAW = RateLaw()
 

@@ -252,8 +252,11 @@ PARSE_ERRORS = [
     ("[macro]\nresolution = 0\n", "macro resolution must be at least 1"),
     ("[geometry]\neps = 0\n", "1/eps must be a positive integer"),
     ("[sweep]\neps_list = 0.25, 0\n", "1/eps must be a positive integer"),
+    ("[sweep]\neps_list = 0.125, 0.25\n", "sweep eps_list must be strictly decreasing"),
+    ("[sweep]\neps_list = 0.25, 0.25\n", "sweep eps_list must be strictly decreasing"),
     ("[micro]\nt_end = 0.015\n", "not a multiple of dt"),
     ("[macro]\nt_end = 0.015\n", "not a multiple of dt"),
+    ("[micro]\nt_end = 1e300\ndt = 1e-300\n", "not a multiple of dt"),  # t_end / dt overflows
     ("[micro]\ndirichlet_value = -0.5\n", "dirichlet_value must be nonnegative"),
     ("[micro]\ndiffusivity = -1\n", "diffusivity must be positive"),
 ]
@@ -461,6 +464,51 @@ def test_grids_within_the_budget_pass():
     for command in ("cell", "macro"):
         parse_config("[geometry]\nn = 256\n").check_budget(command)
     assert set(config._COMMAND_GRIDS) == set(cli._COMMANDS)  # every subcommand is bounded
+
+
+# runs past the step or the snapshot budget, each with a subcommand that
+# makes the run and the key its error names
+OVER_RUN_BUDGET = [
+    ("micro", "[micro]\nt_end = 1000.01\n", "[micro] t_end"),  # 100,001 steps
+    ("macro", "[macro]\nt_end = 1e9\n", "[macro] t_end"),
+    ("converge", "[macro]\nt_end = 1e9\n", "[macro] t_end"),
+    ("micro", "[geometry]\neps = 0.015625\n[micro]\nt_end = 0.32\noutput_every = 1\n", "[micro] output_every"),
+    ("macro", "[macro]\nresolution = 512\noutput_every = 2\n", "[macro] output_every"),
+    ("converge", "[sweep]\neps_list = 0.25, 0.015625\n[micro]\noutput_every = 1\n", "[micro] output_every"),
+]
+
+
+@pytest.mark.parametrize("command, text, key", OVER_RUN_BUDGET, ids=lambda v: v.strip().replace("\n", ":"))
+def test_parse_bounds_the_runs_a_command_makes(command, text, key):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: the .* run (takes|stores) .*, more than the budget"):
+            parse_config(text).check_budget(command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # rejected on parse alone, before any step
+
+
+def test_runs_within_the_budget_pass():
+    # 100,000 steps (stored every 100th), and 32 snapshots of 512 x 512 cells
+    parse_config("[micro]\nt_end = 1000\noutput_every = 100\n").check_budget("micro")
+    parse_config("[geometry]\neps = 0.015625\n[micro]\nt_end = 0.31\noutput_every = 1\n").check_budget("micro")
+    # commands that make no transport run take no step count
+    for command in ("cell", "unfold"):
+        parse_config("[micro]\nt_end = 1e9\n[macro]\nt_end = 1e9\n").check_budget(command)
+
+
+@pytest.mark.parametrize("command, key", [("micro", "[micro] t_end"), ("macro", "[macro] t_end"),
+                                          ("converge", "[micro] t_end")])
+def test_cli_rejects_a_run_past_the_step_budget(tmp_path, command, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[micro]\nt_end = 1e9\n[macro]\nt_end = 1e9\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record and key in record
+    assert not (out / "effective_tensors.csv").exists()
 
 
 def test_cli_rejects_a_grid_past_the_budget(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from porechem import homogenize
 from porechem.errors import ConfigError
-from porechem.geometry import build_unit_cell, tile_domain
+from porechem.geometry import BoundaryFaces, build_unit_cell, tile_domain
 from porechem.homogenize import (
     ConvergenceReport,
     eps_cell_fluid_mean,
@@ -87,6 +87,15 @@ def test_unfold_separable_factorization(grid):
     lhs = tr.norm_sq()
     rhs = (grid.eps**2 * np.sum(g**2)) * (np.sum(p**2) / grid.cell.n)
     assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+def test_unfold_rejects_a_face_enumeration_out_of_layout(cell):
+    g = tile_domain(cell, 0.25)
+    f = g.faces
+    perm = np.random.default_rng(7).permutation(f.count)
+    g.__dict__["faces"] = BoundaryFaces(**{k: v[perm] for k, v in vars(f).items()})  # the cached faces
+    with pytest.raises(AssertionError, match="eps-cell-major"):
+        unfold(np.ones(f.count), g)
 
 
 def test_isometry_random_fields(cell):

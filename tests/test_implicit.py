@@ -13,8 +13,6 @@ depend on the machine, and Jacobi CG needs over a hundred iterations on
 these systems.
 """
 
-import logging
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -25,8 +23,6 @@ from porechem.geometry import build_unit_cell, tile_domain
 from porechem.kinetics import RateLaw, net_rate, net_rate_derivative
 from porechem.macro_sim import MacroConfig, MacroSolver
 from porechem.micro_sim import MicroConfig, MicroSolver
-
-logging.getLogger("porechem.micro_sim").setLevel(logging.ERROR)
 
 LAW = RateLaw()
 DT = 0.01

@@ -193,8 +193,10 @@ def test_stability_gap_perturbation():
 def test_stability_gap_config_mismatch():
     r1 = MacroSolver(closed_box(t_end=0.2, u_init=0.1)).run()
     r2 = MacroSolver(closed_box(t_end=0.3, u_init=0.1)).run()
-    with pytest.raises(ConfigError):
-        stability_gap(r1, r2)
+    r3 = MacroSolver(closed_box(t_end=0.2, output_every=5, u_init=0.1)).run()
+    for other in (r2, r3):
+        with pytest.raises(ConfigError):
+            stability_gap(r1, other)
 
 
 def test_config_validation():

@@ -1,11 +1,10 @@
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porechem.cell_problems import assemble_K, solve_stokes_cell
+from porechem.cli import _series_rows
 from porechem.errors import ConfigError
 from porechem.geometry import build_unit_cell, measures, tile_domain
 from porechem.kinetics import RateLaw
@@ -18,8 +17,6 @@ from porechem.micro_sim import (
 )
 
 from oracles import lumped_trajectory
-
-logging.getLogger("porechem.micro_sim").setLevel(logging.ERROR)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +54,35 @@ def test_t_end_zero_returns_initial(grid):
     r = MicroSolver(closed_box(t_end=0.0, u_init=0.2, v_init=0.1), grid).run()
     assert len(r.states) == 1
     assert r.times[0] == 0.0
+    assert difference_quotient_norm(r).tolist() == [0.0]
+
+
+@pytest.mark.parametrize(
+    "t_end, output_every, steps",
+    [(0.95, 10, [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95]), (0.3, 10, [0, 10, 20, 30]),
+     (0.05, 10, [0, 5]), (0.04, 1, [0, 1, 2, 3, 4]), (0.0, 10, [0])],
+)
+def test_run_stores_exactly_the_snapshot_steps(grid, t_end, output_every, steps):
+    cfg = closed_box(u_init=0.0, v_init=0.05, t_end=t_end, output_every=output_every, dirichlet_edges=("left",))
+    assert cfg.snapshot_steps == steps
+    r = MicroSolver(cfg, grid).run()
+    assert len(r.states) == len(steps) and len(r.mass) == steps[-1] + 1
+    for s, t, state in zip(steps, r.times, r.states):
+        # each stored state is the state of its step, whose mass row it reproduces
+        assert r.mass[s].t == state.t == t
+        assert r.mass[s].mass_u == float(state.u[grid.fluid_mask].sum() * (grid.h * grid.h))
+        assert r.mass[s].mass_v == float(grid.eps * grid.h * state.v.sum())
+
+
+def test_difference_quotient_uses_the_actual_last_gap(grid):
+    # 95 steps stored every 10: the last gap is 5 steps, 0.05, not 0.1
+    cfg = closed_box(u_init=0.0, v_init=0.05, t_end=0.95, dirichlet_edges=("left",))
+    r = MicroSolver(cfg, grid).run()
+    dq = difference_quotient_norm(r)
+    last = l1_distance(r.states[-1], r.states[-2], grid)
+    assert last > 0.0
+    assert dq[-1] == pytest.approx(last / 0.05, rel=1e-12)
+    assert [row["l1_step_rate"] for row in _series_rows(r)] == dq.tolist()
 
 
 def test_closed_box_conservation(grid):
@@ -171,20 +197,14 @@ def test_w_consistency(grid):
 def test_difference_quotient_norm(grid):
     cfg = closed_box(u_init=1.0, v_init=0.3, t_end=0.3)  # equilibrium
     r = MicroSolver(cfg, grid).run()
-    dq = difference_quotient_norm(r, r.times[1] - r.times[0])
+    dq = difference_quotient_norm(r)
     assert np.all(dq == 0.0)
 
     cfg = closed_box(u_init=0.0, v_init=0.05, t_end=0.5)
     r = MicroSolver(cfg, grid).run()
-    dq = difference_quotient_norm(r, r.times[1] - r.times[0])
-    assert dq[0] == 0.0  # extension by the initial state
+    dq = difference_quotient_norm(r)
+    assert dq[0] == 0.0  # no gap before the first snapshot
     assert np.all(dq[1:] <= dq[1] * (1.0 + 1e-8) + 1e-14)  # monotone bound
-
-
-def test_difference_quotient_lag_validation(grid):
-    r = MicroSolver(closed_box(t_end=0.2, u_init=0.1), grid).run()
-    with pytest.raises(ValueError):
-        difference_quotient_norm(r, 0.0371)
 
 
 def test_reconstructed_velocity_properties(cell, grid):
