@@ -7,34 +7,26 @@ rate, including the event where the precipitate runs out mid-step.
 Run:  python3 demos/01_geometry_and_kinetics.py
 """
 
-from porechem import (
-    RateLaw,
-    build_unit_cell,
-    dissolution_rate,
-    measures,
-    ode_step,
-    tile_domain,
-)
+from porechem import RateLaw, UnitCell, dissolution_rate, ode_step, tile_domain
 
 # --- geometry ---------------------------------------------------------------
 
-cell = build_unit_cell(hole_side=0.5, center=(0.5, 0.5), n=8)
+cell = UnitCell(8, 0.5, (0.5, 0.5))
 print(f"unit cell: pore area |Y| = {cell.pore_area}, grain perimeter = {cell.surface_measure}")
 print(f"grain faces on the reference cell: {cell.n_grain_faces}")
 
 for eps in (0.5, 0.25, 0.125):
     grid = tile_domain(cell, eps)
-    m = measures(grid)
     print(
         f"eps = {eps}: {grid.cells_per_edge ** 2} grains, "
-        f"fluid volume {m.fluid_volume:.4f} (eps-independent), "
-        f"grain surface {m.surface_measure:.4f} (grows like 1/eps)"
+        f"fluid volume {grid.n_fluid_cells * grid.h**2:.4f} (eps-independent), "
+        f"grain surface {grid.faces.count * grid.h:.4f} (grows like 1/eps)"
     )
 
 # the eps-weighted surface is scale-free; this identity is what makes the
 # precipitate storage capacity independent of the scale parameter
 grid = tile_domain(cell, 0.125)
-print(f"eps * |Gamma^eps| = {grid.eps * measures(grid).surface_measure}  (= |Gamma|)")
+print(f"eps * |Gamma^eps| = {grid.eps * grid.faces.count * grid.h}  (= |Gamma|)")
 
 # --- kinetics ---------------------------------------------------------------
 

@@ -9,14 +9,14 @@ Run:  python3 demos/02_effective_tensors.py
 
 import numpy as np
 
-from porechem import build_unit_cell, solve_diffusion_cell, assemble_S
+from porechem import UnitCell, solve_diffusion_cell, assemble_S
 from porechem.cell_problems import assemble_K, solve_stokes_cell, velocity_mean
 
 # --- grain size sweep --------------------------------------------------------
 
 print("grain size -> effective tensors (n = 32):")
 for a in (0.25, 0.5, 0.75):
-    cell = build_unit_cell(a, (0.5, 0.5), 32)
+    cell = UnitCell(32, a, (0.5, 0.5))
     fields = solve_diffusion_cell(cell)
     S, s_info = assemble_S(cell, fields, D=1.0)
     sols = solve_stokes_cell(cell)
@@ -32,7 +32,7 @@ print("larger grains block both diffusion and flow; K reacts much harder.\n")
 print("refinement of s11 on the a = 0.5 cell:")
 vals = {}
 for n in (32, 64, 128):
-    cell = build_unit_cell(0.5, (0.5, 0.5), n)
+    cell = UnitCell(n, 0.5, (0.5, 0.5))
     fields = solve_diffusion_cell(cell)
     S, _ = assemble_S(cell, fields)
     vals[n] = S[0, 0]
@@ -42,7 +42,7 @@ print(f"observed refinement order: {order:.2f} (grain corners cap it below 2)\n"
 
 # --- structure of the Stokes cell solution -----------------------------------
 
-cell = build_unit_cell(0.5, (0.5, 0.5), 32)
+cell = UnitCell(32, 0.5, (0.5, 0.5))
 sol = solve_stokes_cell(cell)[0]
 print(f"Stokes solve: max |div| = {sol.div_inf:.2e}, momentum residual = {sol.momentum_res:.2e}")
 mean = velocity_mean(sol)

@@ -10,10 +10,10 @@ Run:  python3 demos/03_microscale_dissolution.py
 
 import numpy as np
 
-from porechem import build_unit_cell, tile_domain
+from porechem import UnitCell, tile_domain
 from porechem.micro_sim import MicroConfig, MicroSolver, difference_quotient_norm
 
-cell = build_unit_cell(0.5, (0.5, 0.5), 8)
+cell = UnitCell(8, 0.5, (0.5, 0.5))
 grid = tile_domain(cell, 0.25)
 c_g = cell.surface_measure / cell.pore_area
 

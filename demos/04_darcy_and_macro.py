@@ -7,11 +7,11 @@ precipitate, and checks the bookkeeping.
 Run:  python3 demos/04_darcy_and_macro.py
 """
 
-from porechem import build_unit_cell, solve_diffusion_cell, assemble_S
+from porechem import UnitCell, solve_diffusion_cell, assemble_S
 from porechem.cell_problems import assemble_K, solve_stokes_cell
 from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve
 
-cell = build_unit_cell(0.5, (0.5, 0.5), 32)
+cell = UnitCell(32, 0.5, (0.5, 0.5))
 S, _ = assemble_S(cell, solve_diffusion_cell(cell), D=1.0)
 K, _ = assemble_K(cell, solve_stokes_cell(cell))
 print(f"S = diag({S[0, 0]:.5f}), K = diag({K[0, 0]:.6f})")

@@ -9,15 +9,15 @@ rate is asserted, the observed orders are simply reported.
 Run:  python3 demos/05_two_scale_convergence.py   (about a minute)
 """
 
-from porechem import build_unit_cell, solve_diffusion_cell, assemble_S
+from porechem import UnitCell, solve_diffusion_cell, assemble_S
 from porechem.homogenize import oscillation_check, sweep
 from porechem.macro_sim import MacroConfig
 from porechem.micro_sim import MicroConfig
 
-cell = build_unit_cell(0.5, (0.5, 0.5), 8)
+cell = UnitCell(8, 0.5, (0.5, 0.5))
 
 # the oscillating surface quadrature behind the boundary-term limits
-c_off = build_unit_cell(0.25, (0.375, 0.5), 8)
+c_off = UnitCell(8, 0.25, (0.375, 0.5))
 rows = oscillation_check(c_off, lambda x1, x2, y1, y2: x1, [0.5, 0.25, 0.125],
                          exact=c_off.surface_measure * 0.5)
 print("oscillating quadrature of f = x1 (off-center grain):")
@@ -25,7 +25,7 @@ for r in rows:
     print(f"  eps = {r['eps']:<6} error = {r['error']:.4e}")
 
 # effective diffusion from a finer reference cell (decoupled resolutions)
-c64 = build_unit_cell(0.5, (0.5, 0.5), 64)
+c64 = UnitCell(64, 0.5, (0.5, 0.5))
 S, _ = assemble_S(c64, solve_diffusion_cell(c64), D=1.0)
 
 micro_cfg = MicroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),

@@ -19,7 +19,7 @@ Layers, bottom to top:
   command-line entry points.
 """
 
-from .geometry import UnitCell, PerforatedGrid, build_unit_cell, tile_domain, measures
+from .geometry import UnitCell, PerforatedGrid, tile_domain
 from .kinetics import (
     RateLaw,
     dissolution_rate,
@@ -40,9 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "UnitCell",
     "PerforatedGrid",
-    "build_unit_cell",
     "tile_domain",
-    "measures",
     "RateLaw",
     "dissolution_rate",
     "regularized_heaviside",

@@ -28,6 +28,9 @@ from .kinetics import RateLaw, net_rate, net_rate_derivative
 from .kinetics import ode_step  # noqa: F401 -- not called here; perfbench/spans.py traces this name
 from .linalg import cg, factor_spd
 
+# Newton iterations before a solve counts as stalled
+MAX_NEWTON = 60
+
 
 class ImplicitOperator:
     """The backward-Euler operator ``B = A + diag(mass_diag)`` of one
@@ -57,9 +60,8 @@ def newton_reaction_diffusion(
     dt,
     u0,
     *,
-    lin_tol=1e-12,
-    newton_tol=1e-12,
-    max_newton=60,
+    lin_tol,
+    newton_tol,
 ):
     """Solve  mass_diag*u + A u + weight * sum_f G(u[owners_f]) = rhs.
 
@@ -67,13 +69,14 @@ def newton_reaction_diffusion(
     time-scaled volume term ``mass_diag`` and the factor of their sum;
     ``owners`` maps reaction carriers (grain faces or cells) to cell indices
     and ``weight`` is their common coupling (eps*h for faces, the
-    coupled-storage c_g*h^2 for macro cells).
+    coupled-storage c_g*h^2 for macro cells).  ``lin_tol`` and
+    ``newton_tol`` are ``[tolerances] linear`` and ``newton``.
     Returns ``(u, residual)`` with residual in concentration units.
     """
     u = u0.copy()
     n = u.size
     A, mass_diag, scale = op.A, op.mass_diag, op.scale
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         g = net_rate(law, u[owners], v, dt)
         F = mass_diag * u + A @ u - rhs
         F += np.bincount(owners, weights=weight * g, minlength=n)

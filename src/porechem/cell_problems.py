@@ -597,8 +597,10 @@ def write_tensor_csv(path, tensors: EffectiveTensors):
 
 
 def read_tensor_csv(path):
-    """Read back S, K, alpha_s from an effective_tensors.csv file."""
+    """Read back ``(cell, S, K)`` from an effective_tensors.csv file, with
+    the unit cell the tensors were computed on."""
     rec = read_csv(path)[1][0]
+    cell = UnitCell(int(rec["n"]), rec["hole_side"], (rec["center_x"], rec["center_y"]))
     S = np.array([[rec["s11"], rec["s12"]], [rec["s21"], rec["s22"]]])
     K = np.array([[rec["k11"], rec["k12"]], [rec["k21"], rec["k22"]]])
-    return S, K, rec["alpha_s"]
+    return cell, S, K

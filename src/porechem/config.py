@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import UnitCell, cells_per_edge
-from .homogenize import _check_resolution, _check_times
+from .homogenize import check_sweep
 from .kinetics import RateLaw
 from .macro_sim import MacroConfig
 from .micro_sim import MicroConfig
-from .transport import EDGES
+from .transport import check_edges
 
 _DEFAULTS = {
     "geometry": {
@@ -126,11 +126,7 @@ def _parse_floats(section, key, text, count=None):
 
 
 def _parse_edges(text):
-    edges = tuple(e.strip() for e in text.split(",") if e.strip() and e.strip() != "none")
-    for e in edges:
-        if e not in EDGES:
-            raise ConfigError(f"unknown edge {e!r} in dirichlet_edges; valid edges: {', '.join(EDGES)}")
-    return edges
+    return check_edges(tuple(e.strip() for e in text.split(",") if e.strip() and e.strip() != "none"))
 
 
 def _parse_init(section, key, text, m0):
@@ -224,9 +220,7 @@ class RunConfig:
             _within_budget(f"[{what}] output_every: the {what} run stores {stored:,} snapshots of {edge} x {edge} "
                            f"cells, {stored * edge * edge:,} in all", stored * edge * edge, SNAPSHOT_BUDGET)
         if command == "converge":  # what `sweep` checks, before the cell problems
-            for eps in self.sweep_eps:
-                _check_resolution(m, cells_per_edge(eps))
-            _check_times(*(np.multiply(c.snapshot_steps, c.dt) for c in (self.micro, self.macro)))
+            check_sweep(self.sweep_eps, self.micro, self.macro)
 
     def write_resolved(self, path):
         """Echo every key (defaults included) in a fixed order."""
@@ -272,7 +266,8 @@ def parse_config(path_or_text) -> RunConfig:
     cells_per_edge(eps)
     cell = UnitCell(
         n=_number("geometry", "n", g["n"], int),
-        hole_side=_number("geometry", "hole_side", g["hole_side"]),
+        # a cell without a grain has no surface: no precipitate, no permeability
+        hole_side=_number("geometry", "hole_side", g["hole_side"], positive=True),
         hole_center=_parse_floats("geometry", "hole_center", g["hole_center"], 2),
     )
     dirichlet_edges = _parse_edges(g["dirichlet_edges"])
@@ -292,8 +287,6 @@ def parse_config(path_or_text) -> RunConfig:
     sweep_eps = _parse_floats("sweep", "eps_list", raw["sweep"]["eps_list"])
     for e in sweep_eps:
         cells_per_edge(e)
-    if any(b >= a for a, b in zip(sweep_eps, sweep_eps[1:])):
-        raise ConfigError("sweep eps_list must be strictly decreasing")
 
     # building the transport configs runs their cross-field checks (kinetic
     # time-step bound, box bounds on initial data ranges, modes)

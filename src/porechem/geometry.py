@@ -51,7 +51,7 @@ class UnitCell:
     n : grid cells per cell edge.
     hole_side : side length of the square grain, ``0 <= hole_side < 1``.
         ``hole_side = 0`` is the degenerate no-perforation cell (empty
-        grain boundary); downstream solvers treat it as a special case.
+        grain boundary): the hole-free oracles use it, a run config rejects it.
     hole_center : grain center, strictly inside ``(0,1)^2``.
     """
 
@@ -155,11 +155,6 @@ class UnitCell:
         return self.grain_faces[0].size
 
 
-def build_unit_cell(hole_side: float, center=(0.5, 0.5), n: int = 8) -> UnitCell:
-    """Validate and build a unit cell; raises GeometryError when misaligned."""
-    return UnitCell(n=n, hole_side=hole_side, hole_center=tuple(center))
-
-
 @dataclass(frozen=True)
 class BoundaryFaces:
     """All grain faces of a tiled grid, as parallel arrays.
@@ -247,14 +242,6 @@ class PerforatedGrid:
         )
 
 
-@dataclass(frozen=True)
-class Measures:
-    porosity: float          # |Y|
-    surface_density: float   # |Gamma| per unit cell
-    fluid_volume: float      # |Omega^eps|
-    surface_measure: float   # |Gamma^eps|
-
-
 def cells_per_edge(eps: float) -> int:
     """1/eps, the eps-cells per edge of the unit square; GeometryError unless
     eps > 0 and 1/eps is an integer."""
@@ -268,18 +255,6 @@ def cells_per_edge(eps: float) -> int:
 def tile_domain(cell: UnitCell, eps: float) -> PerforatedGrid:
     """Tile the unit square with eps-scaled cells; requires 1/eps integer."""
     return PerforatedGrid(cell=cell, cells_per_edge=cells_per_edge(eps))
-
-
-def measures(grid: PerforatedGrid) -> Measures:
-    """Exact measures of the perforated domain (grid-aligned geometry)."""
-    cell = grid.cell
-    h2 = grid.h * grid.h
-    return Measures(
-        porosity=cell.pore_area,
-        surface_density=cell.surface_measure,
-        fluid_volume=grid.n_fluid_cells * h2,
-        surface_measure=grid.faces.count * grid.h,
-    )
 
 
 def write_classification(grid: PerforatedGrid, path):

@@ -55,22 +55,10 @@ def extend(u: np.ndarray, grid: PerforatedGrid) -> np.ndarray:
     return blocks.reshape(N * n, N * n)
 
 
-@dataclass(frozen=True)
-class UnfoldedTrace:
-    """Grain-face field reindexed as (eps-cell, reference face)."""
-
-    values: np.ndarray      # (N*N, faces per cell), eps-cell kx-major
-    eps: float
-    y_measure: float        # reference face length, 1/n
-
-    def norm_sq(self) -> float:
-        """Squared L2 norm over Omega x Gamma."""
-        return float(self.eps**2 * self.y_measure * np.sum(self.values**2))
-
-
-def unfold(f: np.ndarray, grid: PerforatedGrid) -> UnfoldedTrace:
-    """Unfold a per-face field.  The reshape to (eps-cell, reference face)
-    needs the grid's faces enumerated so that face ``(kx*N + ky) *
+def unfold(f: np.ndarray, grid: PerforatedGrid) -> np.ndarray:
+    """Unfold a per-face field to its (eps-cell, reference face) array, of
+    shape ``(N*N, faces per cell)`` with the eps-cells kx-major.  The
+    reshape needs the grid's faces enumerated so that face ``(kx*N + ky) *
     faces_per_cell + local`` is the face of eps-cell (kx, ky) with reference
     face ``local``; that layout is checked first."""
     nf_loc = grid.cell.n_grain_faces
@@ -80,43 +68,30 @@ def unfold(f: np.ndarray, grid: PerforatedGrid) -> UnfoldedTrace:
     faces = grid.faces
     if not np.array_equal((faces.kx * N + faces.ky) * nf_loc + faces.local, np.arange(f.size)):
         raise AssertionError("grid faces are not enumerated eps-cell-major, as the unfolding needs")
-    return UnfoldedTrace(
-        values=f.reshape(N * N, nf_loc).copy(),
-        eps=grid.eps,
-        y_measure=1.0 / grid.cell.n,
-    )
+    return f.reshape(N * N, nf_loc)
 
 
 def isometry_residual(f: np.ndarray, grid: PerforatedGrid) -> float:
-    """|unfolded norm^2 - eps * surface norm^2| for a face field."""
-    tr = unfold(f, grid)
-    surface = grid.eps * grid.h * float(np.sum(f**2))
-    return abs(tr.norm_sq() - surface)
+    """|unfolded norm^2 - eps * surface norm^2| for a face field, the
+    unfolded samples weighted eps^2 * 1/n."""
+    unfolded = grid.eps**2 * (1.0 / grid.cell.n) * float(np.sum(unfold(f, grid) ** 2))
+    return abs(unfolded - grid.eps * grid.h * float(np.sum(f**2)))
 
 
 # ---------------------------------------------------------------------------
 # oscillation quadrature
 # ---------------------------------------------------------------------------
 
-def oscillation_check(cell: UnitCell, f, eps_list, exact: float | None = None, x_quad: int = 512):
-    """Oscillating surface quadrature  eps * sum f(x, x/eps) h  against the
-    product integral over Omega x Gamma.
+def oscillation_check(cell: UnitCell, f, eps_list, exact: float):
+    """Oscillating surface quadrature  eps * sum f(x, x/eps) h  against
+    ``exact``, the product integral over Omega x Gamma.
 
-    ``f(x1, x2, y1, y2)`` must accept arrays.  When ``exact`` is omitted the
-    product integral is evaluated by midpoint quadrature on an x_quad^2 grid
-    times the reference faces.  Returns rows of (eps, oscillating, product,
-    error).
+    ``f(x1, x2, y1, y2)`` must accept arrays.  Returns rows of (eps,
+    oscillating, product, error).
     """
     _, _, _, _, y_ref = cell.grain_faces
     if y_ref.shape[0] == 0:
         raise ConfigError("oscillation quadrature needs a nonempty grain boundary")
-    if exact is None:
-        xs = (np.arange(x_quad) + 0.5) / x_quad
-        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-        total = 0.0
-        for y1, y2 in y_ref:
-            total += np.sum(f(X1, X2, y1, y2))
-        exact = float(total / (x_quad * x_quad) / cell.n)
     rows = []
     for eps in eps_list:
         grid = tile_domain(cell, eps)
@@ -132,22 +107,24 @@ def oscillation_check(cell: UnitCell, f, eps_list, exact: float | None = None, x
 # two-scale error norms and the sweep
 # ---------------------------------------------------------------------------
 
-def _check_resolution(m: int, N: int):
-    """The eps-cell averages need whole macro cells per eps-cell."""
-    if m % N != 0:
-        raise ConfigError(f"macro resolution {m} is not a multiple of 1/eps = {N}")
+def check_sweep(eps_list, micro_cfg: MicroConfig, macro_cfg: MacroConfig):
+    """ConfigError unless the eps-sweep can compare its micro runs with the
+    macro run: eps strictly decreasing, whole macro cells per eps-cell (the
+    eps-cell averages), and the same snapshot times."""
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError("sweep eps_list must be strictly decreasing")
+    m = macro_cfg.resolution_cells
+    for N in map(cells_per_edge, eps_list):
+        if m % N != 0:
+            raise ConfigError(f"macro resolution {m} is not a multiple of 1/eps = {N}")
+    t1, t2 = (np.multiply(c.snapshot_steps, c.dt) for c in (micro_cfg, macro_cfg))
+    if len(t1) != len(t2) or np.max(np.abs(t1 - t2)) > 1e-9:
+        raise ConfigError("micro and macro output times do not match")
 
 
 def _macro_on_eps_cells(u_macro: np.ndarray, N: int) -> np.ndarray:
-    m = u_macro.shape[0]
-    _check_resolution(m, N)
-    b = m // N
+    b = u_macro.shape[0] // N
     return u_macro.reshape(N, b, N, b).mean(axis=(1, 3))
-
-
-def _check_times(t1, t2):
-    if len(t1) != len(t2) or np.max(np.abs(np.asarray(t1) - np.asarray(t2))) > 1e-9:
-        raise ConfigError("micro and macro output times do not match")
 
 
 def two_scale_errors(micro: Run, macro: Run) -> dict:
@@ -159,8 +136,8 @@ def two_scale_errors(micro: Run, macro: Run) -> dict:
     precipitate trace and the (y-independent) eps-cell average of the macro
     precipitate.  The rate error applies r(.) before the volume norm.
     """
-    _check_times(micro.times, macro.times)
     grid = micro.grid
+    check_sweep([grid.eps], micro.cfg, macro.cfg)
     N, n = grid.cells_per_edge, grid.cell.n
     h2 = grid.h**2
     law = micro.cfg.rate_law
@@ -174,7 +151,7 @@ def two_scale_errors(micro: Run, macro: Run) -> dict:
         U_fine = np.repeat(np.repeat(U, n, axis=0), n, axis=1)
         e_u[i] = np.sum((u_ext - U_fine) ** 2) * h2
         e_r[i] = np.sum((law.rate(u_ext) - law.rate(U_fine)) ** 2) * h2
-        tr = unfold(ms.v, grid).values
+        tr = unfold(ms.v, grid)
         V = _macro_on_eps_cells(Ms.v, N).reshape(N * N)  # kx-major, matching faces
         e_v[i] = grid.eps**2 * y_meas * np.sum((tr - V[:, None]) ** 2)
     dt_w = np.zeros_like(micro.times)  # trapezoid weights on the time axis
@@ -206,12 +183,9 @@ def sweep(
     stokes=None,
 ) -> ConvergenceReport:
     """Run the macro problem once and the micro problem per eps, and report
-    the two-scale errors with observed orders between consecutive eps."""
-    eps_list = list(eps_list)
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ConfigError("eps_list must be strictly decreasing")
-    for eps in eps_list:
-        _check_resolution(macro_cfg.resolution_cells, cells_per_edge(eps))
+    the two-scale errors with observed orders between consecutive eps;
+    `check_sweep` first."""
+    check_sweep(eps_list, micro_cfg, macro_cfg)
     macro = MacroSolver(macro_cfg).run()
     rows = []
     for eps in eps_list:

@@ -33,7 +33,7 @@ def _project_constant(x):
     return x
 
 
-def cg(A, b, *, precond, tol=1e-10, maxiter=None, project_constant=False):
+def cg(A, b, *, precond, tol, maxiter=None, project_constant=False):
     """Solve A x = b by preconditioned conjugate gradients.
 
     Parameters

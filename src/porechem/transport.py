@@ -49,6 +49,15 @@ _EDGE_CELLS = {
 }
 
 
+def check_edges(edges) -> tuple:
+    """``edges``, or a ConfigError naming the first that is not an edge of
+    the unit square."""
+    for e in edges:
+        if e not in EDGES:
+            raise ConfigError(f"unknown edge {e!r} in dirichlet_edges; valid edges: {', '.join(EDGES)}")
+    return edges
+
+
 @dataclass(frozen=True, kw_only=True)
 class TransportConfig:
     """Time stepping, kinetics, data and boundary values common to both
@@ -82,9 +91,7 @@ class TransportConfig:
             raise ConfigError(f"dirichlet_value must be nonnegative, got {self.dirichlet_value}")
         if self.velocity_mode not in self.velocity_modes:
             raise ConfigError(f"unknown velocity mode {self.velocity_mode!r}")
-        for e in self.dirichlet_edges:
-            if e not in EDGES:
-                raise ConfigError(f"unknown edge {e!r}; valid edges: {EDGES}")
+        check_edges(self.dirichlet_edges)
         kin = self.dt * self.rate_law.k * self.rate_law.lipschitz_bound(self.box_bound)
         if kin > 1.0 + 1e-12:
             raise ConfigError(f"dt*k*L_r = {kin:.3g} violates the kinetic bound dt*k*L_r <= 1")
@@ -113,9 +120,6 @@ class State:
     u: np.ndarray   # cell field, zero outside the mask
     v: np.ndarray   # per reaction carrier, >= 0
     w: np.ndarray   # per reaction carrier, in [0, 1]
-
-    def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.v.copy(), self.w.copy())
 
 
 @dataclass
@@ -320,11 +324,12 @@ class TransportSolver:
 
     def _run(self) -> Run:
         """Integrate to t_end.  The mass report has one row per step; field
-        snapshots are stored at ``cfg.snapshot_steps``."""
+        snapshots are stored at ``cfg.snapshot_steps``; no step mutates a
+        state, so each is stored as the step made it."""
         cfg = self.cfg
         stored = set(cfg.snapshot_steps)
         state = self.initial_state()
-        states = [state.copy()]
+        states = [state]
         rows = [self._mass_row(state, 0.0, 0.0)]
         base = rows[0].mass_u + rows[0].mass_v
         influx = 0.0
@@ -334,5 +339,5 @@ class TransportSolver:
             row.drift = (row.mass_u + row.mass_v) - base - influx
             rows.append(row)
             if k in stored:
-                states.append(state.copy())
+                states.append(state)
         return Run(cfg=cfg, times=np.array([s.t for s in states]), states=states, mass=rows, grid=self.grid)

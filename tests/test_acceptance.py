@@ -15,7 +15,7 @@ from porechem.cell_problems import (
     solve_diffusion_cell,
     solve_stokes_cell,
 )
-from porechem.geometry import build_unit_cell, tile_domain
+from porechem.geometry import UnitCell, tile_domain
 from porechem.homogenize import isometry_residual, oscillation_check, sweep
 from porechem.kinetics import (
     RateLaw,
@@ -54,14 +54,14 @@ def test_c01_kinetics_branch_table():
 
 
 def test_c02_effective_diffusion():
-    c0 = build_unit_cell(0.0, (0.5, 0.5), 8)
+    c0 = UnitCell(8, 0.0, (0.5, 0.5))
     S0, _ = assemble_S(c0, solve_diffusion_cell(c0), D=1.0)
     assert np.max(np.abs(S0 - np.eye(2))) <= 1e-10
 
     vals = {}
     quad64 = None
     for n in (32, 64, 128):
-        c = build_unit_cell(0.5, (0.5, 0.5), n)
+        c = UnitCell(n, 0.5, (0.5, 0.5))
         fields = solve_diffusion_cell(c)
         S, info = assemble_S(c, fields, D=1.0)
         vals[n] = S
@@ -80,7 +80,7 @@ def test_c02_effective_diffusion():
 def test_c03_permeability():
     kappa = {}
     for a in (0.25, 0.5):
-        c = build_unit_cell(a, (0.5, 0.5), 64)
+        c = UnitCell(64, a, (0.5, 0.5))
         sols = solve_stokes_cell(c)
         for s in sols:
             assert s.div_inf <= 1e-9
@@ -119,7 +119,7 @@ def test_c04_micro_invariants_randomized():
             dt=dt, t_end=500 * dt, output_every=500, dirichlet_edges=(),
             D=D, rate_law=law, u_init=u_init, v_init=v0, m0=m0,
         )
-        grid = tile_domain(build_unit_cell(a, (0.5, 0.5), n), eps)
+        grid = tile_domain(UnitCell(n, a, (0.5, 0.5)), eps)
         r = MicroSolver(cfg, grid).run()  # per-step invariant checks run inside
         total0 = r.mass[0].mass_u + r.mass[0].mass_v
         drift = abs(r.mass[-1].drift)
@@ -132,7 +132,7 @@ def test_c04_micro_invariants_randomized():
 
 
 def test_c05_l1_contraction():
-    cell = build_unit_cell(0.5, (0.5, 0.5), 8)
+    cell = UnitCell(8, 0.5, (0.5, 0.5))
     grid = tile_domain(cell, 0.25)
     pairs = [
         (0.1, 0.4, 0.01, 0.05, ("left",)),
@@ -173,7 +173,7 @@ def test_c06_event_exact_dissolution():
 
 
 def test_c07_unfolding_and_oscillation():
-    cell = build_unit_cell(0.5, (0.5, 0.5), 8)
+    cell = UnitCell(8, 0.5, (0.5, 0.5))
     rng = np.random.default_rng(99)
     worst = 0.0
     for eps in (0.5, 0.25, 0.125):
@@ -185,7 +185,7 @@ def test_c07_unfolding_and_oscillation():
 
     # an off-center grain breaks the symmetry that would make the x1
     # quadrature exact, giving a genuine O(eps) error sequence
-    c_off = build_unit_cell(0.25, (0.375, 0.5), 8)
+    c_off = UnitCell(8, 0.25, (0.375, 0.5))
     rows = oscillation_check(c_off, lambda x1, x2, y1, y2: x1, [0.5, 0.25, 0.125],
                              exact=c_off.surface_measure * 0.5)
     errs = [r["error"] for r in rows]
@@ -194,7 +194,7 @@ def test_c07_unfolding_and_oscillation():
 
 
 def test_c08_well_mixed_anchor():
-    cell = build_unit_cell(0.5, (0.5, 0.5), 8)
+    cell = UnitCell(8, 0.5, (0.5, 0.5))
     c_g = cell.surface_measure / cell.pore_area
     D = 50.0
     t_end = 0.2
@@ -234,9 +234,9 @@ def test_c08_well_mixed_anchor():
 
 
 def test_c09_flagship_convergence_sweep():
-    cell = build_unit_cell(0.5, (0.5, 0.5), 8)
+    cell = UnitCell(8, 0.5, (0.5, 0.5))
     # effective tensor from a decoupled, finer cell resolution
-    c64 = build_unit_cell(0.5, (0.5, 0.5), 64)
+    c64 = UnitCell(64, 0.5, (0.5, 0.5))
     S, _ = assemble_S(c64, solve_diffusion_cell(c64), D=1.0)
 
     micro_cfg = MicroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),
@@ -259,7 +259,7 @@ def test_c09_flagship_convergence_sweep():
 
 
 def test_c10_macro_stability():
-    cell = build_unit_cell(0.5, (0.5, 0.5), 8)
+    cell = UnitCell(8, 0.5, (0.5, 0.5))
 
     def profile(seed):
         rng = np.random.default_rng(seed)

@@ -21,7 +21,7 @@ from porechem.cell_problems import (
     write_tensor_csv,
 )
 from porechem.errors import AssemblyError, DegeneracyError, SolverError
-from porechem.geometry import build_unit_cell
+from porechem.geometry import UnitCell
 from porechem.gridio import read_csv
 
 from oracles import dirichlet_form
@@ -35,7 +35,7 @@ KAPPA_FINE_A025 = 0.05585887406230363
 
 @pytest.fixture(scope="module")
 def cell64():
-    return build_unit_cell(0.5, (0.5, 0.5), 64)
+    return UnitCell(64, 0.5, (0.5, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def stokes64(cell64):
 
 
 def test_no_perforation_gives_identity():
-    c = build_unit_cell(0.0, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.0, (0.5, 0.5))
     fields = solve_diffusion_cell(c)
     assert not any(f.values.any() for f in fields)
     S, info = assemble_S(c, fields, D=1.0)
@@ -57,13 +57,13 @@ def test_no_perforation_gives_identity():
 
 
 def test_no_perforation_stokes_degenerate():
-    c = build_unit_cell(0.0, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.0, (0.5, 0.5))
     with pytest.raises(DegeneracyError):
         solve_stokes_cell(c)
 
 
 def test_corrector_symmetries():
-    c = build_unit_cell(0.5, (0.5, 0.5), 32)
+    c = UnitCell(32, 0.5, (0.5, 0.5))
     xi = solve_diffusion_cell(c)[0].values
     assert np.max(np.abs(xi + xi[::-1, :])) <= 1e-9   # antisymmetric along x
     assert np.max(np.abs(xi - xi[:, ::-1])) <= 1e-9   # symmetric along y
@@ -100,7 +100,7 @@ def test_energy_identity(cell64, fields64):
 def test_richardson_order_s11():
     vals = {}
     for n in (32, 64, 128):
-        c = build_unit_cell(0.5, (0.5, 0.5), n)
+        c = UnitCell(n, 0.5, (0.5, 0.5))
         fields = solve_diffusion_cell(c)
         S, _ = assemble_S(c, fields)
         vals[n] = S[0, 0]
@@ -118,7 +118,7 @@ def test_unconverged_solve_flagged(cell64):
 
 def test_nan_in_a_corrector_is_rejected():
     # every certificate compares with a bound, and a NaN compares False
-    cell = build_unit_cell(0.5, (0.5, 0.5), 16)
+    cell = UnitCell(16, 0.5, (0.5, 0.5))
     fields = solve_diffusion_cell(cell)
     i, j = np.argwhere(cell.fluid)[0]
     fields[0].values[i, j] = np.nan
@@ -134,7 +134,7 @@ def test_stokes_solution_quality(stokes64):
 
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_stokes_momentum_residual_does_not_grow_with_n(n):
-    c = build_unit_cell(0.5, (0.5, 0.5), n)
+    c = UnitCell(n, 0.5, (0.5, 0.5))
     for s in solve_stokes_cell(c):
         assert s.momentum_res <= 1e-11
 
@@ -168,7 +168,7 @@ def _check_against_direct_saddle_point_solve(c, sols):
 
 @pytest.mark.parametrize("center", [(0.5, 0.5), (0.5, 0.375)])
 def test_stokes_matches_direct_saddle_point_solve(center):
-    c = build_unit_cell(0.5, center, 16)
+    c = UnitCell(16, 0.5, center)
     sols = solve_stokes_cell(c)
     K_ref = _check_against_direct_saddle_point_solve(c, sols)
     K, _ = assemble_K(c, sols)
@@ -194,7 +194,7 @@ def test_permeability_assembly(cell64, stokes64):
 def test_permeability_gradient_certificate_is_gated():
     # doubled velocities double K but quadruple the gradient inner products,
     # so the identity K |Y| = (grad chi^i, grad chi^j) misses by K itself
-    c = build_unit_cell(0.5, (0.5, 0.5), 16)
+    c = UnitCell(16, 0.5, (0.5, 0.5))
     sols = solve_stokes_cell(c)
     doubled = [dataclasses.replace(s, u=2.0 * s.u, v=2.0 * s.v) for s in sols]
     with pytest.raises(AssemblyError, match="gradient-identity residual"):
@@ -206,7 +206,7 @@ def test_permeability_gradient_certificate_is_gated():
 def test_larger_grains_lower_permeability():
     kappa = {}
     for a in (0.25, 0.5):
-        c = build_unit_cell(a, (0.5, 0.5), 32)
+        c = UnitCell(32, a, (0.5, 0.5))
         sols = solve_stokes_cell(c)
         K, _ = assemble_K(c, sols)
         kappa[a] = K[0, 0]
@@ -217,8 +217,8 @@ def test_larger_grains_lower_permeability():
 def test_off_center_hole_translation_invariance():
     # the periodic medium is translation invariant; an aligned shift of the
     # grain must reproduce the centered tensors to solver accuracy
-    c0 = build_unit_cell(0.25, (0.5, 0.5), 16)
-    c1 = build_unit_cell(0.25, (0.375, 0.5), 16)
+    c0 = UnitCell(16, 0.25, (0.5, 0.5))
+    c1 = UnitCell(16, 0.25, (0.375, 0.5))
     sols1 = solve_stokes_cell(c1)
     K0, _ = assemble_K(c0, solve_stokes_cell(c0))
     K1, info1 = assemble_K(c1, sols1)
@@ -238,12 +238,13 @@ def test_tensor_csv_roundtrip(tmp_path, cell64):
     tensors = effective_tensors(cell64, D=1.5)
     path = tmp_path / "effective_tensors.csv"
     write_tensor_csv(path, tensors)
-    S, K, alpha = read_tensor_csv(path)
+    cell, S, K = read_tensor_csv(path)
+    assert cell == cell64 == tensors.cell
     assert np.array_equal(S, tensors.S)
     assert np.array_equal(K, tensors.K)
-    assert alpha == tensors.alpha_s
     # the certificates come from the record's solutions and infos
     row = read_csv(path)[1][0]
+    assert row["alpha_s"] == tensors.alpha_s
     for i in range(2):
         assert row[f"xi_res_{i + 1}"] == tensors.fields[i].residual
         assert row[f"stokes_div_{i + 1}"] == tensors.sols[i].div_inf
@@ -260,7 +261,7 @@ def test_tensor_csv_roundtrip(tmp_path, cell64):
     ],
 )
 def test_factored_correctors_match_a_direct_solve(side, center, n):
-    c = build_unit_cell(side, center, n)
+    c = UnitCell(n, side, center)
     A = cell_problems._fluid_adjacency(c).tocsc()
     for i, f in enumerate(solve_diffusion_cell(c)):
         # reference: the system with the last unknown pinned, by spsolve
@@ -291,7 +292,7 @@ TRANSPOSE_CELLS = [
 
 @pytest.mark.parametrize("side, center, n", TRANSPOSE_CELLS)
 def test_v_block_is_the_permuted_u_block(side, center, n):
-    ops = cell_problems._MacOperators(build_unit_cell(side, center, n))
+    ops = cell_problems._MacOperators(UnitCell(n, side, center))
     q, nu = ops.q, ops.nu
     A_u, A_v = ops.A[:nu, :nu].tocsr(), ops.A[nu:, nu:].tocsr()
     assert np.array_equal(np.sort(q), np.arange(nu))  # a permutation of the u-faces
@@ -316,7 +317,7 @@ def test_corrupted_face_map_is_rejected(monkeypatch, corrupt):
     v_to_u = cell_problems._v_to_u
     monkeypatch.setattr(cell_problems, "_v_to_u", lambda *a: corrupt(v_to_u(*a)))
     with pytest.raises(AssemblyError, match="not the permuted u-block"):
-        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16))
+        solve_stokes_cell(UnitCell(16, 0.5, (0.5, 0.375)))
 
 
 def test_face_map_needs_the_shift(monkeypatch):
@@ -325,14 +326,14 @@ def test_face_map_needs_the_shift(monkeypatch):
         return iu.T[v_active]
 
     monkeypatch.setattr(cell_problems, "_v_to_u", transpose_only)
-    solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.5), 16))
+    solve_stokes_cell(UnitCell(16, 0.5, (0.5, 0.5)))
     with pytest.raises(AssemblyError, match="not the permuted u-block"):
-        solve_stokes_cell(build_unit_cell(0.5, (0.5, 0.375), 16))
+        solve_stokes_cell(UnitCell(16, 0.5, (0.5, 0.375)))
 
 
 @pytest.mark.parametrize("side, center, n", [c for c in TRANSPOSE_CELLS if c[1] != (0.5, 0.5)])
 def test_square_grain_gives_isotropic_tensors(side, center, n):
-    t = effective_tensors(build_unit_cell(side, center, n))
+    t = effective_tensors(UnitCell(n, side, center))
     assert t.K[1, 1] == pytest.approx(t.K[0, 0], rel=1e-12)
     assert t.S[1, 1] == pytest.approx(t.S[0, 0], rel=1e-12)
 
@@ -359,7 +360,7 @@ def test_effective_tensors_build_one_ring_system_per_operator(monkeypatch):
         return solve(self, b)
 
     monkeypatch.setattr(linalg.CapacitanceSolver, "solve", counting_solve)
-    c = build_unit_cell(0.25, (0.375, 0.625), 16)
+    c = UnitCell(16, 0.25, (0.375, 0.625))
     t = effective_tensors(c)
     # the corrector's 4a cut edges, then the Stokes u-block's 4a - 2 wall
     # and ghost nodes and its constant (the u-block serves the v-block too)
@@ -380,14 +381,14 @@ def aligned_cells(draw):
     n = draw(st.integers(3, 64))
     a = draw(st.integers(1, n - 2))
     i0, j0 = (draw(st.integers(1, n - 1 - a)) for _ in range(2))
-    return build_unit_cell(a / n, ((i0 + a / 2) / n, (j0 + a / 2) / n), n)
+    return UnitCell(n, a / n, ((i0 + a / 2) / n, (j0 + a / 2) / n))
 
 
 @settings(max_examples=40, deadline=None)
 @given(aligned_cells(), st.integers(0, 2**32 - 1))
-@example(build_unit_cell(31 / 32, (0.5, 0.5), 64), 0)  # one-cell channels
-@example(build_unit_cell(61 / 64, (31.5 / 64, 32.5 / 64), 64), 1)  # one-cell margins at left and bottom
-@example(build_unit_cell(1 / 64, (1.5 / 64, 62.5 / 64), 64), 2)  # one-cell grain in a corner
+@example(UnitCell(64, 31 / 32, (0.5, 0.5)), 0)  # one-cell channels
+@example(UnitCell(64, 61 / 64, (31.5 / 64, 32.5 / 64)), 1)  # one-cell margins at left and bottom
+@example(UnitCell(64, 1 / 64, (1.5 / 64, 62.5 / 64)), 2)  # one-cell grain in a corner
 def test_ring_solves_match_sparse_direct_solves(cell, seed):
     rng = np.random.default_rng(seed)
     ops = cell_problems._MacOperators(cell)
@@ -421,7 +422,7 @@ def test_direction_1_certificates_need_the_shift(monkeypatch, center, fires):
     transposed = cell_problems._transposed
     monkeypatch.setattr(cell_problems, "_v_to_u", lambda cell, iu, v_active: transposed(cell, iu)[v_active])
     monkeypatch.setattr(cell_problems, "_transposed", lambda cell, f: f.T)
-    c = build_unit_cell(0.5, center, 16)
+    c = UnitCell(16, 0.5, center)
     if not fires:
         assert solve_diffusion_cell(c)[1].residual <= 1e-12
         assert solve_stokes_cell(c)[1].momentum_res <= 1e-11
@@ -435,7 +436,7 @@ def test_direction_1_certificates_need_the_shift(monkeypatch, center, fires):
 
 
 def test_stokes_tolerance_is_an_acceptance_bound():
-    c = build_unit_cell(0.5, (0.5, 0.5), 16)
+    c = UnitCell(16, 0.5, (0.5, 0.5))
     with pytest.raises(SolverError, match="Stokes solve left momentum residual"):
         solve_stokes_cell(c, tol=1e-20)
     for sol in solve_stokes_cell(c, tol=1e-12):

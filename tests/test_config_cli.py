@@ -187,6 +187,26 @@ def test_cli_macro_rejects_nan_tensors(tmp_path):
     assert not (out / "macro_series.csv").exists()
 
 
+def test_cli_macro_takes_tensors_only_from_the_configured_cell(tmp_path):
+    # S and K come from the file, the storage factor |Gamma|/|Y| from [geometry]
+    own = tmp_path / "own.ini"
+    own.write_text("[geometry]\nn = 16\nhole_side = 0.25\nhole_center = 0.375, 0.625\n[macro]\nt_end = 0.1\n")
+    other = tmp_path / "other.ini"
+    other.write_text(own.read_text().replace("hole_side = 0.25", "hole_side = 0.5").replace("0.375, 0.625", "0.5, 0.5"))
+    tensors = tmp_path / "cell" / "effective_tensors.csv"
+    assert main(["cell", "--config", str(own), "--out", str(tensors.parent), "--quiet"]) == 0
+    out = tmp_path / "other"
+    assert main(["macro", "--config", str(other), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record
+    assert "UnitCell(n=16, hole_side=0.25, hole_center=(0.375, 0.625))" in record
+    assert "UnitCell(n=16, hole_side=0.5, hole_center=(0.5, 0.5))" in record
+    assert not (out / "macro_series.csv").exists()
+    out = tmp_path / "own"
+    assert main(["macro", "--config", str(own), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 0
+    assert (out / "macro_series.csv").exists()
+
+
 def test_cli_converge_single_row(tmp_path):
     cfg = _write_cfg(tmp_path, "\n[output]\ndump_fields = false\n")
     # restrict the sweep to one eps
@@ -218,7 +238,10 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("cell", "[geometry]\nhole_side = 0.3\n", 2),
         ("cell", "[geometry]\nn = 0\n", 2),
         ("cell", "[geometry]\nhole_side = 0\n", 2),
+        ("micro", "[geometry]\nhole_side = 0\n", 2),
+        ("macro", "[geometry]\nhole_side = 0\n", 2),
         ("converge", "[geometry]\nhole_side = 0\n", 2),
+        ("unfold", "[geometry]\nhole_side = 0\n", 2),
         ("micro", "[kinetics]\nu_solubility = -1\n", 2),
         ("micro", "[kinetics]\nresolution_mode = foo\n", 2),
         ("micro", "[micro]\ndt = abc\n", 2),
@@ -252,8 +275,9 @@ PARSE_ERRORS = [
     ("[macro]\nresolution = 0\n", "macro resolution must be at least 1"),
     ("[geometry]\neps = 0\n", "1/eps must be a positive integer"),
     ("[sweep]\neps_list = 0.25, 0\n", "1/eps must be a positive integer"),
-    ("[sweep]\neps_list = 0.125, 0.25\n", "sweep eps_list must be strictly decreasing"),
-    ("[sweep]\neps_list = 0.25, 0.25\n", "sweep eps_list must be strictly decreasing"),
+    ("[geometry]\nhole_side = 0\n", "\\[geometry\\] hole_side must be a finite positive number, got '0'"),
+    ("[geometry]\ndirichlet_edges = up\n",
+     "^unknown edge 'up' in dirichlet_edges; valid edges: left, right, bottom, top$"),  # not a [micro] error
     ("[micro]\nt_end = 0.015\n", "not a multiple of dt"),
     ("[macro]\nt_end = 0.015\n", "not a multiple of dt"),
     ("[micro]\nt_end = 1e300\ndt = 1e-300\n", "not a multiple of dt"),  # t_end / dt overflows
@@ -388,6 +412,9 @@ def test_cli_rejects_initial_data_before_any_work(tmp_path):
     [
         ("[macro]\nresolution = 60\n", "macro resolution 60 is not a multiple of 1/eps = 8"),
         ("[micro]\nt_end = 0.5\n", "micro and macro output times do not match"),
+        # only converge runs the sweep, so only converge checks its order
+        ("[sweep]\neps_list = 0.125, 0.25\n", "sweep eps_list must be strictly decreasing"),
+        ("[sweep]\neps_list = 0.25, 0.25\n", "sweep eps_list must be strictly decreasing"),
     ],
     ids=lambda v: v.strip().replace("\n", ":"),
 )

@@ -8,84 +8,79 @@ import pytest
 
 import porechem
 from porechem.errors import GeometryError
-from porechem.geometry import (
-    build_unit_cell,
-    measures,
-    tile_domain,
-    write_classification,
-)
+from porechem.geometry import UnitCell, tile_domain, write_classification
 
 from oracles import eps_cell_of
 
 
 def test_unit_cell_measures():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     assert c.pore_area == 0.75
     assert c.surface_measure == 2.0
-    c = build_unit_cell(0.25, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.25, (0.5, 0.5))
     assert c.pore_area == 0.9375
     assert c.surface_measure == 1.0
 
 
 def test_misaligned_hole_rejected():
     with pytest.raises(GeometryError):
-        build_unit_cell(0.5, (0.5, 0.5), 6)  # corner lands at 1.5 cells
+        UnitCell(6, 0.5, (0.5, 0.5))  # corner lands at 1.5 cells
     with pytest.raises(GeometryError):
-        build_unit_cell(0.3, (0.5, 0.5), 8)
+        UnitCell(8, 0.3, (0.5, 0.5))
 
 
 def test_hole_touching_boundary_rejected():
     with pytest.raises(GeometryError):
-        build_unit_cell(0.5, (0.25, 0.5), 8)  # corner on the cell edge
+        UnitCell(8, 0.5, (0.25, 0.5))  # corner on the cell edge
     with pytest.raises(GeometryError):
-        build_unit_cell(1.0, (0.5, 0.5), 8)
+        UnitCell(8, 1.0, (0.5, 0.5))
 
 
 def test_degenerate_no_hole():
-    c = build_unit_cell(0.0, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.0, (0.5, 0.5))
     assert c.pore_area == 1.0
     assert c.surface_measure == 0.0
     assert c.n_grain_faces == 0
 
 
 def test_tiling_counts():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     g = tile_domain(c, 0.5)
     assert g.cells_per_edge == 2
     assert g.faces.count == 64  # 4 cells x 4*(n*a) = 16 faces
-    c = build_unit_cell(0.5, (0.5, 0.5), 4)
+    c = UnitCell(4, 0.5, (0.5, 0.5))
     g = tile_domain(c, 0.25)
     assert g.faces.count == 128
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     g = tile_domain(c, 1.0 / 3.0)
     assert g.cells_per_edge == 3
 
 
 def test_bad_eps_rejected():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     with pytest.raises(GeometryError):
         tile_domain(c, 0.3)
 
 
 def test_measures_scaling():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
-    m = measures(tile_domain(c, 0.5))
-    assert m.fluid_volume == pytest.approx(0.75, abs=1e-14)
-    assert m.surface_measure == pytest.approx(4.0, abs=1e-12)
-    m = measures(tile_domain(c, 0.25))
-    assert m.fluid_volume == pytest.approx(0.75, abs=1e-14)
-    assert m.surface_measure == pytest.approx(8.0, abs=1e-12)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
+    g = tile_domain(c, 0.5)
+    assert g.n_fluid_cells * g.h**2 == pytest.approx(0.75, abs=1e-14)
+    assert g.faces.count * g.h == pytest.approx(4.0, abs=1e-12)
+    g = tile_domain(c, 0.25)
+    assert g.n_fluid_cells * g.h**2 == pytest.approx(0.75, abs=1e-14)
+    assert g.faces.count * g.h == pytest.approx(8.0, abs=1e-12)
 
 
 def test_minimal_hole_measure():
     # one-cell hole; center offset by half a cell keeps it grid-aligned
     n = 8
-    c = build_unit_cell(1.0 / n, (0.5 + 0.5 / n, 0.5 + 0.5 / n), n)
+    c = UnitCell(n, 1.0 / n, (0.5 + 0.5 / n, 0.5 + 0.5 / n))
     assert c.pore_area == pytest.approx(1.0 - 1.0 / n**2, abs=1e-15)
 
 
 def test_face_center_identity():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     g = tile_domain(c, 0.25)
     f = g.faces
     y_ref = c.grain_faces[4]
@@ -94,14 +89,14 @@ def test_face_center_identity():
 
 
 def test_surface_identity_exact():
-    c = build_unit_cell(0.25, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.25, (0.5, 0.5))
     for eps in (0.5, 0.25, 0.125):
         g = tile_domain(c, eps)
         assert g.faces.count * g.h * eps == pytest.approx(c.surface_measure, abs=1e-12)
 
 
 def test_cell_counts_partition_domain():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     g = tile_domain(c, 0.25)
     total = g.fluid_mask.size * g.h * g.h
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -112,21 +107,21 @@ def test_cell_counts_partition_domain():
 
 def test_resolution_doubling_leaves_measures():
     for n in (4, 8, 16):
-        c = build_unit_cell(0.5, (0.5, 0.5), n)
-        m = measures(tile_domain(c, 0.25))
-        assert m.fluid_volume == pytest.approx(0.75, abs=1e-13)
-        assert m.surface_measure == pytest.approx(8.0, abs=1e-12)
+        c = UnitCell(n, 0.5, (0.5, 0.5))
+        g = tile_domain(c, 0.25)
+        assert g.n_fluid_cells * g.h**2 == pytest.approx(0.75, abs=1e-13)
+        assert g.faces.count * g.h == pytest.approx(8.0, abs=1e-12)
 
 
 def test_off_center_hole_aligned():
-    c = build_unit_cell(0.25, (0.375, 0.5), 8)
+    c = UnitCell(8, 0.25, (0.375, 0.5))
     assert c.pore_area == pytest.approx(1 - 0.0625, abs=1e-15)
     g = tile_domain(c, 0.5)
     assert g.faces.count == 2 * 2 * 4 * 2  # 4 cells x 4*(n*a) faces
 
 
 def test_normals_point_into_solid():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     oi, oj, axis, sign, _ = c.grain_faces
     solid = c.solid
     for i, j, ax, s in zip(oi, oj, axis, sign):
@@ -172,7 +167,7 @@ def _loop_grain_faces(cell):
     ],
 )
 def test_grain_face_contract(side, center, n):
-    c = build_unit_cell(side, center, n)
+    c = UnitCell(n, side, center)
     faces = c.grain_faces
     oi, oj, axis, sign, y_ref = faces
     assert np.all(np.diff(axis) >= 0)  # vertical faces first
@@ -193,7 +188,7 @@ def test_grain_face_contract(side, center, n):
 
 
 def test_classification_dump(tmp_path):
-    c = build_unit_cell(0.5, (0.5, 0.5), 4)
+    c = UnitCell(4, 0.5, (0.5, 0.5))
     g = tile_domain(c, 0.5)
     path = tmp_path / "grid.txt"
     write_classification(g, path)
@@ -205,7 +200,7 @@ def test_classification_dump(tmp_path):
 
 
 def test_eps_cell_map():
-    c = build_unit_cell(0.5, (0.5, 0.5), 8)
+    c = UnitCell(8, 0.5, (0.5, 0.5))
     g = tile_domain(c, 0.25)
     (kx, ky), (li, lj) = eps_cell_of(g, 19, 5)
     assert (kx, ky) == (2, 0)
@@ -235,7 +230,7 @@ def test_tiled_pore_space_is_connected(side, center, n, per_edge):
     # tile.  Label the pore space here to hold that argument at its extremes.
     from scipy import ndimage
 
-    grid = tile_domain(build_unit_cell(side, center, n), 1.0 / per_edge)
+    grid = tile_domain(UnitCell(n, side, center), 1.0 / per_edge)
     _, count = ndimage.label(grid.fluid_mask)
     assert count == 1
 

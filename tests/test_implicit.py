@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porechem import _implicit
-from porechem.geometry import build_unit_cell, tile_domain
+from porechem.geometry import UnitCell, tile_domain
 from porechem.kinetics import RateLaw, net_rate, net_rate_derivative
 from porechem.macro_sim import MacroConfig, MacroSolver
 from porechem.micro_sim import MicroConfig, MicroSolver
@@ -47,7 +47,7 @@ def reference_newton(op, rhs, owners, weights, v, u0, tol=1e-12):
 
 
 def micro_problem():
-    grid = tile_domain(build_unit_cell(0.5, (0.5, 0.5), 8), 0.125)
+    grid = tile_domain(UnitCell(8, 0.5, (0.5, 0.5)), 0.125)
     cfg = MicroConfig(dt=DT, t_end=DT, D=D, rate_law=LAW, dirichlet_edges=("left",))
     solver = MicroSolver(cfg, grid)
     rng = np.random.default_rng(7)
@@ -82,7 +82,8 @@ def test_newton_matches_direct_solve_with_few_cg_iterations(problem, monkeypatch
         return result
 
     monkeypatch.setattr(_implicit, "cg", counting_cg)
-    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weights, LAW, v, DT, u0)
+    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weights, LAW, v, DT, u0,
+                                                 lin_tol=1e-12, newton_tol=1e-12)
 
     slope = net_rate_derivative(LAW, u[owners], v, DT)
     assert np.all(slope > 0.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porechem.errors import ConfigError
-from porechem.geometry import build_unit_cell, tile_domain
+from porechem.geometry import UnitCell, tile_domain
 from porechem.kinetics import RateLaw
 from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor, stability_gap
 from porechem.micro_sim import MicroConfig, MicroSolver
@@ -148,7 +148,7 @@ def test_hole_free_micro_equals_macro():
     bump = lambda x, y: 0.6 * np.sin(np.pi * x) * np.sin(np.pi * y)  # noqa: E731
     common = dict(dt=0.01, t_end=0.2, output_every=5, dirichlet_edges=("left",),
                   u_init=bump, v_init=bump)
-    grid = tile_domain(build_unit_cell(0.0, (0.5, 0.5), n), eps)
+    grid = tile_domain(UnitCell(n, 0.0, (0.5, 0.5)), eps)
     micro = MicroSolver(MicroConfig(D=D, **common), grid).run()
     macro = MacroSolver(MacroConfig(S=D * np.eye(2), pore_area=1.0, surface_density=0.0,
                                     resolution_cells=grid.n_global, **common)).run()

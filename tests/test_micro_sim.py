@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from porechem.cell_problems import assemble_K, solve_stokes_cell
 from porechem.cli import _series_rows
 from porechem.errors import ConfigError
-from porechem.geometry import build_unit_cell, measures, tile_domain
+from porechem.geometry import UnitCell, tile_domain
 from porechem.kinetics import RateLaw
 from porechem.micro_sim import (
     MicroConfig,
@@ -21,7 +23,7 @@ from oracles import lumped_trajectory
 
 @pytest.fixture(scope="module")
 def cell():
-    return build_unit_cell(0.5, (0.5, 0.5), 8)
+    return UnitCell(8, 0.5, (0.5, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +132,8 @@ def test_l1_distance_basics(grid):
     cfg = closed_box(t_end=0.0, u_init=0.3, v_init=0.1)
     s = MicroSolver(cfg, grid).run().states[0]
     assert l1_distance(s, s, grid) == 0.0
-    s2 = s.copy()
-    s2.u = s.u + np.where(grid.fluid_mask, 0.25, 0.0)
-    vol = measures(grid).fluid_volume
+    s2 = replace(s, u=s.u + np.where(grid.fluid_mask, 0.25, 0.0))
+    vol = grid.n_fluid_cells * grid.h**2
     assert l1_distance(s, s2, grid) == pytest.approx(0.25 * vol, rel=1e-12)
 
 
@@ -226,7 +227,7 @@ def test_reconstructed_velocity_properties(cell, grid):
 
 
 def test_reconstructed_velocity_geometry_mismatch(grid):
-    other = build_unit_cell(0.25, (0.5, 0.5), 8)
+    other = UnitCell(8, 0.25, (0.5, 0.5))
     sols = solve_stokes_cell(other)
     with pytest.raises(ConfigError):
         reconstruct_velocity(grid, sols, (-1.0, 0.0))
