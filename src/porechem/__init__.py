@@ -23,7 +23,6 @@ from .geometry import UnitCell, PerforatedGrid, tile_domain
 from .kinetics import (
     RateLaw,
     dissolution_rate,
-    regularized_heaviside,
     ode_step,
 )
 from .cell_problems import (
@@ -43,7 +42,6 @@ __all__ = [
     "tile_domain",
     "RateLaw",
     "dissolution_rate",
-    "regularized_heaviside",
     "ode_step",
     "EffectiveTensors",
     "solve_diffusion_cell",

@@ -9,12 +9,16 @@ derivative (`kinetics.net_rate_derivative`) converges globally for this
 M-function system; we iterate until the nonlinear residual is small enough
 that the per-step mass-balance defect sits at round-off.
 
-Each solver factors its fixed backward-Euler operator ``B = A + diag(mass)``
-once (``ImplicitOperator``).  The Newton matrix ``J = B + diag(extra)``
-differs from it only by the nonnegative slope of the net rate on the
-reaction carriers, so ``B^-1`` is an SPD preconditioner for CG on ``J``:
-a handful of iterations per solve, one when no carrier reacts.  ``J`` is
-applied matrix-free, and the CG tolerance stays on its true residual.
+Each solver builds a direct solve of its fixed backward-Euler operator
+``B = A + diag(mass)`` once (``ImplicitOperator``): the sparse LU factor of
+B on the perforated grid, and on a grid without solid cells, such as the
+macro grid, the `transport.separable_solve` the solver passes in.  Either
+is certified on a probe vector before the run.  The Newton matrix
+``J = B + diag(extra)`` differs from B only by the nonnegative slope of the
+net rate on the reaction carriers, so ``B^-1`` is an SPD preconditioner for
+CG on ``J``: a handful of iterations per solve, one when no carrier reacts.
+``J`` is applied matrix-free, and the CG tolerance stays on its true
+residual.
 """
 
 from __future__ import annotations
@@ -31,23 +35,37 @@ from .linalg import cg, factor_spd
 # Newton iterations before a solve counts as stalled
 MAX_NEWTON = 60
 
+# bound on the probe residual ||B solve(b) - b||_inf / ||b||_inf that
+# certifies a direct solve of B; both solves stay below 1e-13 up to
+# 512 x 512.  Fixed, not [tolerances] linear: a small accepted linear
+# tolerance must not fail a valid run here
+SOLVE_TOL = 1e-10
+
 
 class ImplicitOperator:
     """The backward-Euler operator ``B = A + diag(mass_diag)`` of one
-    transport solver, with its sparse LU factor.
+    transport solver, with a certified direct solve.
 
     ``A`` is the diffusion operator over active cells and ``mass_diag`` the
-    time-scaled volume term; both are fixed for a run, so ``B`` is factored
-    here once.
+    time-scaled volume term; both are fixed for a run.  ``solve`` applies
+    ``B^-1`` to a vector; without one, B is factored here with sparse LU.
     """
 
-    def __init__(self, A, mass_diag):
+    def __init__(self, A, mass_diag, solve=None):
         self.A = A
         self.mass_diag = mass_diag
         # residual measured against the operator scale; a mass-only scale is
         # unreachable when D*dt/h^2 is large (round-off floor of the solve)
         self.scale = float(np.max(mass_diag + A.diagonal()))
-        self.lu = factor_spd(A + sp.diags(mass_diag))
+        B = A + sp.diags(mass_diag)
+        self.solve = factor_spd(B).solve if solve is None else solve
+        probe = np.random.default_rng(0).standard_normal(A.shape[0])
+        res = float(np.max(np.abs(B @ self.solve(probe) - probe)) / np.max(np.abs(probe)))
+        if not res <= SOLVE_TOL:
+            raise SolverError(
+                f"direct solve of the backward-Euler operator left probe residual {res:.3e} > {SOLVE_TOL:g}",
+                residual=res,
+            )
 
 
 def newton_reaction_diffusion(
@@ -66,7 +84,7 @@ def newton_reaction_diffusion(
     """Solve  mass_diag*u + A u + weight * sum_f G(u[owners_f]) = rhs.
 
     ``op`` holds the (SPD) diffusion operator ``A`` over active cells, the
-    time-scaled volume term ``mass_diag`` and the factor of their sum;
+    time-scaled volume term ``mass_diag`` and the solve of their sum;
     ``owners`` maps reaction carriers (grain faces or cells) to cell indices
     and ``weight`` is their common coupling (eps*h for faces, the
     coupled-storage c_g*h^2 for macro cells).  ``lin_tol`` and
@@ -88,6 +106,6 @@ def newton_reaction_diffusion(
         gp = net_rate_derivative(law, u[owners], v, dt)
         d = mass_diag + np.bincount(owners, weights=weight * gp, minlength=n)
         J = spla.LinearOperator((n, n), matvec=lambda p, d=d: A @ p + d * p, dtype=float)
-        delta, _, _ = cg(J, F, tol=lin_tol, precond=op.lu.solve)
+        delta, _, _ = cg(J, F, tol=lin_tol, precond=op.solve)
         u = u - delta
     raise SolverError(f"implicit reaction-diffusion Newton stalled at residual {res:.3e}", residual=res)

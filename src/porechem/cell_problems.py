@@ -597,10 +597,10 @@ def write_tensor_csv(path, tensors: EffectiveTensors):
 
 
 def read_tensor_csv(path):
-    """Read back ``(cell, S, K)`` from an effective_tensors.csv file, with
-    the unit cell the tensors were computed on."""
+    """Read back ``(cell, D, S, K)`` from an effective_tensors.csv file, with
+    the unit cell and the diffusivity the tensors were computed with."""
     rec = read_csv(path)[1][0]
     cell = UnitCell(int(rec["n"]), rec["hole_side"], (rec["center_x"], rec["center_y"]))
     S = np.array([[rec["s11"], rec["s12"]], [rec["s21"], rec["s22"]]])
     K = np.array([[rec["k11"], rec["k12"]], [rec["k21"], rec["k22"]]])
-    return cell, S, K
+    return cell, rec["D"], S, K

@@ -134,9 +134,13 @@ def cmd_macro(args, cfg):
             f"effective tensors file {tensor_path} not found; run the `cell` subcommand first "
             "or pass --tensors"
         )
-    cell, S, K = read_tensor_csv(tensor_path)
-    if cell != cfg.cell:  # S and K come from the file, the storage factor from the cell
-        raise ConfigError(f"{tensor_path} holds the tensors of {cell}, not of the configured {cfg.cell}")
+    cell, D, S, K = read_tensor_csv(tensor_path)
+    # S (D included) and K come from the file, the storage factor from the cell
+    if (cell, D) != (cfg.cell, cfg.micro.D):
+        raise ConfigError(
+            f"{tensor_path} holds the tensors of {cell} with D = {D!r}, not of the configured "
+            f"{cfg.cell} with [micro] diffusivity = {cfg.micro.D!r}"
+        )
     solver = MacroSolver(cfg.macro_config(S, K))
     run = solver.run()
     write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run))

@@ -28,19 +28,6 @@ def write_field(path, values: np.ndarray, h: float, mask: np.ndarray | None = No
         f.write((row * ny) % tuple(out.T.ravel().tolist()))
 
 
-def read_field(path):
-    """Read a field file; returns (values, h, mask) with mask False on nan."""
-    with open(path) as f:
-        nx, ny = (int(t) for t in f.readline().split())
-        h = float(f.readline())
-        vals = np.empty((nx, ny))
-        for iy in range(ny):
-            row = f.readline().split()
-            vals[:, iy] = [float(t) for t in row]
-    mask = ~np.isnan(vals)
-    return vals, h, mask
-
-
 def write_csv(path, columns, rows):
     """Fixed-column CSV with %.17g floats; rows are dicts or sequences."""
     with open(path, "w") as f:

@@ -15,9 +15,7 @@ including the event where ``v`` hits zero mid-step.  Every update returns a
 time-averaged effective rate so that ``v_new - v = dt * k * (r - w_eff)``
 holds to machine precision; the transport solvers rely on this identity for
 their mass bookkeeping.  This exact selection is the transport step's only
-resolver.  The ramp regularization ``clip(v/delta, 0, 1)`` of the graph
-(`regularized_step`, `regularized_steady_w`) serves only to check that its
-delta -> 0 limit reproduces the selection.
+resolver.
 """
 
 from __future__ import annotations
@@ -76,14 +74,6 @@ def dissolution_rate(law: RateLaw, u, v):
     return out if out.ndim else float(out)
 
 
-def regularized_heaviside(delta: float, v):
-    """Ramp regularization: 0 for v <= 0, v/delta on (0, delta), 1 beyond."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    out = np.clip(np.asarray(v, dtype=float) / delta, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
 def net_rate(law: RateLaw, u, v, dt: float):
     """Time-averaged net precipitate rate k*(r - w_eff) over a step of dt.
 
@@ -117,72 +107,3 @@ def ode_step(law: RateLaw, u, v, dt: float):
     if scalar:
         return float(v_new), float(w_eff)
     return v_new, w_eff
-
-
-def regularized_step(law: RateLaw, delta: float, u, v, dt: float):
-    """Advance dv/dt = k*(r - clip(v/delta, 0, 1)) exactly by dt with u
-    frozen; returns ``v_new``.
-
-    This is the ramp-regularized precipitate ODE, kept for the delta -> 0
-    limit of `regularized_steady_w`.  Piecewise: above the ramp the ODE is
-    linear; inside the ramp it is an affine exponential relaxing toward
-    delta*r.  At most one region change happens per step for each starting
-    side, handled by event times.
-    """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    r = np.atleast_1d(law.rate(u)).astype(float)
-    v0 = np.atleast_1d(np.asarray(v, dtype=float)).copy()
-    r, v0 = np.broadcast_arrays(r, v0)
-    v0 = v0.copy()
-    out = np.empty_like(v0)
-    k = law.k
-
-    above = v0 >= delta
-    # region v >= delta: dv/dt = k (r - 1)
-    if np.any(above):
-        rr, vv = r[above], v0[above]
-        lin = vv + dt * k * (rr - 1.0)
-        # time to reach the ramp; never when r >= 1 (no division there)
-        tau = np.divide(vv - delta, k * (1.0 - rr), out=np.full_like(vv, np.inf), where=rr < 1.0)
-        res = np.where(tau >= dt, lin, np.nan)
-        drop = tau < dt  # enters the ramp, finish there
-        if np.any(drop):
-            res[drop] = _ramp_advance(k, delta, rr[drop], np.full(np.count_nonzero(drop), delta), dt - tau[drop])
-        out[above] = res
-    # region v < delta: exponential toward delta*r, may exit through the top
-    below = ~above
-    if np.any(below):
-        rr, vv = r[below], v0[below]
-        res = _ramp_advance(k, delta, rr, vv, dt)
-        esc = rr > 1.0  # attractor above the ramp: crossing time to v = delta
-        if np.any(esc):
-            num = delta * (rr[esc] - 1.0)
-            den = delta * rr[esc] - vv[esc]
-            tcross = -(delta / k) * np.log(num / den)
-            crossed = tcross < dt
-            if np.any(crossed):
-                idx = np.flatnonzero(esc)[crossed]
-                res[idx] = delta + (dt - tcross[crossed]) * k * (rr[idx] - 1.0)
-        out[below] = res
-    return out if np.asarray(v).ndim else float(out[0])
-
-
-def _ramp_advance(k, delta, r, v, t):
-    """Closed form inside the ramp: v(t) = delta*r + (v - delta*r) * exp(-k t/delta)."""
-    return delta * r + (v - delta * r) * np.exp(-k * np.asarray(t) / delta)
-
-
-def regularized_steady_w(law: RateLaw, delta: float, u):
-    """Steady dissolution rate of the regularized ODE started at v = 0.
-
-    Integrates the regularized precipitate ODE long enough for transients to
-    die (40 ramp time constants), then evaluates the ramp.  As delta -> 0
-    this reproduces min(r(u), 1), the exact resolver's value at v = 0.
-    """
-    v = np.zeros_like(np.asarray(u, dtype=float))
-    dt = 10.0 * delta / law.k
-    for _ in range(4):
-        v = regularized_step(law, delta, u, v, dt)
-    out = regularized_heaviside(delta, v)
-    return out if np.asarray(u).ndim else float(out)

@@ -2,8 +2,8 @@
 
 ``cg`` is conjugate gradients for SPD systems.  The caller passes the
 preconditioner M^-1, and ``A`` only has to support ``A @ x``: the implicit
-transport step passes the solve of its once-factored backward-Euler
-operator and applies its Newton matrix matrix-free, and the Stokes cell
+transport step passes the direct solve of its backward-Euler operator
+and applies its Newton matrix matrix-free, and the Stokes cell
 solve runs unpreconditioned CG on the pressure Schur complement.  The
 stopping rule is on the true residual of ``A``.
 
@@ -13,10 +13,12 @@ right-hand side, which keeps CG on the orthogonal complement where the
 operator is definite.
 
 ``factor_spd`` is the sparse LU factorization of the implicit transport
-step.  The cell problems need none: their operators are the periodic
-5-point Laplacian of the cell grid changed on the ring of nodes around the
-grain, which `CapacitanceSolver` inverts exactly with FFTs and a small
-dense system on the ring.
+step on the perforated pore-scale grid only; on a grid without solid
+cells, such as the macro grid, `transport.separable_solve` inverts the same
+operator by separation of variables.  The cell problems need neither:
+their operators are the periodic 5-point Laplacian of the cell grid
+changed on the ring of nodes around the grain, which `CapacitanceSolver`
+inverts exactly with FFTs and a small dense system on the ring.
 """
 
 from __future__ import annotations

@@ -128,40 +128,3 @@ class MacroSolver(TransportSolver):
 
     def run(self) -> Run:
         return self._run()
-
-
-@dataclass
-class StabilityGap:
-    times: np.ndarray
-    norm_u: np.ndarray
-    norm_v: np.ndarray
-    lam: float        # fitted exponential envelope exponent for ||U||
-    c_env: float      # smallest C with ||U(t)|| <= C exp(lam t)
-
-
-def stability_gap(run1: Run, run2: Run) -> StabilityGap:
-    """L2 gap between two runs differing only in initial data, with the
-    fitted exponential envelope of the solute gap."""
-    c1, c2 = run1.cfg, run2.cfg
-    if (c1.dt != c2.dt or c1.snapshot_steps != c2.snapshot_steps or c1.resolution_cells != c2.resolution_cells
-            or not np.array_equal(c1.S, c2.S)):
-        raise ConfigError("stability gap requires matching configurations and output times")
-    h2 = (1.0 / c1.resolution_cells) ** 2
-    nu, nv = [], []
-    for s1, s2 in zip(run1.states, run2.states):
-        nu.append(np.sqrt(np.sum((s1.u - s2.u) ** 2) * h2))
-        nv.append(np.sqrt(np.sum((s1.v - s2.v) ** 2) * h2))
-    nu = np.asarray(nu)
-    nv = np.asarray(nv)
-    times = run1.times
-    # fit the envelope exponent on the late half of the window, where the
-    # slowest mode dominates and the exponent is a property of the operator
-    # rather than of the perturbation's transient content
-    late = (times >= 0.5 * times[-1]) & (nu > 0.0)
-    if np.count_nonzero(late) >= 2:
-        lam = float(np.polyfit(times[late], np.log(nu[late]), 1)[0])
-        pos = nu > 0.0
-        c_env = float(np.max(nu[pos] * np.exp(-lam * times[pos])))
-    else:
-        lam, c_env = 0.0, float(nu.max(initial=0.0))
-    return StabilityGap(times=times, norm_u=nu, norm_v=nv, lam=lam, c_env=c_env)

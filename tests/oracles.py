@@ -1,11 +1,18 @@
-"""Independent reference computations used as test oracles.
+"""Independent reference computations used as test oracles, and the
+helpers only tests call.
 
-Everything here is deliberately written from scratch (no imports from the
+The oracles are deliberately written from scratch (no imports from the
 package under test) so that an agreement between oracle and implementation
-is evidence, not tautology.
+is evidence, not tautology.  The helpers at the end (the ramp-regularized
+precipitate ODE, the field-file reader and the stability gap of two macro
+runs) only read what the package returns.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from porechem.errors import ConfigError
 
 
 def power_rate(u, u_onset=0.0, u_sol=1.0, p=2.0):
@@ -94,3 +101,132 @@ def eps_cell_of(grid, ix, iy):
     """eps-cell index (kx, ky) and local cell index of global cell (ix, iy)."""
     n = grid.cell.n
     return (ix // n, iy // n), (ix % n, iy % n)
+
+
+# -- helpers only tests call -------------------------------------------------
+
+def regularized_heaviside(delta: float, v):
+    """Ramp regularization: 0 for v <= 0, v/delta on (0, delta), 1 beyond."""
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    out = np.clip(np.asarray(v, dtype=float) / delta, 0.0, 1.0)
+    return out if out.ndim else float(out)
+
+
+def regularized_step(law, delta: float, u, v, dt: float):
+    """Advance dv/dt = k*(r - clip(v/delta, 0, 1)) exactly by dt with u
+    frozen; returns ``v_new``.
+
+    This is the ramp-regularized precipitate ODE, kept for the delta -> 0
+    limit of `regularized_steady_w`.  Piecewise: above the ramp the ODE is
+    linear; inside the ramp it is an affine exponential relaxing toward
+    delta*r.  At most one region change happens per step for each starting
+    side, handled by event times.
+    """
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    r = np.atleast_1d(law.rate(u)).astype(float)
+    v0 = np.atleast_1d(np.asarray(v, dtype=float)).copy()
+    r, v0 = np.broadcast_arrays(r, v0)
+    v0 = v0.copy()
+    out = np.empty_like(v0)
+    k = law.k
+
+    above = v0 >= delta
+    # region v >= delta: dv/dt = k (r - 1)
+    if np.any(above):
+        rr, vv = r[above], v0[above]
+        lin = vv + dt * k * (rr - 1.0)
+        # time to reach the ramp; never when r >= 1 (no division there)
+        tau = np.divide(vv - delta, k * (1.0 - rr), out=np.full_like(vv, np.inf), where=rr < 1.0)
+        res = np.where(tau >= dt, lin, np.nan)
+        drop = tau < dt  # enters the ramp, finish there
+        if np.any(drop):
+            res[drop] = _ramp_advance(k, delta, rr[drop], np.full(np.count_nonzero(drop), delta), dt - tau[drop])
+        out[above] = res
+    # region v < delta: exponential toward delta*r, may exit through the top
+    below = ~above
+    if np.any(below):
+        rr, vv = r[below], v0[below]
+        res = _ramp_advance(k, delta, rr, vv, dt)
+        esc = rr > 1.0  # attractor above the ramp: crossing time to v = delta
+        if np.any(esc):
+            num = delta * (rr[esc] - 1.0)
+            den = delta * rr[esc] - vv[esc]
+            tcross = -(delta / k) * np.log(num / den)
+            crossed = tcross < dt
+            if np.any(crossed):
+                idx = np.flatnonzero(esc)[crossed]
+                res[idx] = delta + (dt - tcross[crossed]) * k * (rr[idx] - 1.0)
+        out[below] = res
+    return out if np.asarray(v).ndim else float(out[0])
+
+
+def _ramp_advance(k, delta, r, v, t):
+    """Closed form inside the ramp: v(t) = delta*r + (v - delta*r) * exp(-k t/delta)."""
+    return delta * r + (v - delta * r) * np.exp(-k * np.asarray(t) / delta)
+
+
+def regularized_steady_w(law, delta: float, u):
+    """Steady dissolution rate of the regularized ODE started at v = 0.
+
+    Integrates the regularized precipitate ODE long enough for transients to
+    die (40 ramp time constants), then evaluates the ramp.  As delta -> 0
+    this reproduces min(r(u), 1), the exact resolver's value at v = 0.
+    """
+    v = np.zeros_like(np.asarray(u, dtype=float))
+    dt = 10.0 * delta / law.k
+    for _ in range(4):
+        v = regularized_step(law, delta, u, v, dt)
+    out = regularized_heaviside(delta, v)
+    return out if np.asarray(u).ndim else float(out)
+
+
+def read_field(path):
+    """Read a field file; returns (values, h, mask) with mask False on nan."""
+    with open(path) as f:
+        nx, ny = (int(t) for t in f.readline().split())
+        h = float(f.readline())
+        vals = np.empty((nx, ny))
+        for iy in range(ny):
+            row = f.readline().split()
+            vals[:, iy] = [float(t) for t in row]
+    mask = ~np.isnan(vals)
+    return vals, h, mask
+
+
+@dataclass
+class StabilityGap:
+    times: np.ndarray
+    norm_u: np.ndarray
+    norm_v: np.ndarray
+    lam: float        # fitted exponential envelope exponent for ||U||
+    c_env: float      # smallest C with ||U(t)|| <= C exp(lam t)
+
+
+def stability_gap(run1, run2) -> StabilityGap:
+    """L2 gap between two macro runs differing only in initial data, with the
+    fitted exponential envelope of the solute gap."""
+    c1, c2 = run1.cfg, run2.cfg
+    if (c1.dt != c2.dt or c1.snapshot_steps != c2.snapshot_steps or c1.resolution_cells != c2.resolution_cells
+            or not np.array_equal(c1.S, c2.S)):
+        raise ConfigError("stability gap requires matching configurations and output times")
+    h2 = (1.0 / c1.resolution_cells) ** 2
+    nu, nv = [], []
+    for s1, s2 in zip(run1.states, run2.states):
+        nu.append(np.sqrt(np.sum((s1.u - s2.u) ** 2) * h2))
+        nv.append(np.sqrt(np.sum((s1.v - s2.v) ** 2) * h2))
+    nu = np.asarray(nu)
+    nv = np.asarray(nv)
+    times = run1.times
+    # fit the envelope exponent on the late half of the window, where the
+    # slowest mode dominates and the exponent is a property of the operator
+    # rather than of the perturbation's transient content
+    late = (times >= 0.5 * times[-1]) & (nu > 0.0)
+    if np.count_nonzero(late) >= 2:
+        lam = float(np.polyfit(times[late], np.log(nu[late]), 1)[0])
+        pos = nu > 0.0
+        c_env = float(np.max(nu[pos] * np.exp(-lam * times[pos])))
+    else:
+        lam, c_env = 0.0, float(nu.max(initial=0.0))
+    return StabilityGap(times=times, norm_u=nu, norm_v=nv, lam=lam, c_env=c_env)

@@ -21,12 +21,11 @@ from porechem.kinetics import (
     RateLaw,
     dissolution_rate,
     ode_step,
-    regularized_steady_w,
 )
-from porechem.macro_sim import MacroConfig, MacroSolver, stability_gap
+from porechem.macro_sim import MacroConfig, MacroSolver
 from porechem.micro_sim import MicroConfig, MicroSolver, l1_distance
 
-from oracles import heaviside_selection, lumped_trajectory, power_rate
+from oracles import heaviside_selection, lumped_trajectory, power_rate, regularized_steady_w, stability_gap
 
 LAW = RateLaw()
 

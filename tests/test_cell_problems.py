@@ -238,8 +238,9 @@ def test_tensor_csv_roundtrip(tmp_path, cell64):
     tensors = effective_tensors(cell64, D=1.5)
     path = tmp_path / "effective_tensors.csv"
     write_tensor_csv(path, tensors)
-    cell, S, K = read_tensor_csv(path)
+    cell, D, S, K = read_tensor_csv(path)
     assert cell == cell64 == tensors.cell
+    assert D == tensors.D == 1.5
     assert np.array_equal(S, tensors.S)
     assert np.array_equal(K, tensors.K)
     # the certificates come from the record's solutions and infos

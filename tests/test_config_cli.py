@@ -13,7 +13,9 @@ from porechem import cell_problems, cli, config, linalg
 from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
-from porechem.gridio import read_csv, read_field, write_csv, write_field
+from porechem.gridio import read_csv, write_csv, write_field
+
+from oracles import read_field
 
 MINIMAL = """
 [geometry]
@@ -204,6 +206,28 @@ def test_cli_macro_takes_tensors_only_from_the_configured_cell(tmp_path):
     assert not (out / "macro_series.csv").exists()
     out = tmp_path / "own"
     assert main(["macro", "--config", str(own), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 0
+    assert (out / "macro_series.csv").exists()
+
+
+def test_cli_macro_takes_tensors_only_from_the_configured_diffusivity(tmp_path):
+    # S includes D: tensors of the same cell at another diffusivity are not
+    # this run's
+    base = "[geometry]\nn = 8\n[macro]\nt_end = 0.1\n"
+    faster = tmp_path / "faster.ini"
+    faster.write_text(base + "[micro]\ndiffusivity = 2.0\n")
+    default = tmp_path / "default.ini"
+    default.write_text(base)
+    tensors = tmp_path / "cell" / "effective_tensors.csv"
+    assert main(["cell", "--config", str(faster), "--out", str(tensors.parent), "--quiet"]) == 0
+    out = tmp_path / "default"
+    assert main(["macro", "--config", str(default), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record
+    assert "with D = 2.0, not of the configured" in record
+    assert "[micro] diffusivity = 1.0" in record
+    assert not (out / "macro_series.csv").exists()
+    out = tmp_path / "faster"
+    assert main(["macro", "--config", str(faster), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 0
     assert (out / "macro_series.csv").exists()
 
 

@@ -13,16 +13,23 @@ depend on the machine, and Jacobi CG needs over a hundred iterations on
 these systems.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porechem import _implicit
+from porechem.errors import SolverError
 from porechem.geometry import UnitCell, tile_domain
 from porechem.kinetics import RateLaw, net_rate, net_rate_derivative
+from porechem.linalg import factor_spd
 from porechem.macro_sim import MacroConfig, MacroSolver
 from porechem.micro_sim import MicroConfig, MicroSolver
+from porechem.transport import EDGES, diffusion_operator, separable_solve
 
 LAW = RateLaw()
 DT = 0.01
@@ -91,3 +98,82 @@ def test_newton_matches_direct_solve_with_few_cg_iterations(problem, monkeypatch
     ref = reference_newton(op, rhs, owners, weights, v, u0)
     assert np.max(np.abs(u - ref)) <= 1e-11
     assert iters and max(iters) <= 5
+
+
+EDGE_SETS = [edges for k in range(5) for edges in itertools.combinations(EDGES, k)]
+
+
+def backward_euler(m, axis_weights, edges, shift):
+    A, _ = diffusion_operator(np.ones((m, m), dtype=bool), axis_weights, edges)
+    return (A + shift * sp.identity(m * m)).tocsc()
+
+
+@pytest.mark.parametrize("edges", EDGE_SETS, ids=lambda e: "+".join(e) or "none")
+@settings(max_examples=15, deadline=None)
+@given(
+    m=st.integers(1, 64),
+    weights=st.tuples(*[st.floats(1e-2, 1e1)] * 2),
+    shift=st.floats(1e-4, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separable_solve_matches_sparse_direct_solve(edges, m, weights, shift, seed):
+    # m = 1 and 2 give the degenerate tridiagonals; the error bound is the
+    # round-off of a backward-stable solve times the Gershgorin condition bound
+    b = np.random.default_rng(seed).standard_normal(m * m)
+    x = separable_solve((m, m), weights, edges, shift)(b)
+    ref = spla.spsolve(backward_euler(m, weights, edges, shift), b)
+    kappa = 1.0 + 8.0 * sum(weights) / shift
+    assert np.max(np.abs(x - ref)) <= 1e-13 * kappa * np.max(np.abs(ref))
+
+
+def test_separable_solve_at_the_largest_macro_grid():
+    m, weights, edges, shift = 512, (0.743, 0.743), ("left", "top"), (1.0 / 512) ** 2 / 0.0025
+    b = np.random.default_rng(5).standard_normal(m * m)
+    x = separable_solve((m, m), weights, edges, shift)(b)
+    # B is SPD with smallest eigenvalue above shift, so the residual also
+    # bounds the error: ||x - B^-1 b||_2 <= ||B x - b||_2 / shift
+    r = backward_euler(m, weights, edges, shift) @ x - b
+    assert np.max(np.abs(r)) <= 1e-12 * np.max(np.abs(b))
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("factored the backward-Euler operator with sparse LU")
+
+
+def test_macro_run_needs_no_sparse_factor(monkeypatch):
+    monkeypatch.setattr(_implicit, "factor_spd", refuse)
+    cfg = MacroConfig(
+        dt=DT, t_end=10 * DT, S=np.diag([0.7, 0.3]), K=np.eye(2) * 0.02, velocity_mode="darcy",
+        pore_area=0.75, surface_density=2.0, rate_law=LAW, resolution_cells=32,
+        dirichlet_edges=("left", "bottom"), u_init=0.4, v_init=0.05,
+    )
+    run = MacroSolver(cfg).run()
+    assert len(run.states) == 11 and abs(run.mass[-1].drift) <= cfg.invariant_slack
+
+
+def test_micro_run_factors_its_operator_once(monkeypatch):
+    calls = []
+
+    def counting(B):
+        calls.append(B.shape)
+        return factor_spd(B)
+
+    monkeypatch.setattr(_implicit, "factor_spd", counting)
+    grid = tile_domain(UnitCell(8, 0.5, (0.5, 0.5)), 0.25)
+    cfg = MicroConfig(dt=DT, t_end=5 * DT, D=D, rate_law=LAW, u_init=0.4, v_init=0.05)
+    run = MicroSolver(cfg, grid).run()
+    assert calls == [(grid.n_fluid_cells,) * 2]
+    assert abs(run.mass[-1].drift) <= cfg.invariant_slack
+
+
+@pytest.mark.parametrize("wrong", ["shift", "edges"])
+def test_a_wrong_direct_solve_fails_its_certificate(wrong):
+    m, weights, edges, shift = 16, (0.7, 0.3), ("left",), 0.1
+    A, _ = diffusion_operator(np.ones((m, m), dtype=bool), weights, edges)
+    if wrong == "shift":
+        solve = separable_solve((m, m), weights, edges, shift * (1.0 + 1e-8))
+    else:
+        solve = separable_solve((m, m), weights, ("right",), shift)
+    with pytest.raises(SolverError, match="probe residual"):
+        _implicit.ImplicitOperator(A, np.full(m * m, shift), solve)
+    _implicit.ImplicitOperator(A, np.full(m * m, shift), separable_solve((m, m), weights, edges, shift))

@@ -9,12 +9,17 @@ from porechem.kinetics import (
     dissolution_rate,
     net_rate,
     ode_step,
+)
+
+from oracles import (
+    heaviside_selection,
+    power_rate,
+    precipitate_decay_exact,
+    ramp_ode_euler,
     regularized_heaviside,
     regularized_steady_w,
     regularized_step,
 )
-
-from oracles import power_rate, heaviside_selection, precipitate_decay_exact, ramp_ode_euler
 
 LAW = RateLaw()
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from porechem.errors import ConfigError
 from porechem.geometry import UnitCell, tile_domain
 from porechem.kinetics import RateLaw
-from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor, stability_gap
+from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor
 from porechem.micro_sim import MicroConfig, MicroSolver
 
-from oracles import lumped_trajectory
+from oracles import lumped_trajectory, stability_gap
 
 S_ISO = np.eye(2) * 0.768
 K_ISO = np.eye(2) * 0.0177
