@@ -15,13 +15,20 @@ from functools import partial
 
 import numpy as np
 
+from .cell_problems import DEFAULT_TOL, SPD_TOL
 from .errors import ConfigError
 from .geometry import UnitCell, cells_per_edge
 from .homogenize import check_sweep
 from .kinetics import RateLaw
 from .macro_sim import MacroConfig
 from .micro_sim import MicroConfig
-from .transport import check_edges
+from .transport import TransportConfig, check_edges
+
+
+def _text(x: float) -> str:
+    """A default as a config file states it: 1e-8, not 1e-08."""
+    return np.format_float_scientific(x, trim="-", exp_digits=1)
+
 
 _DEFAULTS = {
     "geometry": {
@@ -66,11 +73,11 @@ _DEFAULTS = {
         "eps_list": "0.25, 0.125, 0.0625",
     },
     "tolerances": {
-        "linear": "1e-12",
-        "newton": "1e-12",
-        "invariant_slack": "1e-8",
-        "spd": "1e-8",
-        "cell": "1e-10",
+        "linear": _text(TransportConfig.lin_tol),
+        "newton": _text(TransportConfig.newton_tol),
+        "invariant_slack": _text(TransportConfig.invariant_slack),
+        "spd": _text(SPD_TOL),
+        "cell": _text(DEFAULT_TOL),
     },
     "output": {
         "dump_fields": "false",
@@ -79,16 +86,17 @@ _DEFAULTS = {
 
 
 # the most cells a grid of a run may have, a 512 x 512 grid: `cell` at
-# n = 512 peaks at about 200 MB resident (sparse operators, n x n FFT arrays,
-# the 1023 x 1023 dense ring matrix of the Stokes u-block), and the micro
-# step's sparse factor at 512 x 512 (n = 8, eps = 1/64) holds 6.4M nonzeros
+# n = 512 peaks at 139-149 MB resident (n x n FFT arrays, the corrector
+# matrix and pressure gradient, the 1023 x 1023 dense ring matrix of the
+# Stokes u-block), and the micro step's sparse factor at 512 x 512 (n = 8,
+# eps = 1/64) holds 6.4M nonzeros
 CELL_BUDGET = 512 * 512
 
 # the most steps a transport run may take, and the most grid cells its stored
 # snapshots may cover: the mass report keeps a 384-byte row per step (Python
 # 3.11), 38 MB for 10^5 steps, a thousand times the default run's 100; a
 # snapshot keeps u, v and w, at most 24 bytes per cell (v and w live on grain
-# faces or macro cells), 201 MB for 32 snapshots of 512 x 512 cells, as `cell` at n = 512
+# faces or macro cells), 201 MB for 32 snapshots of 512 x 512 cells
 STEP_BUDGET = 100_000
 SNAPSHOT_BUDGET = 32 * CELL_BUDGET
 

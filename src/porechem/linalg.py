@@ -4,8 +4,8 @@
 preconditioner M^-1, and ``A`` only has to support ``A @ x``: the implicit
 transport step passes the direct solve of its backward-Euler operator
 and applies its Newton matrix matrix-free, and the Stokes cell
-solve runs unpreconditioned CG on the pressure Schur complement.  The
-stopping rule is on the true residual of ``A``.
+solve runs unpreconditioned CG on the pressure Schur complement, a plain
+object with ``@``.  The stopping rule is on the true residual of ``A``.
 
 Pure-Neumann/periodic operators are singular with a constant null vector;
 for those the iteration projects the constant out of the iterates and the
@@ -18,7 +18,11 @@ cells, such as the macro grid, `transport.separable_solve` inverts the same
 operator by separation of variables.  The cell problems need neither:
 their operators are the periodic 5-point Laplacian of the cell grid
 changed on the ring of nodes around the grain, which `CapacitanceSolver`
-inverts exactly with FFTs and a small dense system on the ring.
+inverts exactly with FFTs and a small dense system on the ring.  It reads
+the operator only through the ring's sources and conditions, so the
+velocity Laplacian it inverts is never assembled, and it builds the
+capacitance matrix a block of rows at a time: no index array is as large
+as the matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ def cg(A, b, *, precond, tol, maxiter=None, project_constant=False):
 
     Parameters
     ----------
-    A : SPD (or SPSD with constant null space) matrix or LinearOperator.
+    A : SPD (or SPSD with constant null space) matrix, or any object with
+        ``A @ x``.
     b : right-hand side.
     precond : callable applying an SPD M^-1 to a residual.
     tol : relative residual target, ||r|| <= tol * ||b|| (absolute floor
@@ -184,15 +189,19 @@ class CapacitanceSolver:
 def _gather_pairs(g, rows, cols):
     """``rows^T L+ cols`` from the Green's function g of ``L+``: entry (i, j)
     sums the weight products times g at the index differences of the nodes
-    of row i and column j."""
+    of row i and column j.  The differences are taken 64 rows at a time, so
+    no index array is as large as the result."""
     n = g.shape[0]
+    g = g.ravel()
     out = np.zeros((rows[0].shape[0], cols[0].shape[0]))
     for s in range(2):
         rx, ry = np.divmod(rows[0][:, s], n)
         for t in range(2):
             if cols[1][:, t].any():  # a monopole column has no second node
                 cx, cy = np.divmod(cols[0][:, t], n)
-                diff = (rx[:, None] - cx) % n * n
-                diff += (ry[:, None] - cy) % n
-                out += np.outer(rows[1][:, s], cols[1][:, t]) * g.ravel()[diff]
+                for i in range(0, len(out), 64):
+                    b = slice(i, i + 64)
+                    diff = (rx[b, None] - cx) % n * n
+                    diff += (ry[b, None] - cy) % n
+                    out[b] += np.outer(rows[1][b, s], cols[1][:, t]) * g[diff]
     return out

@@ -38,7 +38,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from ._implicit import ImplicitOperator
+from ._implicit import ImplicitOperator, newton_floor
 from .errors import ConfigError, StateError
 from .geometry import index_map
 from .kinetics import RateLaw, dissolution_rate
@@ -100,6 +100,12 @@ class TransportConfig:
         kin = self.dt * self.rate_law.k * self.rate_law.lipschitz_bound(self.box_bound)
         if kin > 1.0 + 1e-12:
             raise ConfigError(f"dt*k*L_r = {kin:.3g} violates the kinetic bound dt*k*L_r <= 1")
+        floor = newton_floor(self.box_bound)
+        if not self.newton_tol >= floor:
+            raise ConfigError(
+                f"[tolerances] newton = {self.newton_tol:g} is below {floor:.2g}, the round-off floor of the "
+                f"implicit step at the solute bound {self.box_bound:g}"
+            )
 
     @property
     def box_bound(self) -> float:

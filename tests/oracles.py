@@ -3,7 +3,9 @@ helpers only tests call.
 
 The oracles are deliberately written from scratch (no imports from the
 package under test) so that an agreement between oracle and implementation
-is evidence, not tautology.  The helpers at the end (the ramp-regularized
+is evidence, not tautology.  The MAC oracles read only the face
+classification of the operators they check, and assemble the sparse
+matrices the package applies as stencils or builds in another form.  The helpers at the end (the ramp-regularized
 precipitate ODE, the field-file reader and the stability gap of two macro
 runs) only read what the package returns.
 """
@@ -11,6 +13,7 @@ runs) only read what the package returns.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from porechem.errors import ConfigError
 
@@ -95,6 +98,60 @@ def dirichlet_form(cell, f, g):
         dg = np.roll(g, -1, axis=axis) - g
         total += float(np.sum(df[both] * dg[both]))
     return total
+
+
+def _face_numbering(mask):
+    idx = -np.ones(mask.shape, dtype=np.intp)
+    idx[mask] = np.arange(np.count_nonzero(mask))
+    return idx
+
+
+def _component_laplacian(active, interior, tangential_axis):
+    """Vector-Laplacian block for one velocity component.
+
+    Neighbour handling: active -> regular 5-point coupling; wall node
+    (exactly on the grain boundary) -> homogeneous Dirichlet; interior
+    node across a tangential wall -> mirror ghost (+1 on the diagonal),
+    which places the zero velocity on the wall itself.
+    """
+    idx = _face_numbering(active)
+    m = int(active.sum())
+    rows, cols = [np.arange(m)], [np.arange(m)]
+    diag = np.full(m, 4.0)
+    for axis in (0, 1):
+        for step in (1, -1):
+            both = active & np.roll(active, -step, axis=axis)
+            rows.append(idx[both])
+            cols.append(np.roll(idx, -step, axis=axis)[both])
+            if axis == tangential_axis:  # ghost = -center
+                diag[idx[active & np.roll(interior, -step, axis=axis)]] += 1.0
+    vals = np.concatenate([diag, -np.ones(sum(r.size for r in rows[1:]))])
+    return sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=(m, m))
+
+
+def mac_velocity_laplacian(ops):
+    """The velocity Laplacian ``diag(A_u, A_v)`` of MAC operators, assembled
+    in CSR from their face classification."""
+    return sp.block_diag(
+        [_component_laplacian(ops.u_active, ops.u_interior, 1), _component_laplacian(ops.v_active, ops.v_interior, 0)],
+        format="csr",
+    )
+
+
+def mac_pressure_gradient(ops):
+    """The pressure gradient G of MAC operators, assembled from COO:
+    u rows h * (p(i,j) - p(i-1,j)), then v rows h * (p(i,j) - p(i,j-1))."""
+    h = ops.cell.h
+    ip = _face_numbering(ops.cell.fluid)
+    iu, iv = _face_numbering(ops.u_active), _face_numbering(ops.v_active)
+    nu, nv = int(ops.u_active.sum()), int(ops.v_active.sum())
+    rows, cols, vals = [], [], []
+    for axis, act, r in ((0, ops.u_active, iu), (1, ops.v_active, nu + iv)):
+        rows += [r[act], r[act]]
+        cols += [ip[act], np.roll(ip, 1, axis=axis)[act]]
+        vals += [np.full(r[act].size, h), np.full(r[act].size, -h)]
+    shape = (nu + nv, int(ops.cell.fluid.sum()))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
 def eps_cell_of(grid, ix, iy):

@@ -14,6 +14,7 @@ from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
 from porechem.gridio import read_csv, write_csv, write_field
+from porechem.transport import TransportConfig
 
 from oracles import read_field
 
@@ -68,6 +69,75 @@ def test_tolerances_must_be_finite_and_positive(key):
         with pytest.raises(ConfigError, match=f"\\[tolerances\\] {key} must be a finite positive"):
             parse_config(MINIMAL + f"\n[tolerances]\n{key} = {bad}\n")
     assert parse_config(MINIMAL + f"\n[tolerances]\n{key} = 1e-9\n").tolerances[key] == 1e-9
+
+
+def test_defaults_are_those_of_the_solvers(tmp_path):
+    # [tolerances] echoes the defaults the solver modules state, in the
+    # config file's own spelling
+    cfg = parse_config(MINIMAL)
+    assert cfg.tolerances == {
+        "linear": TransportConfig.lin_tol, "newton": TransportConfig.newton_tol,
+        "invariant_slack": TransportConfig.invariant_slack, "spd": cell_problems.SPD_TOL,
+        "cell": cell_problems.DEFAULT_TOL,
+    }
+    cfg.write_resolved(tmp_path / "resolved_config.ini")
+    text = (tmp_path / "resolved_config.ini").read_text()
+    assert "[tolerances]\nlinear = 1e-12\nnewton = 1e-12\ninvariant_slack = 1e-8\nspd = 1e-8\ncell = 1e-10\n" in text
+
+
+def test_cli_cell_tolerance_of_1e_15_is_met_at_n_8(tmp_path):
+    # relative to ||b|| alone the momentum residual here is 1.4e-15; relative
+    # to the sizes of its terms it is 9e-17, and the corrector residual is
+    # 4.4e-16
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[geometry]\nn = 8\n[tolerances]\ncell = 1e-15\n")
+    out = tmp_path / "o"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    row = read_csv(out / "effective_tensors.csv")[1][0]
+    assert max(row["xi_res_1"], row["xi_res_2"]) <= 1e-15
+
+
+# a run whose Newton mass defect sits at round-off above 0.1 * newton_tol
+# at 2.5e-15, and whose residual sits at 2.8e-16: 1e-15 is below the floor
+# 4 eps * (solute bound 2) = 1.8e-15
+NEWTON_ROUND_OFF = """[geometry]
+n = 16
+dirichlet_edges =
+[kinetics]
+u_solubility = 2.0
+rate_constant = 0.001
+[micro]
+dt = 0.01
+t_end = 0.03
+u_init = constant:1.0
+"""
+
+
+@pytest.mark.parametrize("tol, code", [("1e-15", 2), ("2.5e-15", 0)])
+def test_cli_newton_tolerance_at_round_off(tmp_path, tol, code):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(NEWTON_ROUND_OFF + f"[tolerances]\nnewton = {tol}\n")
+    out = tmp_path / "o"
+    assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+    if code == 2:
+        record = (out / "error_record.txt").read_text()
+        assert "kind = config" in record and "[tolerances] newton = 1e-15 is below 1.8e-15" in record
+    else:  # the run checks its mass drift against invariant_slack itself
+        assert read_csv(out / "micro_series.csv")[1][-1]["t"] == pytest.approx(0.03)
+
+
+def test_cli_macro_at_a_high_solute_level_runs_at_the_default_tolerance(tmp_path):
+    # the mass defect of this run sits at round-off near 3e-12 of the
+    # operator scale, above 0.1 * newton: Newton stops once it stops falling
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[geometry]\ndirichlet_edges =\n[kinetics]\nu_solubility = 1000\nrate_constant = 1e-7\n"
+        "[macro]\nresolution = 64\ndt = 0.01\nt_end = 0.03\nu_init = constant:1000\nm0 = 1000\n"
+    )
+    out = tmp_path / "o"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["macro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert read_csv(out / "macro_series.csv")[1][-1]["t"] == pytest.approx(0.03)
 
 
 def test_misaligned_geometry_error():
