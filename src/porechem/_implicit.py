@@ -43,14 +43,14 @@ SOLVE_TOL = 1e-10
 
 
 def newton_floor(box_bound: float) -> float:
-    """The smallest ``newton_tol`` the Newton solve can meet: 4 machine
-    epsilons times the solute bound.
+    """The smallest ``newton_tol`` the Newton solve can meet: the round-off
+    floor of its residual, with a margin of 1.5.
 
-    Its residual ``max|F| / scale`` is a difference of terms of the size of
-    the solute, and its round-off floor measured 0.6-1.7 eps * box_bound
-    (grids up to 512 x 512, box bounds 1-1000).
+    The residual ``max|F| / scale`` is a difference of terms of the size of
+    the solute, and its round-off floor measured 0.3-1.7 eps * box_bound
+    (grids up to 512 x 512, box bounds 1-4000).
     """
-    return 4.0 * np.finfo(float).eps * box_bound
+    return 1.5 * 1.7 * np.finfo(float).eps * box_bound
 
 
 class ImplicitOperator:
@@ -105,7 +105,7 @@ def newton_reaction_diffusion(
     u = u0.copy()
     n = u.size
     A, mass_diag, scale = op.A, op.mass_diag, op.scale
-    defect_before = np.inf
+    best = None  # the accepted iterate with the smallest mass defect so far
     for _ in range(MAX_NEWTON):
         g = net_rate(law, u[owners], v, dt)
         F = mass_diag * u + A @ u - rhs
@@ -113,14 +113,16 @@ def newton_reaction_diffusion(
         res = float(np.max(np.abs(F))) / scale
         # the signed residual sum is the per-step mass defect: drive it an
         # order further, so conservation does not accumulate over long runs,
-        # or until it stops falling.  That is its round-off floor, which
-        # grows with the grid and the solute level and can lie above
-        # 0.1 * newton_tol
+        # or until it stops falling: then it sits at its round-off floor,
+        # which grows with the grid and the solute level and can lie above
+        # 0.1 * newton_tol, and the iterate before holds the smaller defect
         if res <= newton_tol:
             defect = abs(float(F.sum()))
-            if defect <= 0.1 * newton_tol * scale or defect >= defect_before:
+            if defect <= 0.1 * newton_tol * scale:
                 return u, res
-            defect_before = defect
+            if best is not None and defect >= best[2]:
+                return best[0], best[1]
+            best = (u, res, defect)
         gp = net_rate_derivative(law, u[owners], v, dt)
         d = mass_diag + np.bincount(owners, weights=weight * gp, minlength=n)
         J = spla.LinearOperator((n, n), matvec=lambda p, d=d: A @ p + d * p, dtype=float)

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, DegeneracyError, SolverError
 from .geometry import UnitCell, index_map
@@ -291,12 +292,13 @@ class _FaceStencil:
 
         (A x)_f = diag_f x_f - sum of x_g over the faces g linked to f.
 
-    ``active`` marks the unknowns, numbered in C order.  ``links[axis,
-    step]`` marks the active faces linked to their neighbour ``step`` along
-    ``axis``, an active face too; a wall neighbour (exactly on the grain
-    boundary) holds the homogeneous Dirichlet value and drops out.  ``diag``
-    is 4 plus 1 for each mirror ghost, an interior neighbour across a
-    tangential wall, which places the zero velocity on the wall itself.
+    ``active`` marks the unknowns, numbered in C order; f is linked to each
+    of its four neighbours that is active too.  A wall neighbour (exactly
+    on the grain boundary) holds the homogeneous Dirichlet value and drops
+    out, as `__matmul__` holds zero on every face that is not active.
+    ``diag`` is 4 plus 1 for each mirror ghost, an interior neighbour
+    across a tangential wall, which places the zero velocity on the wall
+    itself.
     """
 
     def __init__(self, active, interior, tangential_axis):
@@ -305,28 +307,15 @@ class _FaceStencil:
         self.diag = np.full(active.shape, 4, dtype=np.int8)
         for step in (1, -1):
             self.diag += active & np.roll(interior, -step, axis=tangential_axis)
-        self.links = {(axis, step): active & np.roll(active, -step, axis=axis) for axis in (0, 1) for step in (1, -1)}
 
     def __matmul__(self, x):
         X = np.zeros(self.active.shape)
         X[self.active] = x
         Y = self.diag * X
-        for (axis, step), link in self.links.items():
-            neighbour = np.roll(X, -step, axis=axis)
-            neighbour *= link
-            Y -= neighbour
+        for axis in (0, 1):
+            for step in (1, -1):
+                Y -= np.roll(X, -step, axis=axis)
         return Y[self.active]
-
-
-class _SchurComplement:
-    """The pressure Schur complement ``G^T A^-1 G / h^2``; ``@`` is all that
-    `linalg.cg` applies."""
-
-    def __init__(self, G, solve_A, h2):
-        self.G, self.solve_A, self.h2 = G, solve_A, h2
-
-    def __matmul__(self, p):
-        return self.G.T @ self.solve_A(self.G @ p) / self.h2
 
 
 class _MacOperators:
@@ -417,10 +406,12 @@ class _MacOperators:
 
         h2 = self.h * self.h
         b = self._force(0)
+        schur = spla.LinearOperator(
+            (self.np_, self.np_), matvec=lambda q: self.G.T @ solve_A(self.G @ q) / h2, dtype=float
+        )
         rhs = self.G.T @ solve_A(b) / h2
         p, _, iters = cg(
-            _SchurComplement(self.G, solve_A, h2), rhs, tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER,
-            precond=np.copy, project_constant=True,
+            schur, rhs, tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER, precond=np.copy, project_constant=True
         )
         return solve_A(b - self.G @ p), p, iters
 

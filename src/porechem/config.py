@@ -86,7 +86,7 @@ _DEFAULTS = {
 
 
 # the most cells a grid of a run may have, a 512 x 512 grid: `cell` at
-# n = 512 peaks at 139-149 MB resident (n x n FFT arrays, the corrector
+# n = 512 peaks at 138-143 MB resident (n x n FFT arrays, the corrector
 # matrix and pressure gradient, the 1023 x 1023 dense ring matrix of the
 # Stokes u-block), and the micro step's sparse factor at 512 x 512 (n = 8,
 # eps = 1/64) holds 6.4M nonzeros

@@ -102,9 +102,12 @@ class TransportConfig:
             raise ConfigError(f"dt*k*L_r = {kin:.3g} violates the kinetic bound dt*k*L_r <= 1")
         floor = newton_floor(self.box_bound)
         if not self.newton_tol >= floor:
+            default = " (the default)" if self.newton_tol == TransportConfig.newton_tol else ""
+            digit = 10.0 ** (np.floor(np.log10(floor)) - 1)
+            least = np.ceil(floor / digit) * digit  # the floor rounded up to two digits
             raise ConfigError(
-                f"[tolerances] newton = {self.newton_tol:g} is below {floor:.2g}, the round-off floor of the "
-                f"implicit step at the solute bound {self.box_bound:g}"
+                f"[tolerances] newton = {self.newton_tol:g}{default} is below {floor:.3g}, the round-off floor "
+                f"of the implicit step at the solute bound {self.box_bound:g}; set [tolerances] newton >= {least:.2g}"
             )
 
     @property

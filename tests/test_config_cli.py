@@ -97,9 +97,17 @@ def test_cli_cell_tolerance_of_1e_15_is_met_at_n_8(tmp_path):
     assert max(row["xi_res_1"], row["xi_res_2"]) <= 1e-15
 
 
+def _closed_run_drift(series):
+    """The mass drift of a run without Dirichlet edges, read from its series
+    CSV, and its initial mass."""
+    rows = read_csv(series)[1]
+    first, last = (row["mass_u"] + row["mass_v"] for row in (rows[0], rows[-1]))
+    return last - first, first
+
+
 # a run whose Newton mass defect sits at round-off above 0.1 * newton_tol
 # at 2.5e-15, and whose residual sits at 2.8e-16: 1e-15 is below the floor
-# 4 eps * (solute bound 2) = 1.8e-15
+# 1.5 * 1.7 eps * (solute bound 2) = 1.13e-15
 NEWTON_ROUND_OFF = """[geometry]
 n = 16
 dirichlet_edges =
@@ -121,23 +129,44 @@ def test_cli_newton_tolerance_at_round_off(tmp_path, tol, code):
     assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
     if code == 2:
         record = (out / "error_record.txt").read_text()
-        assert "kind = config" in record and "[tolerances] newton = 1e-15 is below 1.8e-15" in record
-    else:  # the run checks its mass drift against invariant_slack itself
-        assert read_csv(out / "micro_series.csv")[1][-1]["t"] == pytest.approx(0.03)
+        assert "kind = config" in record
+        assert "[tolerances] newton = 1e-15 is below 1.13e-15" in record
+        assert "set [tolerances] newton >= 1.2e-15" in record
+        return
+    assert read_csv(out / "micro_series.csv")[1][-1]["t"] == pytest.approx(0.03)
+    drift, mass = _closed_run_drift(out / "micro_series.csv")
+    assert abs(drift) <= TransportConfig.invariant_slack * mass
 
 
-def test_cli_macro_at_a_high_solute_level_runs_at_the_default_tolerance(tmp_path):
-    # the mass defect of this run sits at round-off near 3e-12 of the
-    # operator scale, above 0.1 * newton: Newton stops once it stops falling
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(
-        "[geometry]\ndirichlet_edges =\n[kinetics]\nu_solubility = 1000\nrate_constant = 1e-7\n"
-        "[macro]\nresolution = 64\ndt = 0.01\nt_end = 0.03\nu_init = constant:1000\nm0 = 1000\n"
+def _macro_at_solute_level(level):
+    return (
+        f"[geometry]\ndirichlet_edges =\n[kinetics]\nu_solubility = {level}\nrate_constant = 1e-7\n"
+        f"[macro]\nresolution = 64\ndt = 0.01\nt_end = 0.03\nu_init = constant:{level}\nm0 = {level}\n"
     )
+
+
+def test_cli_macro_just_inside_the_newton_floor_runs_at_the_default_tolerance(tmp_path):
+    # the default newton = 1e-12 admits solute bounds up to 1766.  At 1760
+    # the mass defect sits at round-off above 0.1 * newton: Newton stops
+    # once it stops falling, and stalled without that stop
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_macro_at_solute_level(1760))
     out = tmp_path / "o"
     assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert main(["macro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert read_csv(out / "macro_series.csv")[1][-1]["t"] == pytest.approx(0.03)
+    drift, mass = _closed_run_drift(out / "macro_series.csv")
+    assert abs(drift) <= TransportConfig.invariant_slack * mass
+
+
+def test_cli_macro_past_the_newton_floor_names_the_default(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_macro_at_solute_level(1800))
+    out = tmp_path / "o"
+    assert main(["macro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "[tolerances] newton = 1e-12 (the default) is below 1.02e-12" in record
+    assert "set [tolerances] newton >= 1.1e-12" in record
 
 
 def test_misaligned_geometry_error():
