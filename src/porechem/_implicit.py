@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .kinetics import RateLaw, net_rate, net_rate_derivative
@@ -125,7 +124,6 @@ def newton_reaction_diffusion(
             best = (u, res, defect)
         gp = net_rate_derivative(law, u[owners], v, dt)
         d = mass_diag + np.bincount(owners, weights=weight * gp, minlength=n)
-        J = spla.LinearOperator((n, n), matvec=lambda p, d=d: A @ p + d * p, dtype=float)
-        delta, _, _ = cg(J, F, tol=lin_tol, precond=op.solve)
+        delta, _, _ = cg(lambda p: A @ p + d * p, F, tol=lin_tol, precond=op.solve)
         u = u - delta
     raise SolverError(f"implicit reaction-diffusion Newton stalled at residual {res:.3e}", residual=res)

@@ -31,24 +31,22 @@ onto its direction-1 problem.  Each family is solved once, in direction 0;
 the direction-1 solution is the mapped one, certified against its own
 operators and data like a solve.
 
-No cell problem needs a sparse factorization.  The corrector matrix and
-the velocity Laplacian are the periodic 5-point Laplacian of the cell grid
-changed only on the ring of nodes around the grain, and
-`linalg.CapacitanceSolver` inverts each exactly with two FFT solves and a
-dense system on the ring.  The corrector ring is the 4a fluid-solid edges
-(a grain cells per side).  The Stokes problem is solved by CG on the
-pressure Schur complement over the velocity Laplacian.  Its v-block is its
-u-block with rows and columns permuted, so one ring system of the u-block
-(4a - 2 wall and ghost nodes) serves both, and every application of the
-inverse is one two-column solve.
-
-The velocity Laplacian is never assembled: the ring solver needs only its
-ring, and the certificates apply each block as a 5-point stencil on the
-face grid (`_FaceStencil`).  The corrector matrix, which its refinement
-step applies as well, and the pressure gradient G, which the Schur CG
-applies with G^T in every iteration, are the sparse matrices.  Each ring
-solver lives only for its solve: a solution keeps the operators its
-certificates read.
+No cell problem needs a sparse matrix.  Every field lives on an n x n
+array of the cell grid, zero off its active nodes: a corrector or a
+pressure on the fluid cells, a face velocity, a (2, n, n) array, on the
+active u- and v-faces.  The corrector matrix and both blocks of the
+velocity Laplacian are the periodic 5-point Laplacian changed only on the
+ring of nodes around the grain; each is applied as a stencil (`_Stencil`),
+and `linalg.CapacitanceSolver` inverts it exactly with two FFT solves and
+a dense system on the ring.  The corrector ring is the 4a fluid-solid
+edges (a grain cells per side).  The Stokes problem is solved by CG on the
+pressure Schur complement over the velocity Laplacian, with the pressure
+gradient G and its transpose as two-point differences on the arrays.  The
+v-block of the Laplacian is the `_transposed` u-block, so one ring system
+of the u-block (4a - 2 wall and ghost nodes) serves both, and every
+application of the inverse is one two-column solve.  Each ring solver
+lives only for its solve: a solution keeps the operators its certificates
+read.
 """
 
 from __future__ import annotations
@@ -56,11 +54,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, DegeneracyError, SolverError
-from .geometry import UnitCell, index_map
+from .geometry import UnitCell
 from .gridio import read_csv, write_csv
 from .linalg import CapacitanceSolver, cg
 
@@ -110,25 +106,34 @@ def _cut_edges(cell: UnitCell):
     return edges, np.tile([1.0, -1.0], (len(edges), 1))
 
 
-def _fluid_adjacency(cell: UnitCell):
-    """Periodic 5-point graph Laplacian over fluid cells, unit face weights."""
-    fluid, idx = cell.fluid, cell.fluid_index
-    m = int(fluid.sum())
-    both = [fluid & np.roll(fluid, -1, axis=ax) for ax in (0, 1)]
-    a = np.concatenate([idx[both[ax]] for ax in (0, 1)])
-    b = np.concatenate([np.roll(idx, -1, axis=ax)[both[ax]] for ax in (0, 1)])
-    W = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(m, m))
-    W = W + W.T
-    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+class _Stencil:
+    """A periodic 5-point operator on n x n arrays, never assembled:
+
+        (A X)_f = diag_f X_f - sum of X over the four neighbours of f
+
+    on the nodes f marked ``active``, and zero off them.  X must be zero off
+    ``active``, so a neighbour that is not active drops out of the sum.
+    """
+
+    def __init__(self, active, diag):
+        self.active = active
+        self.diag = diag
+
+    def __matmul__(self, X):
+        Y = self.diag * X
+        for axis in (0, 1):
+            for step in (1, -1):
+                Y -= np.roll(X, -step, axis=axis)
+        return np.where(self.active, Y, 0.0)
 
 
 def _surface_functional(cell: UnitCell, direction: int) -> np.ndarray:
     """Quadrature weights for the grain-boundary moment  l_j(f) = sum f nu_j h,
-    using the owner-cell value as the face trace."""
+    using the owner-cell value as the face trace, as an (n, n) array."""
     owner_i, owner_j, axis, sign, _ = cell.grain_faces
-    ell = np.zeros(int(cell.fluid.sum()))
+    ell = np.zeros((cell.n, cell.n))
     sel = axis == direction
-    np.add.at(ell, cell.fluid_index[owner_i[sel], owner_j[sel]], sign[sel] * cell.h)
+    np.add.at(ell, (owner_i[sel], owner_j[sel]), sign[sel] * cell.h)
     return ell
 
 
@@ -158,16 +163,21 @@ def solve_diffusion_cell(cell: UnitCell, tol: float = DEFAULT_TOL) -> list[CellS
     # zero, which the closed grain contour guarantees on aligned geometry
     if any(abs(float(b.sum())) > 1e-12 * max(float(np.abs(b).sum()), 1.0) for b in rhs):
         raise AssemblyError("grain Neumann data are incompatible (nonzero total flux)")
-    A = _fluid_adjacency(cell)
+    # the graph Laplacian of the fluid cells: unit weights, and on the
+    # diagonal the number of fluid neighbours
+    neighbours = np.zeros(fluid.shape, dtype=np.int8)
+    for axis in (0, 1):
+        for step in (1, -1):
+            neighbours += np.roll(fluid, -step, axis=axis)
+    A = _Stencil(fluid, neighbours)
     ring = CapacitanceSolver(fluid, _cut_edges(cell))
     x = np.zeros_like(rhs[0])
     for _ in range(2):  # one refinement step: relres 2.4e-13 -> 5.6e-14 at n = 256
         x += ring.solve(rhs[0] - A @ x)
-    values = np.zeros((cell.n, cell.n))
-    values[fluid] = x - x.mean()
+    x[fluid] -= x[fluid].mean()
     fields = []
-    for b, f in zip(rhs, (values, _transposed(cell, values))):
-        relres = float(np.linalg.norm(A @ f[fluid] - b) / np.linalg.norm(b))
+    for b, f in zip(rhs, (x, _transposed(cell, x))):
+        relres = float(np.linalg.norm(A @ f - b) / np.linalg.norm(b))
         if not relres <= tol:  # a NaN residual fails too
             raise SolverError(f"corrector solve left relative residual {relres:.3e} > {tol:g}", residual=relres)
         fields.append(CellScalarField(cell, f, relres))
@@ -180,7 +190,7 @@ def surface_moment(cell: UnitCell, values: np.ndarray, direction: int) -> float:
     By the divergence theorem (periodic edges cancel) this is the discrete
     volume integral of the j-derivative of f over the face-covered pore.
     """
-    return float(_surface_functional(cell, direction) @ values[cell.fluid])
+    return float(np.vdot(_surface_functional(cell, direction), values))
 
 
 def face_volumes(cell: UnitCell) -> np.ndarray:
@@ -286,49 +296,18 @@ class StokesCellSolution:
     ops: _MacOperators     # the operators its certificates read
 
 
-class _FaceStencil:
-    """One block of the velocity Laplacian as a periodic 5-point stencil on
-    the n x n face grid, never assembled:
-
-        (A x)_f = diag_f x_f - sum of x_g over the faces g linked to f.
-
-    ``active`` marks the unknowns, numbered in C order; f is linked to each
-    of its four neighbours that is active too.  A wall neighbour (exactly
-    on the grain boundary) holds the homogeneous Dirichlet value and drops
-    out, as `__matmul__` holds zero on every face that is not active.
-    ``diag`` is 4 plus 1 for each mirror ghost, an interior neighbour
-    across a tangential wall, which places the zero velocity on the wall
-    itself.
-    """
-
-    def __init__(self, active, interior, tangential_axis):
-        self.active = active
-        self.size = int(active.sum())
-        self.diag = np.full(active.shape, 4, dtype=np.int8)
-        for step in (1, -1):
-            self.diag += active & np.roll(interior, -step, axis=tangential_axis)
-
-    def __matmul__(self, x):
-        X = np.zeros(self.active.shape)
-        X[self.active] = x
-        Y = self.diag * X
-        for axis in (0, 1):
-            for step in (1, -1):
-                Y -= np.roll(X, -step, axis=axis)
-        return Y[self.active]
-
-
 class _MacOperators:
     """Operators of the periodic MAC discretization of a cell.
 
-    The velocity components decouple, ``A = diag(A_u, A_v)``, each block a
-    `_FaceStencil`, and ``A_v == A_u[q][:, q]`` for the face map ``q`` of
-    `_v_to_u`.  That identity is checked bitwise here (`AssemblyError`
-    otherwise), so one ring solver of ``A_u`` serves both blocks, and the
-    transposed cell is the cell itself.  The ring holds ``X_q = 0`` on the
-    wall nodes and ``X_q + X_p = 0`` on the ghost nodes of `_wall_ring`.
-    The pressure gradient G stays a sparse matrix: the Schur CG applies it
-    and its transpose in every iteration.
+    A pressure is an (n, n) array, zero off the fluid cells, and a face
+    velocity a (2, n, n) array, u-faces then v-faces, zero off the active
+    faces.  The velocity components decouple, ``A = diag(A_u, A_v)``, each
+    block a `_Stencil`, and ``A_v == T A_u T`` for the map T of
+    `_transposed`.  That identity is checked bitwise here (`AssemblyError`
+    otherwise), so one ring solver of ``A_u`` serves both blocks.  The ring
+    holds ``X_q = 0`` on the wall nodes and ``X_q + X_p = 0`` on the ghost
+    nodes of `_wall_ring`.  The pressure gradient G and its transpose are
+    two-point differences (`gradient`, `divergence`).
     """
 
     def __init__(self, cell: UnitCell):
@@ -346,38 +325,44 @@ class _MacOperators:
         solid_s = np.roll(solid, 1, axis=1)   # cell (i, j-1)
         self.v_active = (~solid) & (~solid_s)
         self.v_interior = solid & solid_s
+        self.faces = np.stack([self.u_active, self.v_active])
 
-        self.A_u = _FaceStencil(self.u_active, self.u_interior, tangential_axis=1)
-        self.A_v = _FaceStencil(self.v_active, self.v_interior, tangential_axis=0)
-        self.nu, self.nv = self.A_u.size, self.A_v.size
-        self.np_ = int(cell.fluid.sum())
-        self.G = self._pressure_gradient()
-        self.q = _v_to_u(cell, index_map(self.u_active), self.v_active)
-        if not _is_permuted(self.A_v, self.A_u, self.q):
-            raise AssemblyError("the v-block of the velocity Laplacian is not the permuted u-block")
+        # a wall neighbour holds the homogeneous Dirichlet value and drops out
+        # of the stencil; the diagonal is 4 plus 1 for each mirror ghost, an
+        # interior neighbour across a tangential wall, which places the zero
+        # velocity on the wall itself
+        blocks = []
+        for active, interior, tangential_axis in ((self.u_active, self.u_interior, 1),
+                                                  (self.v_active, self.v_interior, 0)):
+            diag = np.full(active.shape, 4, dtype=np.int8)
+            for step in (1, -1):
+                diag += active & np.roll(interior, -step, axis=tangential_axis)
+            blocks.append(_Stencil(active, diag))
+        self.A_u, self.A_v = blocks
+        if not _is_transposed(cell, self.A_u, self.A_v):
+            raise AssemblyError("the v-block of the velocity Laplacian is not the transposed u-block")
 
     def laplacian(self, x):
-        """``A x`` for the velocity ``x``: u-faces, then v-faces."""
-        return np.concatenate([self.A_u @ x[: self.nu], self.A_v @ x[self.nu :]])
+        """``A x`` for the face velocity ``x``."""
+        return np.stack([self.A_u @ x[0], self.A_v @ x[1]])
 
-    def _pressure_gradient(self):
-        """G maps cell pressures to staggered-volume gradient contributions;
-        G^T is (minus h^2 times) the discrete cell divergence.  Row f, a
-        u-face and then a v-face in C order, holds h at the cell (i, j) of
-        the face and -h at the cell behind it, (i-1, j) or (i, j-1)."""
-        ip = self.cell.fluid_index.astype(np.int32)
-        cols = np.concatenate(
-            [np.column_stack([ip[act], np.roll(ip, 1, axis=axis)[act]])
-             for axis, act in enumerate((self.u_active, self.v_active))]
-        )
-        vals = np.tile([self.h, -self.h], len(cols))
-        indptr = np.arange(0, cols.size + 1, 2, dtype=np.int32)
-        return sp.csr_matrix((vals, cols.ravel(), indptr), shape=(len(cols), self.np_))
+    def gradient(self, p):
+        """``G p``: h times the pressure at each active face's cell (i, j)
+        minus that at the cell behind it, (i-1, j) or (i, j-1)."""
+        hp = self.h * p
+        return np.where(self.faces, np.stack([hp - np.roll(hp, 1, axis=axis) for axis in (0, 1)]), 0.0)
+
+    def divergence(self, x):
+        """``G^T x``, minus h^2 times the cell divergence of the face
+        velocity ``x``; zero off the fluid cells, as x is zero off the
+        active faces."""
+        hx = self.h * x
+        return (hx[0] - np.roll(hx[0], -1, axis=0)) + (hx[1] - np.roll(hx[1], -1, axis=1))
 
     def _force(self, direction: int) -> np.ndarray:
         """The momentum right-hand side of body force e_direction."""
-        b = np.zeros(self.nu + self.nv)
-        b[slice(0, self.nu) if direction == 0 else slice(self.nu, None)] = self.h * self.h
+        b = np.zeros(self.faces.shape)
+        b[direction][self.faces[direction]] = self.h * self.h
         return b
 
     def solve(self):
@@ -386,34 +371,33 @@ class _MacOperators:
         Eliminating the velocity from ``A x + G p = b, G^T x = 0`` leaves
         ``G^T A^-1 G p / h^2 = G^T A^-1 b / h^2``.  The complement is SPSD
         with the constants as its null space and, on the inf-sup stable MAC
-        grid, spectrally equivalent to the pressure mass matrix, so
-        unpreconditioned CG converges in a mesh-independent number of
-        iterations.  Its residual is the cell divergence of the recovered
-        velocity ``x = A^-1 (b - G p)``, which solves the momentum equation
-        to the accuracy of the ring solver.
+        grid, spectrally equivalent to the pressure mass matrix, so CG,
+        preconditioned only by the projection onto zero fluid mean, converges
+        in a mesh-independent number of iterations.  Its residual is the cell
+        divergence of the recovered velocity ``x = A^-1 (b - G p)``, which
+        solves the momentum equation to the accuracy of the ring solver.
         """
+        cell, fluid = self.cell, self.cell.fluid
         ring = CapacitanceSolver(self.u_active, *_wall_ring(self.u_active, self.u_interior, tangential_axis=1))
 
         def solve_A(r):
-            # one two-column solve with the ring solver of A_u: the v-part
-            # enters scattered to u-face order by q and is gathered back,
-            # since A_v^-1 r_v = (A_u^-1 w)[q] with w[q] = r_v
-            rhs = np.empty((2, self.nu))
-            rhs[0] = r[: self.nu]
-            rhs[1, self.q] = r[self.nu :]
-            z = ring.solve(rhs)
-            return np.concatenate([z[0], z[1, self.q]])
+            # one two-column solve with the ring solver of A_u, since
+            # A_v^-1 r_v = T A_u^-1 T r_v
+            z = ring.solve(np.stack([r[0], _transposed(cell, r[1])]))
+            return np.stack([z[0], _transposed(cell, z[1])])
+
+        def project(p):
+            return np.where(fluid, p - p[fluid].mean(), 0.0)
 
         h2 = self.h * self.h
         b = self._force(0)
-        schur = spla.LinearOperator(
-            (self.np_, self.np_), matvec=lambda q: self.G.T @ solve_A(self.G @ q) / h2, dtype=float
-        )
-        rhs = self.G.T @ solve_A(b) / h2
+        rhs = project(self.divergence(solve_A(b)) / h2)
         p, _, iters = cg(
-            schur, rhs, tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER, precond=np.copy, project_constant=True
+            lambda p: self.divergence(solve_A(self.gradient(p))) / h2, rhs,
+            tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER, precond=project,
         )
-        return solve_A(b - self.G @ p), p, iters
+        p = project(p)
+        return solve_A(b - self.gradient(p)), p, iters
 
     def certify(self, u, v, p, direction: int, tol: float, div_tol: float):
         """Max cell divergence and momentum backward error of the face
@@ -428,19 +412,20 @@ class _MacOperators:
         grew as n^2 eps (1.4e-15 at n = 8, 3.9e-11 at n = 511), past
         tolerances that validation accepts.
         """
-        x = np.concatenate([u[self.u_active], v[self.v_active]])
+        x = np.where(self.faces, np.stack([u, v]), 0.0)
         b = self._force(direction)
-        div_max = float(np.max(np.abs(self.G.T @ x))) / (self.h * self.h)  # G^T x = -h^2 * cell divergence
+        div_max = float(np.max(np.abs(self.divergence(x)))) / (self.h * self.h)
         vel_scale = max(float(np.max(np.abs(x))), 1e-300)
         if not div_max <= div_tol * max(vel_scale / self.h, 1.0):  # NaN fails too
             raise SolverError(f"Stokes solve left max divergence {div_max:.3e}", residual=div_max)
-        p = p[self.cell.fluid]
+        p = np.where(self.cell.fluid, p, 0.0)
         # the sizes |A||x| + |G||p| + |b|: A is its diagonal minus nonnegative
-        # couplings, so |A| = 2 diag(A) - A, and each row of G holds two entries
-        diag = np.concatenate([self.A_u.diag[self.u_active], self.A_v.diag[self.v_active]])
-        sizes = 2.0 * diag * np.abs(x) - self.laplacian(np.abs(x)) + np.abs(b)
-        sizes += (np.abs(self.G.data) * np.abs(p)[self.G.indices]).reshape(-1, 2).sum(axis=1)
-        mom_res = float(np.linalg.norm(self.laplacian(x) + self.G @ p - b) / np.linalg.norm(sizes))
+        # couplings, so |A| = 2 diag(A) - A, and G takes h times the pressure
+        # on either side of a face
+        abs_x, abs_p = np.abs(x), np.abs(p)
+        sizes = 2.0 * np.stack([self.A_u.diag, self.A_v.diag]) * abs_x - self.laplacian(abs_x) + np.abs(b)
+        sizes += np.where(self.faces, np.stack([self.h * (abs_p + np.roll(abs_p, 1, axis=ax)) for ax in (0, 1)]), 0.0)
+        mom_res = float(np.linalg.norm(self.laplacian(x) + self.gradient(p) - b) / np.linalg.norm(sizes))
         if not mom_res <= tol:
             raise SolverError(f"Stokes solve left momentum residual {mom_res:.3e} > {tol:g}", residual=mom_res)
         return div_max, mom_res
@@ -475,31 +460,21 @@ def _wall_ring(active, interior, tangential_axis):
     return sources, (np.column_stack([ring, np.where(ghost, partner, ring)]), np.column_stack([np.ones(ring.size), ghost]))
 
 
-def _v_to_u(cell: UnitCell, iu: np.ndarray, v_active: np.ndarray) -> np.ndarray:
-    """The u-face index of each active v-face, in v-face order.
+def _is_transposed(cell: UnitCell, A_u: _Stencil, A_v: _Stencil) -> bool:
+    """Whether ``A_v == T A_u T`` for the stencils A_u and A_v and the map T
+    of `_transposed`, which takes v-faces to u-faces and back.
 
-    `_transposed` maps v-faces onto u-faces, and neighbours, walls and
-    ghost nodes map with the faces, so ``A_v == A_u[q][:, q]``.
+    T must map the active u-faces onto the active v-faces, and both blocks
+    are applied to one probe, the integers 1..m in a fixed shuffled order on
+    the active v-faces: every product is exact, so ``A_v P == T A_u T P``
+    compares bitwise, and a diagonal entry that differs by any amount, or
+    one coupling dropped or moved to another face, changes the product.
     """
-    return _transposed(cell, iu)[v_active]
-
-
-def _is_permuted(A_v, A_u, q) -> bool:
-    """Whether ``A_v == A_u[q][:, q]`` for the stencils A_v and A_u.
-
-    q must be a permutation, and both blocks are applied to one probe, the
-    integers 1..m in a fixed shuffled order: every product is exact, so
-    ``A_v P[q] == (A_u P)[q]`` compares bitwise, and a diagonal entry that
-    differs by any amount, or one coupling dropped or moved to another face,
-    changes the product.
-    """
-    m = A_u.size
-    if A_v.size != m or q.shape != (m,) or not np.array_equal(np.sort(q), np.arange(m)):
+    if not np.array_equal(_transposed(cell, A_u.active), A_v.active):
         return False
-    probe = np.random.default_rng(0).permutation(m) + 1.0
-    A_u_probe = (A_u @ probe)[q]
-    probe = probe[q]
-    return np.array_equal(A_v @ probe, A_u_probe)
+    probe = np.zeros(A_v.active.shape)
+    probe[A_v.active] = np.random.default_rng(0).permutation(int(A_v.active.sum())) + 1.0
+    return np.array_equal(A_v @ probe, _transposed(cell, A_u @ _transposed(cell, probe)))
 
 
 def solve_stokes_cell(cell: UnitCell, tol: float = DEFAULT_TOL, div_tol: float = 1e-12) -> list[StokesCellSolution]:
@@ -512,14 +487,8 @@ def solve_stokes_cell(cell: UnitCell, tol: float = DEFAULT_TOL, div_tol: float =
     certificates are taken against the e_2 problem like those of a solve.
     """
     ops = _MacOperators(cell)
-    x, p, iters = ops.solve()
-    n = cell.n
-    u = np.zeros((n, n))
-    v = np.zeros((n, n))
-    u[ops.u_active] = x[: ops.nu]
-    v[ops.v_active] = x[ops.nu :]
-    pf = np.full((n, n), np.nan)
-    pf[cell.fluid] = p - p.mean()
+    (u, v), p, iters = ops.solve()
+    pf = np.where(cell.fluid, p - p[cell.fluid].mean(), np.nan)
     sols = []
     for direction, chi in enumerate([(u, v, pf), [_transposed(cell, f) for f in (v, u, pf)]]):
         div_max, mom_res = ops.certify(*chi, direction, tol, div_tol)
@@ -565,12 +534,12 @@ def assemble_K(cell: UnitCell, solutions, spd_tol: float = SPD_TOL):
 def _gradient_identity_error(solutions, K: np.ndarray) -> float:
     """Max |K_ij - (grad chi^i, grad chi^j)/|Y|| over all components."""
     ops = solutions[0].ops
-    xs = [np.concatenate([s.u[ops.u_active], s.v[ops.v_active]]) for s in solutions]
+    xs = [np.stack([s.u, s.v]) for s in solutions]
     err = 0.0
     for i in range(2):
         Axi = ops.laplacian(xs[i])
         for j in range(2):
-            e = float(xs[j] @ Axi) / ops.cell.pore_area
+            e = float(np.vdot(xs[j], Axi)) / ops.cell.pore_area
             err = max(err, abs(e - K[i, j]))
     return err
 

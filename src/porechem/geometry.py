@@ -118,11 +118,6 @@ class UnitCell:
         return ~self.solid
 
     @cached_property
-    def fluid_index(self) -> np.ndarray:
-        """Map (i, j) -> flat fluid-cell index, -1 on solid cells."""
-        return index_map(self.fluid)
-
-    @cached_property
     def grain_faces(self):
         """Reference grain faces as a struct of arrays.
 

@@ -1,16 +1,13 @@
 """Linear solvers for the package's structured-grid systems.
 
-``cg`` is conjugate gradients for SPD systems.  The caller passes the
-preconditioner M^-1, and ``A`` only has to support ``A @ x``: the implicit
-transport step passes the direct solve of its backward-Euler operator
-and applies its Newton matrix matrix-free, and the Stokes cell
-solve runs unpreconditioned CG on the pressure Schur complement, a plain
-object with ``@``.  The stopping rule is on the true residual of ``A``.
-
-Pure-Neumann/periodic operators are singular with a constant null vector;
-for those the iteration projects the constant out of the iterates and the
-right-hand side, which keeps CG on the orthogonal complement where the
-operator is definite.
+``cg`` is conjugate gradients for SPD systems.  The caller passes ``A``
+as the function that applies it and the preconditioner M^-1: the implicit
+transport step applies its Newton matrix matrix-free, preconditioned by
+the direct solve of its backward-Euler operator, and the Stokes cell solve
+runs CG on the pressure Schur complement, whose constant null space its
+preconditioner projects out.  The iterates take the shape of the
+right-hand side, a vector or an n x n array.  The stopping rule is on the
+true residual of ``A``.
 
 ``factor_spd`` is the sparse LU factorization of the implicit transport
 step on the perforated pore-scale grid only; on a grid without solid
@@ -20,9 +17,9 @@ their operators are the periodic 5-point Laplacian of the cell grid
 changed on the ring of nodes around the grain, which `CapacitanceSolver`
 inverts exactly with FFTs and a small dense system on the ring.  It reads
 the operator only through the ring's sources and conditions, so the
-velocity Laplacian it inverts is never assembled, and it builds the
-capacitance matrix a block of rows at a time: no index array is as large
-as the matrix.
+operator it inverts is never assembled, and it builds the capacitance
+matrix a block of rows at a time: no index array is as large as the
+matrix.
 """
 
 from __future__ import annotations
@@ -34,36 +31,26 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import SolverError
 
 
-def _project_constant(x):
-    x -= x.mean()
-    return x
-
-
-def cg(A, b, *, precond, tol, maxiter=None, project_constant=False):
+def cg(A, b, *, precond, tol, maxiter=None):
     """Solve A x = b by preconditioned conjugate gradients.
 
     Parameters
     ----------
-    A : SPD (or SPSD with constant null space) matrix, or any object with
-        ``A @ x``.
-    b : right-hand side.
-    precond : callable applying an SPD M^-1 to a residual.
+    A : function applying an SPD matrix (or an SPSD one, with ``precond``
+        projecting its null space out) to an array shaped like ``b``.
+    b : right-hand side, a vector or an array.
+    precond : function applying an SPD M^-1 to a residual.
     tol : relative residual target, ||r|| <= tol * ||b|| (absolute floor
         of tol when b = 0).
-    project_constant : project the constant null vector out of b and every
-        iterate (consistent singular systems).
 
     Returns
     -------
     (x, relres, iters)
     """
-    b = np.asarray(b, dtype=float).copy()
-    n = b.size
+    b = np.asarray(b, dtype=float)
     if maxiter is None:
-        maxiter = max(200, 20 * n)
-    if project_constant:
-        _project_constant(b)
-    x = np.zeros(n)
+        maxiter = max(200, 20 * b.size)
+    x = np.zeros_like(b)
 
     r = b.copy()  # the residual at x = 0, without applying A
     bnorm = np.linalg.norm(b)
@@ -72,24 +59,18 @@ def cg(A, b, *, precond, tol, maxiter=None, project_constant=False):
         return x, np.linalg.norm(r) / max(bnorm, 1.0), 0
 
     z = precond(r)
-    if project_constant:
-        _project_constant(z)
     p = z.copy()
-    rz = r @ z
+    rz = np.vdot(r, z)
     for it in range(1, maxiter + 1):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
+        Ap = A(p)
+        alpha = rz / np.vdot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
         rnorm = np.linalg.norm(r)
         if rnorm <= floor:
-            if project_constant:
-                _project_constant(x)
             return x, rnorm / max(bnorm, 1.0), it
         z = precond(r)
-        if project_constant:
-            _project_constant(z)
-        rz_new = r @ z
+        rz_new = np.vdot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(
@@ -141,7 +122,7 @@ class CapacitanceSolver:
     ``sources`` and ``conditions`` are ``(nodes, weights)`` pairs of (m, 2)
     arrays: row i is the vector with ``weights[i, k]`` at flat torus node
     ``nodes[i, k]``.  ``domain`` is the (n, n) mask of the operator's
-    unknowns, numbered in C order; B is zero off it.
+    unknowns; right-hand sides and solutions are zero off it.
     """
 
     def __init__(self, domain, sources, conditions=None):
@@ -166,23 +147,21 @@ class CapacitanceSolver:
         return np.fft.irfft2(np.fft.rfft2(B) * self.inverse_symbol, s=B.shape[-2:])
 
     def solve(self, b):
-        """Solution on the domain for right-hand sides ``b`` of shape
-        ``(number of domain nodes,)`` or ``(k, number of domain nodes)``."""
-        rows = b.reshape(-1, b.shape[-1])
-        B = np.zeros((len(rows),) + self.domain.shape)
-        for B_k, b_k in zip(B, rows):  # row by row: masked assignment is fastest on 2-d arrays
-            B_k[self.domain] = b_k
+        """Solution for right-hand sides ``b`` of shape ``(n, n)`` or
+        ``(k, n, n)``, zero off the domain."""
+        B = b.reshape((-1,) + self.domain.shape).copy()
         nodes, weights = self.conditions
         rhs = -(self._lplus(B).reshape(len(B), -1)[:, nodes] * weights).sum(axis=-1)
         if not self.cut:
-            rhs = np.column_stack([rhs, -rows.sum(axis=1)])
+            rhs = np.column_stack([rhs, -B.sum(axis=(1, 2))])
         lam = lu_solve(self.capacitance, rhs.T, check_finite=False).T
         nodes, weights = self.sources
         for B_k, lam_k in zip(B, lam):
             B_k += np.bincount(nodes.ravel(), (weights * lam_k[: len(nodes), None]).ravel(), B_k.size).reshape(B_k.shape)
-        X = np.array([X_k[self.domain] for X_k in self._lplus(B)])
+        X = self._lplus(B)
         if not self.cut:
-            X += lam[:, -1:]
+            X += lam[:, -1:, None]
+        X[:, ~self.domain] = 0.0
         return X.reshape(b.shape)
 
 

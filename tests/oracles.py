@@ -3,9 +3,10 @@ helpers only tests call.
 
 The oracles are deliberately written from scratch (no imports from the
 package under test) so that an agreement between oracle and implementation
-is evidence, not tautology.  The MAC oracles read only the face
-classification of the operators they check, and assemble the sparse
-matrices the package applies as stencils or builds in another form.  The helpers at the end (the ramp-regularized
+is evidence, not tautology.  The cell-problem oracles read only the cell
+and the face classification of the operators they check, and assemble
+the sparse matrices that the package applies as stencils and two-point
+differences.  The helpers at the end (the ramp-regularized
 precipitate ODE, the field-file reader and the stability gap of two macro
 runs) only read what the package returns.
 """
@@ -127,6 +128,19 @@ def _component_laplacian(active, interior, tangential_axis):
                 diag[idx[active & np.roll(interior, -step, axis=axis)]] += 1.0
     vals = np.concatenate([diag, -np.ones(sum(r.size for r in rows[1:]))])
     return sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=(m, m))
+
+
+def fluid_adjacency(cell):
+    """The corrector matrix: the periodic 5-point graph Laplacian over the
+    fluid cells, unit face weights, assembled in CSR."""
+    fluid, idx = cell.fluid, _face_numbering(cell.fluid)
+    m = int(fluid.sum())
+    both = [fluid & np.roll(fluid, -1, axis=ax) for ax in (0, 1)]
+    a = np.concatenate([idx[both[ax]] for ax in (0, 1)])
+    b = np.concatenate([np.roll(idx, -1, axis=ax)[both[ax]] for ax in (0, 1)])
+    W = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(m, m))
+    W = W + W.T
+    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
 
 
 def mac_velocity_laplacian(ops):

@@ -26,7 +26,7 @@ from porechem.errors import AssemblyError, DegeneracyError, SolverError
 from porechem.geometry import UnitCell
 from porechem.gridio import read_csv
 
-from oracles import dirichlet_form, mac_pressure_gradient, mac_velocity_laplacian
+from oracles import dirichlet_form, fluid_adjacency, mac_pressure_gradient, mac_velocity_laplacian
 
 # fine-grid (n = 256) oracle values, recorded at build time and frozen as
 # regression targets; tolerances reflect the measured refinement gap to n=64
@@ -128,14 +128,19 @@ def test_nan_in_a_corrector_is_rejected():
         assemble_S(cell, fields)
 
 
+def _packed(ops, u, v):
+    """The face velocity ``(u, v)`` as the oracles number it: the active
+    u-faces, then the active v-faces, each in C order."""
+    return np.concatenate([u[ops.u_active], v[ops.v_active]])
+
+
 def _momentum_residual(sol, direction):
     """||A x + G p - b|| / ||b|| of a Stokes solution, with A and G
     assembled by the oracles; the solution's own ``momentum_res`` is a
     backward error, relative to the sizes of these terms."""
     ops = sol.ops
-    x = np.concatenate([sol.u[ops.u_active], sol.v[ops.v_active]])
-    b = np.zeros(ops.nu + ops.nv)
-    b[slice(0, ops.nu) if direction == 0 else slice(ops.nu, None)] = sol.cell.h**2
+    x = _packed(ops, sol.u, sol.v)
+    b = _packed(ops, *(np.full(sol.u.shape, sol.cell.h**2 * (j == direction)) for j in range(2)))
     r = mac_velocity_laplacian(ops) @ x + mac_pressure_gradient(ops) @ sol.p[sol.cell.fluid] - b
     return float(np.linalg.norm(r) / np.linalg.norm(b))
 
@@ -169,15 +174,15 @@ def _check_against_direct_saddle_point_solve(c, sols):
     ops = sols[0].ops
     G1 = mac_pressure_gradient(ops)[:, 1:]
     M = sp.bmat([[mac_velocity_laplacian(ops), G1], [G1.T, None]], format="csc")
-    nvel = ops.nu + ops.nv
+    nu, nvel = int(ops.u_active.sum()), G1.shape[0]
     means = []
     for j, s in enumerate(sols):
         b = np.zeros(M.shape[0])
-        b[slice(0, ops.nu) if j == 0 else slice(ops.nu, nvel)] = c.h**2
+        b[slice(0, nu) if j == 0 else slice(nu, nvel)] = c.h**2
         x = spla.spsolve(M, b)[:nvel]
-        got = np.concatenate([s.u[ops.u_active], s.v[ops.v_active]])
+        got = _packed(ops, s.u, s.v)
         assert np.max(np.abs(got - x)) <= 1e-11 * np.max(np.abs(x))
-        means.append(np.array([x[: ops.nu].sum(), x[ops.nu :].sum()]) * c.h**2 / c.pore_area)
+        means.append(np.array([x[:nu].sum(), x[nu:].sum()]) * c.h**2 / c.pore_area)
     K_ref = np.column_stack(means)
     return 0.5 * (K_ref + K_ref.T)
 
@@ -279,10 +284,10 @@ def test_tensor_csv_roundtrip(tmp_path, cell64):
 )
 def test_factored_correctors_match_a_direct_solve(side, center, n):
     c = UnitCell(n, side, center)
-    A = cell_problems._fluid_adjacency(c).tocsc()
+    A = fluid_adjacency(c).tocsc()
     for i, f in enumerate(solve_diffusion_cell(c)):
         # reference: the system with the last unknown pinned, by spsolve
-        b = -cell_problems._surface_functional(c, i)
+        b = -cell_problems._surface_functional(c, i)[c.fluid]
         x = np.zeros(b.size)
         x[:-1] = spla.spsolve(A[:-1, :-1], b[:-1])
         x -= x.mean()
@@ -309,8 +314,15 @@ TRANSPOSE_CELLS = [
 
 @pytest.mark.parametrize("side, center, n", TRANSPOSE_CELLS)
 def test_v_block_is_the_permuted_u_block(side, center, n):
-    ops = cell_problems._MacOperators(UnitCell(n, side, center))
-    q, nu = ops.q, ops.nu
+    # `_transposed` maps the active u-faces onto the active v-faces, and the
+    # face permutation q it induces maps the assembled A_u onto A_v
+    cell = UnitCell(n, side, center)
+    ops = cell_problems._MacOperators(cell)
+    assert np.array_equal(cell_problems._transposed(cell, ops.u_active), ops.v_active)
+    nu = int(ops.u_active.sum())
+    iu = np.full((n, n), -1)
+    iu[ops.u_active] = np.arange(nu)
+    q = cell_problems._transposed(cell, iu)[ops.v_active]
     A = mac_velocity_laplacian(ops)
     A_u, A_v = A[:nu, :nu].tocsr(), A[nu:, nu:].tocsr()
     assert np.array_equal(np.sort(q), np.arange(nu))  # a permutation of the u-faces
@@ -322,30 +334,29 @@ def test_v_block_is_the_permuted_u_block(side, center, n):
     assert A_v.data.tobytes() == B.data.tobytes()
 
 
+def _swap_first_and_last(f):
+    f = f.copy()
+    f.flat[[0, -1]] = f.flat[[-1, 0]]
+    return f
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [
-        lambda q: q[np.r_[q.size - 1, 1 : q.size - 1, 0]],  # first and last face swapped
-        lambda q: np.roll(q, 1),
-        lambda q: q[:-1],
-    ],
+    [_swap_first_and_last, lambda f: np.roll(f, 1, axis=1), lambda f: f[:-1]],
     ids=["swap", "roll", "short"],
 )
 def test_corrupted_face_map_is_rejected(monkeypatch, corrupt):
-    v_to_u = cell_problems._v_to_u
-    monkeypatch.setattr(cell_problems, "_v_to_u", lambda *a: corrupt(v_to_u(*a)))
-    with pytest.raises(AssemblyError, match="not the permuted u-block"):
+    transposed = cell_problems._transposed
+    monkeypatch.setattr(cell_problems, "_transposed", lambda *a: corrupt(transposed(*a)))
+    with pytest.raises(AssemblyError, match="not the transposed u-block"):
         solve_stokes_cell(UnitCell(16, 0.5, (0.5, 0.375)))
 
 
 def test_face_map_needs_the_shift(monkeypatch):
     # the plain transpose is right for a centred grain only
-    def transpose_only(cell, iu, v_active):
-        return iu.T[v_active]
-
-    monkeypatch.setattr(cell_problems, "_v_to_u", transpose_only)
+    monkeypatch.setattr(cell_problems, "_transposed", lambda cell, f: f.T)
     solve_stokes_cell(UnitCell(16, 0.5, (0.5, 0.5)))
-    with pytest.raises(AssemblyError, match="not the permuted u-block"):
+    with pytest.raises(AssemblyError, match="not the transposed u-block"):
         solve_stokes_cell(UnitCell(16, 0.5, (0.5, 0.375)))
 
 
@@ -389,7 +400,7 @@ def test_effective_tensors_build_one_ring_system_per_operator(monkeypatch):
     # refinement step, then the Schur CG's right-hand side, one matvec per
     # iteration and the recovered velocity, each one two-column solve
     iters = t.sols[0].iters
-    assert solves == [(0, (c.fluid.sum(),))] * 2 + [(1, (2, built[1].domain.sum()))] * (iters + 2)
+    assert solves == [(0, (c.n, c.n))] * 2 + [(1, (2, c.n, c.n))] * (iters + 2)
 
 
 @st.composite
@@ -411,18 +422,21 @@ def test_ring_solves_match_sparse_direct_solves(cell, seed):
     rng = np.random.default_rng(seed)
     ops = cell_problems._MacOperators(cell)
     ring = linalg.CapacitanceSolver(ops.u_active, *cell_problems._wall_ring(ops.u_active, ops.u_interior, 1))
-    A_u = mac_velocity_laplacian(ops)[: ops.nu, : ops.nu].tocsc()
-    b = rng.standard_normal((2, ops.nu))
-    x = ring.solve(b)
-    for x_k, b_k in zip(x, b):
+    nu = int(ops.u_active.sum())
+    A_u = mac_velocity_laplacian(ops)[:nu, :nu].tocsc()
+    B = np.zeros((2, cell.n, cell.n))
+    B[:, ops.u_active] = rng.standard_normal((2, nu))
+    X = ring.solve(B)
+    assert not X[:, ~ops.u_active].any()  # zero off the domain
+    for x_k, b_k in zip(X[:, ops.u_active], B[:, ops.u_active]):
         ref = spla.spsolve(A_u, b_k)
         assert np.max(np.abs(x_k - ref)) <= 1e-11 * np.max(np.abs(ref))
         assert np.linalg.norm(A_u @ x_k - b_k) <= 1e-12 * np.linalg.norm(b_k)
     # both corrector fields, the second mapped from the first, against the
     # system with its first unknown pinned
-    A = cell_problems._fluid_adjacency(cell).tocsc()
+    A = fluid_adjacency(cell).tocsc()
     for i, f in enumerate(solve_diffusion_cell(cell)):
-        b = -cell_problems._surface_functional(cell, i)
+        b = -cell_problems._surface_functional(cell, i)[cell.fluid]
         ref = np.zeros(b.size)
         ref[1:] = spla.spsolve(A[1:, 1:], b[1:])
         ref -= ref.mean()
@@ -434,25 +448,27 @@ def test_ring_solves_match_sparse_direct_solves(cell, seed):
 
 @pytest.mark.parametrize("center, fires", [((0.5, 0.375), True), ((0.5, 0.5), False)])
 def test_direction_1_certificates_need_the_shift(monkeypatch, center, fires):
-    # the plain transpose maps only a centred cell onto itself.  The face
-    # map keeps its shift, so the Stokes operators still build, and only
-    # the direction-1 certificates can see the misplaced fields
-    transposed = cell_problems._transposed
-    monkeypatch.setattr(cell_problems, "_v_to_u", lambda cell, iu, v_active: transposed(cell, iu)[v_active])
-    monkeypatch.setattr(cell_problems, "_transposed", lambda cell, f: f.T)
+    # the plain transpose maps only a centred cell onto itself.  With it the
+    # Stokes operators of any other cell do not build (see
+    # test_face_map_needs_the_shift), so the direction-1 certificates are
+    # applied to the plainly transposed direction-0 fields directly
     c = UnitCell(16, 0.5, center)
+    s0 = solve_stokes_cell(c)[0]
+    plain = [f.T for f in (s0.v, s0.u, s0.p)]
+    monkeypatch.setattr(cell_problems, "_transposed", lambda cell, f: f.T)
     if not fires:
         assert solve_diffusion_cell(c)[1].residual <= 1e-12
         s = solve_stokes_cell(c)[1]
         assert _momentum_residual(s, 1) <= 1e-11
         assert s.momentum_res <= 1e-11
+        assert s0.ops.certify(*plain, 1, 1e-11, 1e-12)[1] <= 1e-11
         return
     with pytest.raises(SolverError, match="corrector solve left relative residual"):
         solve_diffusion_cell(c)
     with pytest.raises(SolverError, match="Stokes solve left max divergence"):
-        solve_stokes_cell(c, tol=np.inf)
+        s0.ops.certify(*plain, 1, np.inf, 1e-12)
     with pytest.raises(SolverError, match="Stokes solve left momentum residual"):
-        solve_stokes_cell(c, div_tol=np.inf)
+        s0.ops.certify(*plain, 1, cell_problems.DEFAULT_TOL, np.inf)
 
 
 def test_stokes_tolerance_is_an_acceptance_bound():
@@ -471,16 +487,31 @@ def test_stokes_tolerance_is_an_acceptance_bound():
 def test_face_stencils_match_the_assembled_operators(cell, seed):
     rng = np.random.default_rng(seed)
     ops = cell_problems._MacOperators(cell)
-    A = mac_velocity_laplacian(ops)
+    A, G = mac_velocity_laplacian(ops), mac_pressure_gradient(ops)
+
+    def faces(x):
+        X = np.zeros(ops.faces.shape)
+        X[ops.faces] = x  # u-faces, then v-faces, as the oracles number them
+        return X
+
     for x in rng.standard_normal((3, A.shape[0])):
         ref = A @ x
-        assert np.linalg.norm(ops.laplacian(x) - ref) <= 1e-15 * np.linalg.norm(ref)
-    # G, built in CSR, is the COO assembly entry for entry, and both
-    # products with it are bitwise those of the COO assembly
-    G = mac_pressure_gradient(ops)
-    assert ops.G.shape == G.shape and (ops.G != G).nnz == 0
+        AX = ops.laplacian(faces(x))
+        assert not AX[~ops.faces].any()
+        assert np.linalg.norm(AX[ops.faces] - ref) <= 1e-15 * np.linalg.norm(ref)
+    # the gradient is bitwise the COO assembly's product; the divergence
+    # sums the same terms in another order, so it matches G^T x to round-off
+    # and is the gradient's adjoint to round-off
     p, x = rng.standard_normal(G.shape[1]), rng.standard_normal(G.shape[0])
-    assert np.array_equal(ops.G @ p, G @ p) and np.array_equal(ops.G.T @ x, G.T @ x)
+    P = np.zeros((cell.n, cell.n))
+    P[cell.fluid] = p
+    X = faces(x)
+    GP, GtX = ops.gradient(P), ops.divergence(X)
+    assert not GP[~ops.faces].any() and not GtX[~cell.fluid].any()
+    assert np.array_equal(GP[ops.faces], G @ p)
+    ref = G.T @ x
+    assert np.linalg.norm(GtX[cell.fluid] - ref) <= 1e-15 * np.linalg.norm(ref)
+    assert abs(np.vdot(GP, X) - np.vdot(P, GtX)) <= 1e-15 * np.linalg.norm(GP) * np.linalg.norm(X)
 
 
 def _move_a_face(stencil):
@@ -498,34 +529,39 @@ def _raise_a_diagonal(stencil):
 @pytest.mark.parametrize("corrupt", [_move_a_face, _raise_a_diagonal], ids=["active", "diagonal"])
 @pytest.mark.parametrize("block", ["A_u", "A_v"])
 def test_corrupted_stencil_fails_the_permutation_check(monkeypatch, corrupt, block):
-    ops = cell_problems._MacOperators(UnitCell(16, 0.5, (0.5, 0.375)))
-    assert cell_problems._is_permuted(ops.A_v, ops.A_u, ops.q)
+    cell = UnitCell(16, 0.5, (0.5, 0.375))
+    ops = cell_problems._MacOperators(cell)
+    assert cell_problems._is_transposed(cell, ops.A_u, ops.A_v)
     stencils = {"A_u": ops.A_u, "A_v": ops.A_v}
     stencils[block] = bad = copy.deepcopy(stencils[block])
     corrupt(bad)
-    assert not cell_problems._is_permuted(stencils["A_v"], stencils["A_u"], ops.q)
-    # the same corruption made while the operators are built
-    build = cell_problems._FaceStencil
+    assert not cell_problems._is_transposed(cell, stencils["A_u"], stencils["A_v"])
+    # the same corruption made while the operators are built, A_u first
+    build = cell_problems._Stencil
+    built = []
 
-    def corrupted_build(active, interior, tangential_axis):
-        stencil = build(active, interior, tangential_axis)
-        if tangential_axis == (1 if block == "A_u" else 0):
+    def corrupted_build(active, diag):
+        stencil = build(active, diag)
+        if len(built) == ["A_u", "A_v"].index(block):
             corrupt(stencil)
+        built.append(stencil)
         return stencil
 
-    monkeypatch.setattr(cell_problems, "_FaceStencil", corrupted_build)
-    with pytest.raises(AssemblyError, match="not the permuted u-block"):
-        solve_stokes_cell(UnitCell(16, 0.5, (0.5, 0.375)))
+    monkeypatch.setattr(cell_problems, "_Stencil", corrupted_build)
+    with pytest.raises(AssemblyError, match="not the transposed u-block"):
+        solve_stokes_cell(cell)
+    assert len(built) == 2
 
 
 def test_mac_operators_peak_memory():
-    # the velocity Laplacian is applied as stencils and never assembled; the
-    # operators peak at 6.4 MB at n = 256, where the assembled Laplacian
-    # took them to 28.6 MB
+    # the velocity Laplacian and the pressure gradient are applied as
+    # stencils and differences, never assembled; the operators peak at
+    # 3.2 MB at n = 256, where the assembled Laplacian took them to 28.6 MB
+    # and the CSR pressure gradient to 5.8 MB
     tracemalloc.start()
     try:
         cell_problems._MacOperators(UnitCell(256, 0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 4 * 2**20

@@ -489,7 +489,7 @@ def test_compute_tensors_builds_two_ring_systems_and_keeps_none(monkeypatch):
     assert [len(s.capacitance[1]) for s in built] == [4 * a, 4 * a - 1]
     # each ring solver lived only for its solve: nothing returned keeps one
     assert not _reaches(result, (SuperLU, linalg.CapacitanceSolver))
-    assert _reaches(result, sp.csr_matrix)  # the walk does reach the operators kept
+    assert _reaches(result, cell_problems._Stencil)  # the walk does reach the operators kept
 
 
 def test_config_errors_name_their_section():
