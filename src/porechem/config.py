@@ -86,10 +86,9 @@ _DEFAULTS = {
 
 
 # the most cells a grid of a run may have, a 512 x 512 grid: `cell` at
-# n = 512 peaks at 138-143 MB resident (n x n FFT arrays, the corrector
-# matrix and pressure gradient, the 1023 x 1023 dense ring matrix of the
-# Stokes u-block), and the micro step's sparse factor at 512 x 512 (n = 8,
-# eps = 1/64) holds 6.4M nonzeros
+# n = 512 peaks at 122-130 MB resident (n x n field and FFT arrays, and the
+# 1023 x 1023 dense ring matrix of the Stokes u-block), and the micro
+# step's sparse factor at 512 x 512 (n = 8, eps = 1/64) holds 6.4M nonzeros
 CELL_BUDGET = 512 * 512
 
 # the most steps a transport run may take, and the most grid cells its stored
@@ -137,6 +136,16 @@ def _parse_edges(text):
     return check_edges(tuple(e.strip() for e in text.split(",") if e.strip() and e.strip() != "none"))
 
 
+@dataclass(frozen=True)
+class _Bump:
+    """The initial profile ``amplitude * sin(pi x) sin(pi y)``."""
+
+    amplitude: float
+
+    def __call__(self, x, y):
+        return self.amplitude * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
 def _parse_init(section, key, text, m0):
     """``constant:VALUE`` or ``bump:AMPLITUDE`` (amplitude * sin(pi x) sin(pi y)),
     with the value or amplitude in [0, m0], which keeps the profile there."""
@@ -147,9 +156,7 @@ def _parse_init(section, key, text, m0):
     amp = _number(section, key, value) if value else 0.0
     if not 0.0 <= amp <= m0:
         raise ConfigError(f"[{section}] {key}: initial data must lie in [0, m0] = [0, {m0:g}], got {text!r}")
-    if kind == "constant":
-        return amp
-    return lambda x, y: amp * np.sin(np.pi * x) * np.sin(np.pi * y)
+    return amp if kind == "constant" else _Bump(amp)
 
 
 def _in_section(section, make, **fields):
@@ -173,6 +180,27 @@ def _transport_fields(section, m) -> dict:
         m0=m0,
         output_every=_number(section, "output_every", m["output_every"], int),
     )
+
+
+def _check_one_problem(micro: MicroConfig, macro: MacroConfig, raw):
+    """ConfigError, naming the keys of both sections, unless the sweep's
+    micro and macro runs solve one problem: the same initial and boundary
+    data, and both without flow or both with the flow of one pressure drop."""
+    def keys(*names):
+        return " and ".join(f"[{s}] {k} = {raw[s][k]}" for s, k in names)
+
+    for key in ("u_init", "v_init", "dirichlet_value"):
+        if getattr(micro, key) != getattr(macro, key):
+            raise ConfigError(f"{keys(('micro', key), ('macro', key))} differ; the sweep compares runs of one problem")
+    modes = (micro.velocity_mode, macro.velocity_mode)
+    if modes not in (("zero", "zero"), ("reconstructed", "darcy")):
+        raise ConfigError(f"{keys(('micro', 'velocity_mode'), ('macro', 'velocity_mode'))} are not one flow; "
+                          "use zero and zero, or reconstructed and darcy")
+    # the macro pressure falls linearly over the unit domain
+    drop = np.array([macro.p_right - macro.p_left, 0.0])
+    if modes[1] == "darcy" and not np.allclose(micro.pressure_gradient, drop, rtol=1e-12, atol=1e-12 * abs(drop[0])):
+        raise ConfigError(f"{keys(('micro', 'pressure_gradient'), ('macro', 'p_left'), ('macro', 'p_right'))} "
+                          "are not one pressure gradient; it must be (p_right - p_left, 0)")
 
 
 def _parse_bool(text):
@@ -211,7 +239,8 @@ class RunConfig:
         """ConfigError naming ``[section] key`` when a grid that subcommand
         ``command`` builds, or one of its transport runs, is over its budget,
         and for ``converge`` when the sweep cannot compare its micro and macro
-        runs.  It allocates next to nothing, so a run checks it before any work."""
+        runs, or they solve different problems.  It allocates next to
+        nothing, so a run checks it before any work."""
         n, m = self.cell.n, self.macro.resolution_cells
         grids = {  # grid: (section, key, what, cells per edge)
             "cell": ("geometry", "n", "cell", n),
@@ -229,6 +258,7 @@ class RunConfig:
                            f"cells, {stored * edge * edge:,} in all", stored * edge * edge, SNAPSHOT_BUDGET)
         if command == "converge":  # what `sweep` checks, before the cell problems
             check_sweep(self.sweep_eps, self.micro, self.macro)
+            _check_one_problem(self.micro, self.macro, self.raw)
 
     def write_resolved(self, path):
         """Echo every key (defaults included) in a fixed order."""

@@ -29,13 +29,10 @@ from typing import ClassVar
 import numpy as np
 
 from ._implicit import newton_reaction_diffusion
+from .cell_problems import SPD_TOL
 from .errors import ConfigError
 from .kinetics import ode_step
 from .transport import FaceVelocity, MassRow, Run, State, TransportConfig, TransportSolver
-
-# relative size of an off-diagonal entry that still counts as round-off;
-# the relative tolerance of the tensor symmetry certificates (`spd`)
-OFF_DIAGONAL_TOL = 1e-8
 
 
 def diagonal_tensor(name: str, T) -> np.ndarray:
@@ -45,10 +42,12 @@ def diagonal_tensor(name: str, T) -> np.ndarray:
         raise ConfigError(f"{name} must be a 2x2 tensor")
     if not (np.all(np.isfinite(T)) and T[0, 0] > 0.0 and T[1, 1] > 0.0):
         raise ConfigError(f"{name} must be finite and positive definite")
+    # an off-diagonal entry counts as round-off within the relative
+    # tolerance of the tensor symmetry certificates
     off = float(np.max(np.abs([T[0, 1], T[1, 0]])))
-    if not off <= OFF_DIAGONAL_TOL * np.max(np.abs(T)):
+    if not off <= SPD_TOL * np.max(np.abs(T)):
         raise ConfigError(
-            f"{name} must be diagonal: off-diagonal {off:.3g} exceeds {OFF_DIAGONAL_TOL:g} * max|{name}|. "
+            f"{name} must be diagonal: off-diagonal {off:.3g} exceeds {SPD_TOL:g} * max|{name}|. "
             "A grid-aligned square grain gives a diagonal tensor by symmetry, and the 5-point "
             "scheme keeps the solute in its bounds only for diagonal tensors"
         )

@@ -5,11 +5,10 @@ import types
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import SuperLU
 
-from porechem import cell_problems, cli, config, linalg
+from porechem import cell_problems, cli, config, linalg, micro_sim, transport
 from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
@@ -551,6 +550,51 @@ def test_cli_converge_checks_its_sweep_before_any_work(tmp_path, text, message):
     assert not (out / "effective_tensors.csv").exists()
 
 
+def _flow(micro="", macro=""):
+    return f"[micro]\nvelocity_mode = reconstructed\n{micro}[macro]\nvelocity_mode = darcy\n{macro}"
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ("[micro]\nv_init = constant:0.2\n", ["[micro] v_init", "[macro] v_init"]),
+        ("[macro]\nu_init = bump:0.5\n", ["[micro] u_init", "[macro] u_init"]),
+        ("[micro]\ndirichlet_value = 0.5\n", ["[micro] dirichlet_value", "[macro] dirichlet_value"]),
+        ("[micro]\nvelocity_mode = reconstructed\n", ["[micro] velocity_mode", "[macro] velocity_mode"]),
+        ("[macro]\nvelocity_mode = darcy\n", ["[micro] velocity_mode", "[macro] velocity_mode"]),
+        (_flow(micro="pressure_gradient = -4.0, 1.0\n"),
+         ["[micro] pressure_gradient", "[macro] p_left", "[macro] p_right"]),
+        (_flow(macro="p_right = 0.5\n"), ["[micro] pressure_gradient", "[macro] p_left", "[macro] p_right"]),
+    ],
+    ids=["v_init", "u_init", "dirichlet_value", "micro-flow", "macro-flow", "pressure_gradient", "p_right"],
+)
+def test_converge_rejects_micro_and_macro_runs_of_different_problems(tmp_path, text, keys):
+    # each run alone is valid, but the sweep would compare two problems
+    for command in ("micro", "macro"):
+        parse_config(text).check_budget(command)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record and all(key in record for key in keys)
+    assert not (out / "effective_tensors.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[micro]\nv_init = constant:5e-2\nu_init = bump:0.5\n[macro]\nu_init = bump:0.50\n",
+        _flow(),
+        # p_right - p_left is -0.19999999999999998
+        _flow(micro="pressure_gradient = -0.2, 0\n", macro="p_left = 0.3\np_right = 0.1\n"),
+    ],
+    ids=["same-profiles", "flow", "round-off"],
+)
+def test_converge_accepts_micro_and_macro_runs_of_one_problem(text):
+    parse_config(text).check_budget("converge")
+
+
 def test_converge_accepts_different_steps_with_the_same_snapshots():
     parse_config(
         "[micro]\ndt = 0.005\noutput_every = 20\n[macro]\ndt = 0.01\noutput_every = 10\n"
@@ -659,6 +703,38 @@ def test_cli_rejects_a_run_past_the_step_budget(tmp_path, command, key):
     record = (out / "error_record.txt").read_text()
     assert "kind = config" in record and key in record
     assert not (out / "effective_tensors.csv").exists()
+
+
+def test_cli_run_time_invariant_failure_exits_3_with_the_state(tmp_path, monkeypatch):
+    # a precipitate update that breaks v >= 0 mid-run: the step's check
+    # raises StateError, and the record dumps the offending state's solute
+    def negative_ode_step(law, u, v, dt):
+        return np.full_like(v, -1e-3), np.ones_like(v)
+
+    checked = []
+    check = transport.TransportSolver._check
+    monkeypatch.setattr(micro_sim, "ode_step", negative_ode_step)
+    monkeypatch.setattr(transport.TransportSolver, "_check", lambda self, state: checked.append(state) or check(self, state))
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    record = (out / "error_record.txt").read_text()
+    assert "kind = runtime" in record and "error = StateError" in record and "negative precipitate" in record
+    u, h, mask = read_field(out / "abort_state_u.txt")
+    assert mask.all() and h == 1.0 / u.shape[0]
+    assert np.array_equal(u, checked[-1].u) and checked[-1].u.any()
+
+
+def test_cli_macro_writes_the_linear_darcy_pressure(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[macro]\n", "[macro]\nvelocity_mode = darcy\np_left = 0.7\np_right = 0.2\n"))
+    out = tmp_path / "out"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["macro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    P, h, mask = read_field(out / "macro_pressure.txt")
+    assert mask.all() and P.shape == (16, 16) and h == 1.0 / 16
+    x = (np.arange(16) + 0.5) / 16
+    assert np.max(np.abs(P - (0.7 + (0.2 - 0.7) * x)[:, None])) <= 1e-15
 
 
 def test_cli_rejects_a_grid_past_the_budget(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porechem.errors import ConfigError
+from porechem.errors import ConfigError, StateError
 from porechem.geometry import UnitCell, tile_domain
 from porechem.kinetics import RateLaw
 from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor
@@ -21,6 +21,26 @@ def closed_box(**kw):
                 resolution_cells=16, **GEOM)
     base.update(kw)
     return MacroConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("u", -0.5, "solute out of"),
+        ("u", 1.5, "solute out of"),
+        ("v", -1e-12, "negative precipitate"),
+        ("w", 1.5, "dissolution rate out of"),
+        ("w", 0.5, "w != 1 where v > 0"),
+    ],
+)
+def test_each_run_time_invariant_raises_with_the_state(field, value, message):
+    solver = MacroSolver(closed_box(v_init=0.05))
+    state = solver.initial_state()
+    solver._check(state)
+    getattr(state, field)[3, 4] = value
+    with pytest.raises(StateError, match=message) as err:
+        solver._check(state)
+    assert err.value.state is state
 
 
 def test_darcy_uniform_pressure_gives_zero_flow():
