@@ -124,8 +124,7 @@ class _Stencil:
         for axis in (0, 1):
             for step in (1, -1):
                 Y -= np.roll(X, -step, axis=axis)
-        Y[~self.active] = 0.0
-        return Y
+        return np.where(self.active, Y, 0.0)
 
 
 def _surface_functional(cell: UnitCell, direction: int) -> np.ndarray:
@@ -351,9 +350,7 @@ class _MacOperators:
         """``G p``: h times the pressure at each active face's cell (i, j)
         minus that at the cell behind it, (i-1, j) or (i, j-1)."""
         hp = self.h * p
-        G = np.stack([hp - np.roll(hp, 1, axis=axis) for axis in (0, 1)])
-        G[~self.faces] = 0.0
-        return G
+        return np.where(self.faces, np.stack([hp - np.roll(hp, 1, axis=axis) for axis in (0, 1)]), 0.0)
 
     def divergence(self, x):
         """``G^T x``, minus h^2 times the cell divergence of the face

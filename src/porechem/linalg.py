@@ -144,9 +144,7 @@ class CapacitanceSolver:
         self.capacitance = lu_factor(C, check_finite=False)
 
     def _lplus(self, B):
-        F = np.fft.rfft2(B)
-        F *= self.inverse_symbol
-        return np.fft.irfft2(F, s=B.shape[-2:])
+        return np.fft.irfft2(np.fft.rfft2(B) * self.inverse_symbol, s=B.shape[-2:])
 
     def solve(self, b):
         """Solution for right-hand sides ``b`` of shape ``(n, n)`` or

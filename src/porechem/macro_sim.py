@@ -42,8 +42,7 @@ def diagonal_tensor(name: str, T) -> np.ndarray:
         raise ConfigError(f"{name} must be a 2x2 tensor")
     if not (np.all(np.isfinite(T)) and T[0, 0] > 0.0 and T[1, 1] > 0.0):
         raise ConfigError(f"{name} must be finite and positive definite")
-    # an off-diagonal entry counts as round-off within the relative
-    # tolerance of the tensor symmetry certificates
+    # off-diagonals within the symmetry certificates' relative tolerance are round-off
     off = float(np.max(np.abs([T[0, 1], T[1, 0]])))
     if not off <= SPD_TOL * np.max(np.abs(T)):
         raise ConfigError(
