@@ -31,12 +31,10 @@ S, _ = assemble_S(c64, solve_diffusion_cell(c64), D=1.0)
 micro_cfg = MicroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),
                         D=1.0, u_init=0.0, v_init=0.05)
 macro_cfg = MacroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),
-                        S=S, resolution_cells=64,
-                        pore_area=cell.pore_area, surface_density=cell.surface_measure,
-                        u_init=0.0, v_init=0.05)
+                        resolution_cells=64, u_init=0.0, v_init=0.05)
 
 print("\nsweeping eps (micro grids 32^2, 64^2, 128^2 against macro 64^2):")
-report = sweep(cell, [0.25, 0.125, 0.0625], micro_cfg, macro_cfg)
+report = sweep(cell, [0.25, 0.125, 0.0625], micro_cfg, macro_cfg, S)
 print(f"  {'eps':<8} {'err_u_L2':<12} {'err_v_L2':<12} {'order_u':<8} {'order_v':<8}")
 for r in report.rows:
     ou = f"{r['order_u']:.2f}" if r["order_u"] is not None else "-"

@@ -141,7 +141,7 @@ def cmd_macro(args, cfg):
             f"{tensor_path} holds the tensors of {cell} with D = {D!r}, not of the configured "
             f"{cfg.cell} with [micro] diffusivity = {cfg.micro.D!r}"
         )
-    solver = MacroSolver(cfg.macro_config(S, K))
+    solver = MacroSolver(cfg.macro, cfg.cell, S, K)
     run = solver.run()
     write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     for i, state in enumerate(run.states):
@@ -158,7 +158,7 @@ def cmd_converge(args, cfg):
     tensors = _compute_tensors(cfg)
     write_tensor_csv(out / "effective_tensors.csv", tensors)
     stokes = tensors.sols if cfg.micro.velocity_mode == "reconstructed" else None
-    report = sweep(cfg.cell, cfg.sweep_eps, cfg.micro, cfg.macro_config(tensors.S, tensors.K), stokes)
+    report = sweep(cfg.cell, cfg.sweep_eps, cfg.micro, cfg.macro, tensors.S, tensors.K, stokes)
     report.write_csv(out / "convergence_report.csv")
     for r in report.rows:
         _say(

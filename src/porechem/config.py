@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cell_problems import DEFAULT_TOL, SPD_TOL
-from .errors import ConfigError
+from .errors import ConfigError, labelled
 from .geometry import UnitCell, cells_per_edge
 from .homogenize import check_sweep
 from .kinetics import RateLaw
@@ -145,6 +144,9 @@ class _Bump:
     def __call__(self, x, y):
         return self.amplitude * np.sin(np.pi * x) * np.sin(np.pi * y)
 
+    def __str__(self):
+        return f"bump:{self.amplitude}"
+
 
 def _parse_init(section, key, text, m0):
     """``constant:VALUE`` or ``bump:AMPLITUDE`` (amplitude * sin(pi x) sin(pi y)),
@@ -157,14 +159,6 @@ def _parse_init(section, key, text, m0):
     if not 0.0 <= amp <= m0:
         raise ConfigError(f"[{section}] {key}: initial data must lie in [0, m0] = [0, {m0:g}], got {text!r}")
     return amp if kind == "constant" else _Bump(amp)
-
-
-def _in_section(section, make, **fields):
-    """``make(**fields)``, naming ``[section]`` in the errors of its checks."""
-    try:
-        return make(**fields)
-    except ConfigError as e:
-        raise ConfigError(f"[{section}] {e}") from None
 
 
 def _transport_fields(section, m) -> dict:
@@ -180,27 +174,6 @@ def _transport_fields(section, m) -> dict:
         m0=m0,
         output_every=_number(section, "output_every", m["output_every"], int),
     )
-
-
-def _check_one_problem(micro: MicroConfig, macro: MacroConfig, raw):
-    """ConfigError, naming the keys of both sections, unless the sweep's
-    micro and macro runs solve one problem: the same initial and boundary
-    data, and both without flow or both with the flow of one pressure drop."""
-    def keys(*names):
-        return " and ".join(f"[{s}] {k} = {raw[s][k]}" for s, k in names)
-
-    for key in ("u_init", "v_init", "dirichlet_value"):
-        if getattr(micro, key) != getattr(macro, key):
-            raise ConfigError(f"{keys(('micro', key), ('macro', key))} differ; the sweep compares runs of one problem")
-    modes = (micro.velocity_mode, macro.velocity_mode)
-    if modes not in (("zero", "zero"), ("reconstructed", "darcy")):
-        raise ConfigError(f"{keys(('micro', 'velocity_mode'), ('macro', 'velocity_mode'))} are not one flow; "
-                          "use zero and zero, or reconstructed and darcy")
-    # the macro pressure falls linearly over the unit domain
-    drop = np.array([macro.p_right - macro.p_left, 0.0])
-    if modes[1] == "darcy" and not np.allclose(micro.pressure_gradient, drop, rtol=1e-12, atol=1e-12 * abs(drop[0])):
-        raise ConfigError(f"{keys(('micro', 'pressure_gradient'), ('macro', 'p_left'), ('macro', 'p_right'))} "
-                          "are not one pressure gradient; it must be (p_right - p_left, 0)")
 
 
 def _parse_bool(text):
@@ -229,18 +202,14 @@ class RunConfig:
     dump_fields: bool
     tolerances: dict
     micro: MicroConfig
-    macro: MacroConfig       # S = K = I until the tensors are read
-
-    def macro_config(self, S, K) -> MacroConfig:
-        """The macro config for tensors S, K on the configured cell."""
-        return _in_section("macro", partial(replace, self.macro), S=S, K=K)
+    macro: MacroConfig
 
     def check_budget(self, command):
         """ConfigError naming ``[section] key`` when a grid that subcommand
         ``command`` builds, or one of its transport runs, is over its budget,
-        and for ``converge`` when the sweep cannot compare its micro and macro
-        runs, or they solve different problems.  It allocates next to
-        nothing, so a run checks it before any work."""
+        and for ``converge`` what `check_sweep` rejects: micro and macro runs
+        the sweep cannot compare, or runs of different problems.  It
+        allocates next to nothing, so a run checks it before any work."""
         n, m = self.cell.n, self.macro.resolution_cells
         grids = {  # grid: (section, key, what, cells per edge)
             "cell": ("geometry", "n", "cell", n),
@@ -258,7 +227,6 @@ class RunConfig:
                            f"cells, {stored * edge * edge:,} in all", stored * edge * edge, SNAPSHOT_BUDGET)
         if command == "converge":  # what `sweep` checks, before the cell problems
             check_sweep(self.sweep_eps, self.micro, self.macro)
-            _check_one_problem(self.micro, self.macro, self.raw)
 
     def write_resolved(self, path):
         """Echo every key (defaults included) in a fixed order."""
@@ -331,15 +299,14 @@ def parse_config(path_or_text) -> RunConfig:
     common = dict(rate_law=rate_law, dirichlet_edges=dirichlet_edges, lin_tol=tol["linear"],
                   newton_tol=tol["newton"], invariant_slack=tol["invariant_slack"])
     mi, ma = raw["micro"], raw["macro"]
-    micro = _in_section(
-        "micro", MicroConfig,
+    micro = labelled(
+        "[micro]", MicroConfig,
         D=_number("micro", "diffusivity", mi["diffusivity"]),
         pressure_gradient=_parse_floats("micro", "pressure_gradient", mi["pressure_gradient"], 2),
         **_transport_fields("micro", mi), **common,
     )
-    macro = _in_section(
-        "macro", MacroConfig,
-        S=np.eye(2), K=np.eye(2), pore_area=cell.pore_area, surface_density=cell.surface_measure,
+    macro = labelled(
+        "[macro]", MacroConfig,
         resolution_cells=_number("macro", "resolution", ma["resolution"], int),
         p_left=_number("macro", "p_left", ma["p_left"]),
         p_right=_number("macro", "p_right", ma["p_right"]),

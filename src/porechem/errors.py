@@ -33,3 +33,12 @@ class DegeneracyError(ConfigError):
 
 class StateError(ValueError):
     """A simulation state violates an invariant that should be unreachable."""
+
+
+def labelled(label, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, ``label`` put before the message of its
+    ConfigError: the config section or the run whose check failed."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{label} {e}") from None

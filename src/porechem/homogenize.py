@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, labelled
 from .geometry import PerforatedGrid, UnitCell, cells_per_edge, tile_domain
 from .gridio import write_csv
 from .macro_sim import MacroConfig, MacroSolver
-from .micro_sim import MicroConfig, MicroSolver, difference_quotient_norm
+from .micro_sim import MicroConfig, MicroSolver, difference_quotient_norm, reconstruct_velocity
 from .transport import Run
 
 
@@ -110,7 +110,8 @@ def oscillation_check(cell: UnitCell, f, eps_list, exact: float):
 def check_sweep(eps_list, micro_cfg: MicroConfig, macro_cfg: MacroConfig):
     """ConfigError unless the eps-sweep can compare its micro runs with the
     macro run: eps strictly decreasing, whole macro cells per eps-cell (the
-    eps-cell averages), and the same snapshot times."""
+    eps-cell averages), the same snapshot times, and one problem (the same
+    initial and boundary data, and no flow or the flow of one pressure drop)."""
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("sweep eps_list must be strictly decreasing")
     m = macro_cfg.resolution_cells
@@ -120,6 +121,22 @@ def check_sweep(eps_list, micro_cfg: MicroConfig, macro_cfg: MacroConfig):
     t1, t2 = (np.multiply(c.snapshot_steps, c.dt) for c in (micro_cfg, macro_cfg))
     if len(t1) != len(t2) or np.max(np.abs(t1 - t2)) > 1e-9:
         raise ConfigError("micro and macro output times do not match")
+
+    def keys(*names):  # "[section] key = parsed value and ..."
+        return " and ".join(f"[{s}] {k} = {getattr(micro_cfg if s == 'micro' else macro_cfg, k)}" for s, k in names)
+
+    for key in ("u_init", "v_init", "dirichlet_value"):
+        if getattr(micro_cfg, key) != getattr(macro_cfg, key):
+            raise ConfigError(f"{keys(('micro', key), ('macro', key))} differ; the sweep compares runs of one problem")
+    if (micro_cfg.velocity_mode, macro_cfg.velocity_mode) not in (("zero", "zero"), ("reconstructed", "darcy")):
+        raise ConfigError(f"{keys(('micro', 'velocity_mode'), ('macro', 'velocity_mode'))} are not one flow; "
+                          "use zero and zero, or reconstructed and darcy")
+    # the macro pressure falls linearly over the unit domain
+    drop = np.array([macro_cfg.p_right - macro_cfg.p_left, 0.0])
+    if macro_cfg.velocity_mode == "darcy" and not np.allclose(micro_cfg.pressure_gradient, drop, rtol=1e-12,
+                                                              atol=1e-12 * abs(drop[0])):
+        raise ConfigError(f"{keys(('micro', 'pressure_gradient'), ('macro', 'p_left'), ('macro', 'p_right'))} "
+                          "are not one pressure gradient; it must be (p_right - p_left, 0)")
 
 
 def _macro_on_eps_cells(u_macro: np.ndarray, N: int) -> np.ndarray:
@@ -180,13 +197,23 @@ def sweep(
     eps_list,
     micro_cfg: MicroConfig,
     macro_cfg: MacroConfig,
+    S,
+    K=None,
     stokes=None,
 ) -> ConvergenceReport:
-    """Run the macro problem once and the micro problem per eps, and report
-    the two-scale errors with observed orders between consecutive eps;
-    `check_sweep` first."""
+    """Run the macro problem once, with S, K (darcy flow) and the storage
+    factor of ``cell``, and the micro problem per eps on ``cell`` tiled, with
+    the Stokes solutions ``stokes`` (reconstructed flow); report the
+    two-scale errors with observed orders between consecutive eps.  Before
+    any run steps: `check_sweep`, and every run's advective CFL bound."""
     check_sweep(eps_list, micro_cfg, macro_cfg)
-    macro = MacroSolver(macro_cfg).run()
+    if micro_cfg.velocity_mode == "reconstructed":
+        # each run rebuilds its velocity, so no two micro runs are held at once
+        for eps in eps_list:
+            grid = tile_domain(cell, eps)
+            vel = reconstruct_velocity(grid, stokes, micro_cfg.pressure_gradient)
+            labelled(f"[micro] eps = {eps:g}:", vel.check_cfl, micro_cfg.dt, grid.h)
+    macro = labelled("[macro]", MacroSolver, macro_cfg, cell, S, K).run()
     rows = []
     for eps in eps_list:
         grid = tile_domain(cell, eps)

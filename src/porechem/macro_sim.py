@@ -5,9 +5,10 @@ The solute/precipitate pair satisfies the storage-coupled system
     d/dt ( u + (|Gamma|/|Y|) v ) = div( S grad u - q u ),
     dv/dt = k (r(u) - w),    w in H(v),
 
-with the same kinetics resolver as the pore-scale solver, the effective
-diffusion tensor S from the corrector cell problems, and the Darcy velocity
-q = -K grad P from the permeability cell problems.  The step, the run loop
+with the same kinetics resolver as the pore-scale solver.  Every coefficient
+belongs to the unit cell, and ``MacroSolver`` takes it from there: S from the
+corrector cell problems, the Darcy velocity q = -K grad P from the
+permeability ones, and |Gamma|/|Y| from the grain.  The step, the run loop
 and the checks are the shared transport core (:mod:`porechem.transport`),
 with every cell of the m x m grid active, the axis weights (S11, S22), and
 each cell its own reaction carrier with the coupled-storage weight c_g h^2,
@@ -31,6 +32,7 @@ import numpy as np
 from ._implicit import newton_reaction_diffusion
 from .cell_problems import SPD_TOL
 from .errors import ConfigError
+from .geometry import UnitCell
 from .kinetics import ode_step
 from .transport import FaceVelocity, MassRow, Run, State, TransportConfig, TransportSolver
 
@@ -57,10 +59,6 @@ def diagonal_tensor(name: str, T) -> np.ndarray:
 class MacroConfig(TransportConfig):
     velocity_modes: ClassVar[tuple] = ("zero", "darcy")
 
-    S: np.ndarray           # 2x2 effective diffusion (diffusivity included), diagonal
-    pore_area: float        # |Y|
-    surface_density: float  # |Gamma|
-    K: np.ndarray = None    # 2x2 permeability, diagonal, needed in darcy mode
     resolution_cells: int = 64
     p_left: float = 1.0
     p_right: float = 0.0
@@ -69,17 +67,6 @@ class MacroConfig(TransportConfig):
         super().__post_init__()
         if self.resolution_cells < 1:
             raise ConfigError(f"macro resolution must be at least 1, got {self.resolution_cells}")
-        object.__setattr__(self, "S", diagonal_tensor("S", self.S))
-        if self.K is not None:
-            object.__setattr__(self, "K", diagonal_tensor("K", self.K))
-        elif self.velocity_mode == "darcy":
-            raise ConfigError("darcy velocity mode needs the permeability tensor K")
-        if not (0.0 < self.pore_area <= 1.0) or self.surface_density < 0.0:
-            raise ConfigError("invalid geometry factors")
-
-    @property
-    def storage_factor(self) -> float:
-        return self.surface_density / self.pore_area
 
 
 def darcy_solve(K, m, p_left=1.0, p_right=0.0):
@@ -89,33 +76,38 @@ def darcy_solve(K, m, p_left=1.0, p_right=0.0):
 
     K is diagonal, so the solution is closed-form: P is linear in x and
     q = -K grad P is ``K11 * (p_left - p_right)`` on every vertical face and
-    zero on the horizontal ones.  Returns ``(qx, qy, P, div_inf)`` with qx of
-    shape (m+1, m), qy of shape (m, m+1) and P at the cell centres; the flux
-    field is exactly divergence-free, so ``div_inf`` is 0.
+    zero on the horizontal ones.  Returns ``(qx, qy, P)`` with qx of shape
+    (m+1, m), qy of shape (m, m+1) and P at the cell centres.
     """
     K = diagonal_tensor("K", K)
     xs = (np.arange(m) + 0.5) / m
     P = np.repeat((p_left + (p_right - p_left) * xs)[:, None], m, axis=1)
     qx = np.full((m + 1, m), K[0, 0] * (p_left - p_right))
     qy = np.zeros((m, m + 1))
-    return qx, qy, P, 0.0
+    return qx, qy, P
 
 
 class MacroSolver(TransportSolver):
-    """The transport core on the all-fluid m x m grid of the unit square."""
+    """The transport core on the all-fluid m x m grid of the unit square, with
+    the coefficients S (D included), K (darcy mode) and |Gamma|/|Y| of ``cell``."""
 
-    def __init__(self, cfg: MacroConfig):
+    def __init__(self, cfg: MacroConfig, cell: UnitCell, S, K=None):
+        S = diagonal_tensor("S", S)
+        if K is not None:
+            K = diagonal_tensor("K", K)
         m = cfg.resolution_cells
         h = 1.0 / m
         vel = self.P = None
         if cfg.velocity_mode == "darcy":
-            qx, qy, self.P, _ = darcy_solve(cfg.K, m, cfg.p_left, cfg.p_right)
+            if K is None:
+                raise ConfigError("darcy velocity mode needs the permeability tensor K")
+            qx, qy, self.P = darcy_solve(K, m, cfg.p_left, cfg.p_right)
             vel = FaceVelocity(qx=qx, qy=qy)
         xs = (np.arange(m) + 0.5) * h
         super().__init__(
-            cfg, np.ones((m, m), dtype=bool), h, (cfg.S[0, 0], cfg.S[1, 1]),
+            cfg, np.ones((m, m), dtype=bool), h, (S[0, 0], S[1, 1]),
             owners=np.arange(m * m),
-            weight=cfg.storage_factor * h * h,
+            weight=cell.surface_measure / cell.pore_area * h * h,
             carriers=np.meshgrid(xs, xs, indexing="ij"),
             velocity=vel,
         )

@@ -44,6 +44,8 @@ def reconstruct_velocity(grid: PerforatedGrid, stokes, G) -> FaceVelocity:
     no-slip on the grain and the discrete divergence are inherited from the
     cell solutions.
     """
+    if stokes is None:
+        raise ConfigError("reconstructed velocity mode needs Stokes cell solutions")
     cell = grid.cell
     for s in stokes:
         if s.cell != cell:
@@ -66,11 +68,7 @@ class MicroSolver(TransportSolver):
     """The transport core on the fluid cells of one perforated grid."""
 
     def __init__(self, cfg: MicroConfig, grid: PerforatedGrid, stokes=None):
-        vel = None
-        if cfg.velocity_mode == "reconstructed":
-            if stokes is None:
-                raise ConfigError("reconstructed velocity mode needs Stokes cell solutions")
-            vel = reconstruct_velocity(grid, stokes, cfg.pressure_gradient)
+        vel = reconstruct_velocity(grid, stokes, cfg.pressure_gradient) if cfg.velocity_mode == "reconstructed" else None
         f = grid.faces
         super().__init__(
             cfg, grid.fluid_mask, grid.h, (cfg.D, cfg.D),

@@ -168,6 +168,13 @@ class FaceVelocity:
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.qx), initial=0.0), np.max(np.abs(self.qy), initial=0.0)))
 
+    def check_cfl(self, dt, h):
+        """ConfigError unless explicit upwind steps of ``dt`` on a grid of
+        spacing ``h`` keep the advective CFL number dt*|q|/h at most 1."""
+        cfl = dt * self.max_abs / h
+        if cfl > 1.0 + 1e-12:
+            raise ConfigError(f"dt*|q|/h = {cfl:.3g} violates the advective CFL bound <= 1")
+
 
 def diffusion_operator(mask, axis_weights, dirichlet_edges):
     """Masked 5-point operator with one face weight per axis.
@@ -265,9 +272,7 @@ class TransportSolver:
         self.carriers = carriers
         self.vel = velocity
         if velocity is not None:
-            cfl = cfg.dt * velocity.max_abs / h
-            if cfl > 1.0 + 1e-12:
-                raise ConfigError(f"dt*|q|/h = {cfl:.3g} violates the advective CFL bound <= 1")
+            velocity.check_cfl(cfg.dt, h)
 
     def initial_state(self) -> State:
         cfg = self.cfg

@@ -202,10 +202,8 @@ def test_c08_well_mixed_anchor():
     v_scale = 0.05
 
     macro_cfg = MacroConfig(dt=0.002, t_end=t_end, output_every=10, dirichlet_edges=(),
-                            S=np.eye(2) * D * 0.768, resolution_cells=32,
-                            pore_area=cell.pore_area, surface_density=cell.surface_measure,
-                            u_init=0.0, v_init=0.05)
-    macro = MacroSolver(macro_cfg).run()
+                            resolution_cells=32, u_init=0.0, v_init=0.05)
+    macro = MacroSolver(macro_cfg, cell, np.eye(2) * D * 0.768).run()
     macro_u = np.array([s.u.mean() for s in macro.states])
     macro_v = np.array([s.v.mean() for s in macro.states])
     for t, mu, mv in zip(macro.times, macro_u, macro_v):
@@ -241,10 +239,8 @@ def test_c09_flagship_convergence_sweep():
     micro_cfg = MicroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),
                             D=1.0, u_init=0.0, v_init=0.05)
     macro_cfg = MacroConfig(dt=0.005, t_end=0.25, output_every=10, dirichlet_edges=("left",),
-                            S=S, resolution_cells=64,
-                            pore_area=cell.pore_area, surface_density=cell.surface_measure,
-                            u_init=0.0, v_init=0.05)
-    report = sweep(cell, [0.25, 0.125, 0.0625], micro_cfg, macro_cfg)
+                            resolution_cells=64, u_init=0.0, v_init=0.05)
+    report = sweep(cell, [0.25, 0.125, 0.0625], micro_cfg, macro_cfg, S)
     e_u = [r["err_u_L2"] for r in report.rows]
     e_v = [r["err_v_unfolded_L2"] for r in report.rows]
     assert e_u[0] > e_u[1] > e_u[2]
@@ -279,20 +275,19 @@ def test_c10_macro_stability():
 
     def cfgs(seed):
         base = MacroConfig(dt=0.005, t_end=0.4, output_every=10, dirichlet_edges=("left",),
-                           S=np.eye(2) * 0.768, resolution_cells=64,
-                           pore_area=0.75, surface_density=2.0,
-                           u_init=0.3, v_init=0.1)
+                           resolution_cells=64, u_init=0.3, v_init=0.1)
         phi = profile(seed)
         pert = MacroConfig(dt=0.005, t_end=0.4, output_every=10, dirichlet_edges=("left",),
-                           S=np.eye(2) * 0.768, resolution_cells=64,
-                           pore_area=0.75, surface_density=2.0,
-                           u_init=lambda x, y: 0.3 + 1e-3 * phi(x, y), v_init=0.1)
+                           resolution_cells=64, u_init=lambda x, y: 0.3 + 1e-3 * phi(x, y), v_init=0.1)
         return base, pert
+
+    def run(cfg):
+        return MacroSolver(cfg, cell, np.eye(2) * 0.768).run()
 
     lams = []
     for seed in (1, 2):
         base, pert = cfgs(seed)
-        gap = stability_gap(MacroSolver(base).run(), MacroSolver(pert).run())
+        gap = stability_gap(run(base), run(pert))
         assert gap.norm_u[0] == pytest.approx(1e-3, rel=0.05)
         assert np.isfinite(gap.lam)
         # envelope 1e-3 * exp(lam t) dominates the measured gap
@@ -302,7 +297,7 @@ def test_c10_macro_stability():
 
     # identical configs replay bitwise
     base, _ = cfgs(1)
-    ra, rb = MacroSolver(base).run(), MacroSolver(base).run()
+    ra, rb = run(base), run(base)
     for sa, sb in zip(ra.states, rb.states):
         assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.v, sb.v)
     _report(10, f"fitted envelope exponents {lams} agree within 20%; replay bitwise")

@@ -558,7 +558,7 @@ def _flow(micro="", macro=""):
     "text, keys",
     [
         ("[micro]\nv_init = constant:0.2\n", ["[micro] v_init", "[macro] v_init"]),
-        ("[macro]\nu_init = bump:0.5\n", ["[micro] u_init", "[macro] u_init"]),
+        ("[macro]\nu_init = bump:0.5\n", ["[micro] u_init = 0.0", "[macro] u_init = bump:0.5"]),
         ("[micro]\ndirichlet_value = 0.5\n", ["[micro] dirichlet_value", "[macro] dirichlet_value"]),
         ("[micro]\nvelocity_mode = reconstructed\n", ["[micro] velocity_mode", "[macro] velocity_mode"]),
         ("[macro]\nvelocity_mode = darcy\n", ["[micro] velocity_mode", "[macro] velocity_mode"]),
@@ -603,6 +603,23 @@ def test_converge_accepts_different_steps_with_the_same_snapshots():
     for text in ("[micro]\nt_end = 0.95\n", "[macro]\ndt = 0.005\noutput_every = 21\n"):
         with pytest.raises(ConfigError, match="output times do not match"):
             parse_config(text).check_budget("converge")
+
+
+def test_cli_converge_checks_every_cfl_number_before_any_step(tmp_path, monkeypatch):
+    # the macro run (0.87) and the eps = 1/4 run (0.855) are within the
+    # advective CFL bound, the eps = 1/8 run is not
+    def must_not_step(*args):
+        raise AssertionError("a run stepped before the sweep checked every CFL number")
+
+    monkeypatch.setattr(transport.TransportSolver, "_step", must_not_step)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_flow(micro="pressure_gradient = -60, 0\nt_end = 0.1\n", macro="p_left = 60\nt_end = 0.1\n"))
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record
+    assert "[micro] eps = 0.125: dt*|q|/h = 1.71 violates the advective CFL bound" in record
+    assert not (out / "convergence_report.csv").exists()
 
 
 def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from porechem import homogenize
+from porechem.cell_problems import assemble_K, solve_stokes_cell
 from porechem.errors import ConfigError
 from porechem.geometry import BoundaryFaces, UnitCell, tile_domain
 from porechem.homogenize import (
@@ -16,6 +17,10 @@ from porechem.homogenize import (
 )
 from porechem.macro_sim import MacroConfig, MacroSolver
 from porechem.micro_sim import MicroConfig, MicroSolver
+from porechem.transport import TransportSolver
+
+
+S_ISO = np.eye(2) * 0.768
 
 
 @pytest.fixture(scope="module")
@@ -139,10 +144,8 @@ def _matched_runs(cell, eps, m=16, t_end=0.2):
     micro_cfg = MicroConfig(dt=0.002, t_end=t_end, output_every=20, dirichlet_edges=(),
                             D=50.0, u_init=0.0, v_init=0.05)
     macro_cfg = MacroConfig(dt=0.002, t_end=t_end, output_every=20, dirichlet_edges=(),
-                            S=np.eye(2) * 50.0 * 0.768, resolution_cells=m,
-                            pore_area=cell.pore_area, surface_density=cell.surface_measure,
-                            u_init=0.0, v_init=0.05)
-    return MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg).run()
+                            resolution_cells=m, u_init=0.0, v_init=0.05)
+    return MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg, cell, np.eye(2) * 50.0 * 0.768).run()
 
 
 def test_two_scale_errors_well_mixed_floor(cell):
@@ -160,10 +163,8 @@ def test_two_scale_errors_equal_constant_states(cell):
     micro_cfg = MicroConfig(dt=0.01, t_end=0.1, output_every=5, dirichlet_edges=(),
                             u_init=1.0, v_init=0.2)
     macro_cfg = MacroConfig(dt=0.01, t_end=0.1, output_every=5, dirichlet_edges=(),
-                            S=np.eye(2) * 0.768, resolution_cells=16,
-                            pore_area=cell.pore_area, surface_density=cell.surface_measure,
-                            u_init=1.0, v_init=0.2)
-    row = two_scale_errors(MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg).run())
+                            resolution_cells=16, u_init=1.0, v_init=0.2)
+    row = two_scale_errors(MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg, cell, S_ISO).run())
     assert row["err_u_L2"] <= 1e-13
     assert row["err_v_unfolded_L2"] <= 1e-13
 
@@ -172,32 +173,26 @@ def test_two_scale_errors_time_mismatch(cell):
     grid = tile_domain(cell, 0.25)
     micro_cfg = MicroConfig(dt=0.01, t_end=0.1, output_every=5, dirichlet_edges=(), u_init=0.1)
     macro_cfg = MacroConfig(dt=0.01, t_end=0.2, output_every=5, dirichlet_edges=(),
-                            S=np.eye(2) * 0.768, resolution_cells=16,
-                            pore_area=cell.pore_area, surface_density=cell.surface_measure,
-                            u_init=0.1)
+                            resolution_cells=16, u_init=0.1)
     with pytest.raises(ConfigError):
-        two_scale_errors(MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg).run())
+        two_scale_errors(MicroSolver(micro_cfg, grid).run(), MacroSolver(macro_cfg, cell, S_ISO).run())
 
 
 def test_sweep_single_eps(cell):
     micro_cfg = MicroConfig(dt=0.01, t_end=0.1, output_every=5, dirichlet_edges=(),
                             u_init=0.0, v_init=0.05)
     macro_cfg = MacroConfig(dt=0.01, t_end=0.1, output_every=5, dirichlet_edges=(),
-                            S=np.eye(2) * 0.768, resolution_cells=16,
-                            pore_area=cell.pore_area, surface_density=cell.surface_measure,
-                            u_init=0.0, v_init=0.05)
-    report = sweep(cell, [0.5], micro_cfg, macro_cfg)
+                            resolution_cells=16, u_init=0.0, v_init=0.05)
+    report = sweep(cell, [0.5], micro_cfg, macro_cfg, S_ISO)
     assert len(report.rows) == 1
     assert report.rows[0]["order_u"] is None
 
 
 def test_sweep_requires_decreasing(cell):
     micro_cfg = MicroConfig(dt=0.01, t_end=0.1, dirichlet_edges=())
-    macro_cfg = MacroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), S=np.eye(2) * 0.768,
-                            resolution_cells=16, pore_area=cell.pore_area,
-                            surface_density=cell.surface_measure)
+    macro_cfg = MacroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), resolution_cells=16)
     with pytest.raises(ConfigError):
-        sweep(cell, [0.25, 0.5], micro_cfg, macro_cfg)
+        sweep(cell, [0.25, 0.5], micro_cfg, macro_cfg, S_ISO)
 
 
 def test_sweep_checks_macro_resolution_before_running(cell, monkeypatch):
@@ -207,11 +202,57 @@ def test_sweep_checks_macro_resolution_before_running(cell, monkeypatch):
     monkeypatch.setattr(homogenize, "MacroSolver", must_not_run)
     monkeypatch.setattr(homogenize, "MicroSolver", must_not_run)
     micro_cfg = MicroConfig(dt=0.01, t_end=0.1, dirichlet_edges=())
-    macro_cfg = MacroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), S=np.eye(2) * 0.768,
-                            resolution_cells=12, pore_area=cell.pore_area,
-                            surface_density=cell.surface_measure)
+    macro_cfg = MacroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), resolution_cells=12)
     with pytest.raises(ConfigError, match="not a multiple of 1/eps = 8"):
-        sweep(cell, [0.25, 0.125], micro_cfg, macro_cfg)
+        sweep(cell, [0.25, 0.125], micro_cfg, macro_cfg, S_ISO)
+
+
+@pytest.mark.parametrize(
+    "micro, macro, message",
+    [
+        (dict(v_init=0.2), dict(v_init=0.05), "[micro] v_init = 0.2 and [macro] v_init = 0.05 differ"),
+        (dict(u_init=0.1), {}, "[micro] u_init = 0.1 and [macro] u_init = 0.0 differ"),
+        (dict(dirichlet_value=0.5), {}, "[micro] dirichlet_value = 0.5 and [macro] dirichlet_value = 0.0 differ"),
+        (dict(velocity_mode="reconstructed"), {},
+         "[micro] velocity_mode = reconstructed and [macro] velocity_mode = zero are not one flow"),
+        (dict(velocity_mode="reconstructed", pressure_gradient=(-4.0, 1.0)), dict(velocity_mode="darcy"),
+         "[micro] pressure_gradient = (-4.0, 1.0) and [macro] p_left = 1.0 and [macro] p_right = 0.0"),
+    ],
+    ids=["v_init", "u_init", "dirichlet_value", "flow", "pressure_gradient"],
+)
+def test_sweep_rejects_runs_of_different_problems_before_any_run(cell, monkeypatch, micro, macro, message):
+    # each run alone is valid, but their errors would not measure homogenization
+    def must_not_run(*args):
+        raise AssertionError("the sweep ran before checking that its runs solve one problem")
+
+    monkeypatch.setattr(homogenize, "MacroSolver", must_not_run)
+    monkeypatch.setattr(homogenize, "MicroSolver", must_not_run)
+    micro_cfg = MicroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), **micro)
+    macro_cfg = MacroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), resolution_cells=16, **macro)
+    with pytest.raises(ConfigError) as err:
+        sweep(cell, [0.25, 0.125], micro_cfg, macro_cfg, S_ISO, np.eye(2) * 0.0177, stokes=())
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "eps_list, m, message",
+    [([0.25, 0.125, 0.0625], 64, "[micro] eps = 0.125: dt*|q|/h = 1.71 violates the advective CFL bound"),
+     ([0.25], 128, "[macro] dt*|q|/h = 1.74 violates the advective CFL bound")],
+    ids=["micro", "macro"],
+)
+def test_sweep_checks_every_runs_cfl_before_any_step(cell, monkeypatch, eps_list, m, message):
+    # a pressure drop of 60: the micro CFL number is 0.855 / (4 eps), the macro one 0.87 m / 64
+    def must_not_step(*args):
+        raise AssertionError("a run stepped before the sweep checked every CFL number")
+
+    monkeypatch.setattr(TransportSolver, "_step", must_not_step)
+    sols = solve_stokes_cell(cell)
+    K, _ = assemble_K(cell, sols)
+    micro_cfg = MicroConfig(dt=0.01, t_end=0.1, velocity_mode="reconstructed", pressure_gradient=(-60.0, 0.0))
+    macro_cfg = MacroConfig(dt=0.01, t_end=0.1, velocity_mode="darcy", p_left=60.0, resolution_cells=m)
+    with pytest.raises(ConfigError) as err:
+        sweep(cell, eps_list, micro_cfg, macro_cfg, S_ISO, K, sols)
+    assert message in str(err.value)
 
 
 def test_report_csv(tmp_path):

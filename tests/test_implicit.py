@@ -65,11 +65,8 @@ def micro_problem():
 
 
 def macro_problem():
-    cfg = MacroConfig(
-        dt=DT, t_end=DT, S=D * np.eye(2), pore_area=0.75, surface_density=2.0,
-        rate_law=LAW, resolution_cells=32, dirichlet_edges=("left",),
-    )
-    solver = MacroSolver(cfg)
+    cfg = MacroConfig(dt=DT, t_end=DT, rate_law=LAW, resolution_cells=32, dirichlet_edges=("left",))
+    solver = MacroSolver(cfg, UnitCell(8, 0.5, (0.5, 0.5)), D * np.eye(2))
     rng = np.random.default_rng(8)
     u0 = rng.uniform(0.0, 0.3, solver.m * solver.m)
     v = np.full(u0.size, 0.05)
@@ -143,11 +140,10 @@ def refuse(*args, **kwargs):
 def test_macro_run_needs_no_sparse_factor(monkeypatch):
     monkeypatch.setattr(_implicit, "factor_spd", refuse)
     cfg = MacroConfig(
-        dt=DT, t_end=10 * DT, S=np.diag([0.7, 0.3]), K=np.eye(2) * 0.02, velocity_mode="darcy",
-        pore_area=0.75, surface_density=2.0, rate_law=LAW, resolution_cells=32,
+        dt=DT, t_end=10 * DT, velocity_mode="darcy", rate_law=LAW, resolution_cells=32,
         dirichlet_edges=("left", "bottom"), u_init=0.4, v_init=0.05,
     )
-    run = MacroSolver(cfg).run()
+    run = MacroSolver(cfg, UnitCell(8, 0.5, (0.5, 0.5)), np.diag([0.7, 0.3]), np.eye(2) * 0.02).run()
     assert len(run.states) == 11 and abs(run.mass[-1].drift) <= cfg.invariant_slack
 
 

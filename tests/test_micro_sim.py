@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from porechem.cell_problems import assemble_K, solve_stokes_cell
 from porechem.cli import _series_rows
 from porechem.errors import ConfigError
 from porechem.geometry import UnitCell, tile_domain
+from porechem.homogenize import unfold
 from porechem.kinetics import RateLaw
 from porechem.micro_sim import (
     MicroConfig,
@@ -267,8 +269,21 @@ def _values(a):
     return lambda x, y: a
 
 
+# the grids the kinetic-bound test samples, as (n, hole_side, hole_center, eps):
+# the module's grid, an off-centre grain, channels one cell wide at the
+# domain edges, and a finer eps
+GRIDS = [(8, 0.5, (0.5, 0.5), 0.25), (16, 0.25, (0.375, 0.625), 0.25),
+         (8, 0.75, (0.5, 0.5), 0.25), (8, 0.5, (0.5, 0.5), 0.125)]
+
+
+@functools.cache
+def _tiled(n, side, center, eps):
+    return tile_domain(UnitCell(n, side, center), eps)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
+    geometry=st.sampled_from(GRIDS),
     exponent=st.floats(1.0, 3.0),
     k=st.floats(0.5, 20.0),
     u_onset=st.floats(0.0, 0.5),
@@ -278,10 +293,11 @@ def _values(a):
     dirichlet_value=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_properties_at_kinetic_bound(grid, exponent, k, u_onset, u_span, D, edges,
+def test_step_properties_at_kinetic_bound(geometry, exponent, k, u_onset, u_span, D, edges,
                                           dirichlet_value, seed):
     # dt at the kinetic bound dt*k*L_r = 1 makes the reaction slope as large
     # against the mass term as validation allows
+    grid = _tiled(*geometry)
     law = RateLaw(u_onset=u_onset, u_sol=u_onset + u_span, exponent=exponent, k=k)
     m0 = 1.0
     dt = 1.0 / (k * law.lipschitz_bound(max(m0, law.u_sol, dirichlet_value)))
@@ -305,3 +321,22 @@ def test_step_properties_at_kinetic_bound(grid, exponent, k, u_onset, u_span, D,
     d = [l1_distance(a, b, grid) for a, b in zip(runs[0].states, runs[1].states)]
     for i in range(1, len(d)):
         assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14
+
+
+@pytest.mark.parametrize("n, side, eps", [(8, 0.5, 1 / 16), (8, 0.25, 0.125), (16, 0.125, 0.25), (8, 0.75, 0.125)])
+def test_y_symmetry_of_a_centred_grain(n, side, eps):
+    # constant data and one Dirichlet edge, the left: the problem is the same
+    # after a shift by one eps-cell in y, and after the mirror y -> 1 - y
+    grid = tile_domain(UnitCell(n, side, (0.5, 0.5)), eps)
+    cfg = MicroConfig(dt=0.01, t_end=0.2, output_every=5, dirichlet_edges=("left",),
+                      dirichlet_value=0.2, u_init=0.9, v_init=0.5)
+    r = MicroSolver(cfg, grid).run()
+    N = grid.cells_per_edge
+    for state in r.states:
+        u = state.u.reshape(N, n, N, n)  # (kx, ix, ky, iy)
+        v = unfold(state.v, grid).reshape(N, N, -1)  # (kx, ky, reference face)
+        u_max, v_max = np.max(np.abs(u)), np.max(np.abs(v))
+        assert v_max >= 0.3  # the precipitate is still there to compare
+        assert np.max(np.abs(u - u[:, :, :1, :])) <= 1e-13 * u_max  # every eps-row holds one u
+        assert np.max(np.abs(v - v[:, :1, :])) <= 1e-13 * v_max  # and one v
+        assert np.max(np.abs(u - u[:, :, :, ::-1])) <= 1e-13 * u_max  # u mirrors in y in each cell
