@@ -1,4 +1,4 @@
-"""Semismooth Newton solve for the implicit reaction-diffusion substep.
+"""The implicit reaction-diffusion substep of both transport solvers.
 
 Both transport solvers advance the solute with backward-Euler diffusion
 while the precipitate exchange term is evaluated at the new solute level
@@ -9,27 +9,30 @@ derivative (`kinetics.net_rate_derivative`) converges globally for this
 M-function system; we iterate until the nonlinear residual is small enough
 that the per-step mass-balance defect sits at round-off.
 
-Each solver builds a direct solve of its fixed backward-Euler operator
-``B = A + diag(mass)`` once (``ImplicitOperator``): the sparse LU factor of
-B on the perforated grid, and on a grid without solid cells, such as the
-macro grid, the `transport.separable_solve` the solver passes in.  Either
-is certified on a probe vector before the run.  The Newton matrix
-``J = B + diag(extra)`` differs from B only by the nonnegative slope of the
-net rate on the reaction carriers, so ``B^-1`` is an SPD preconditioner for
-CG on ``J``: a handful of iterations per solve, one when no carrier reacts.
-``J`` is applied matrix-free, and the CG tolerance stays on its true
-residual.
+``ImplicitOperator`` builds, once per run, the masked 5-point diffusion
+operator A and a direct solve of the backward-Euler operator
+``B = A + (h^2/dt) I``, certified on a probe vector before the run.  On a
+grid without solid cells, such as the macro grid, B is a Kronecker sum and
+`separable_solve` inverts it by separation of variables, with no factor to
+store; on the perforated grid the solve is the sparse LU factor of B.  The
+Newton matrix ``J = B + diag(extra)`` differs from B only by the
+nonnegative slope of the net rate on the reaction carriers, so ``B^-1`` is
+an SPD preconditioner for CG on ``J``: a handful of iterations per solve,
+one when no carrier reacts.  ``J`` is applied matrix-free, and the CG
+tolerance stays on its true residual.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import SolverError
+from .geometry import EDGE_CELLS, index_map
 from .kinetics import RateLaw, net_rate, net_rate_derivative
 from .kinetics import ode_step  # noqa: F401 -- not called here; perfbench/spans.py traces this name
-from .linalg import cg, factor_spd
+from .linalg import cg
 
 # Newton iterations before a solve counts as stalled
 MAX_NEWTON = 60
@@ -52,24 +55,97 @@ def newton_floor(box_bound: float) -> float:
     return 1.5 * 1.7 * np.finfo(float).eps * box_bound
 
 
-class ImplicitOperator:
-    """The backward-Euler operator ``B = A + diag(mass_diag)`` of one
-    transport solver, with a certified direct solve.
+def diffusion_operator(mask, axis_weights, dirichlet_edges):
+    """Masked 5-point operator with one face weight per axis.
 
-    ``A`` is the diffusion operator over active cells and ``mass_diag`` the
-    time-scaled volume term; both are fixed for a run.  ``solve`` applies
-    ``B^-1`` to a vector; without one, B is factored here with sparse LU.
+    Neighbouring active cells are coupled across each shared face with the
+    weight of the face's axis (no wrap at the outer boundary), and an
+    active cell on a Dirichlet edge gets the half-cell term ``2 * weight``
+    on its diagonal.  Returns ``(A, dir_weight)``, with ``dir_weight`` that
+    half-cell term alone: the right-hand side gets ``dir_weight * u_D``.
+    """
+    n = int(np.count_nonzero(mask))
+    index = index_map(mask)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    for axis, weight in enumerate(axis_weights):
+        lo = (slice(0, -1), slice(None)) if axis == 0 else (slice(None), slice(0, -1))
+        hi = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
+        both = mask[lo] & mask[hi]
+        a = index[lo][both]
+        b = index[hi][both]
+        rows.extend([a, b])
+        cols.extend([b, a])
+        vals.extend([np.full(a.size, -weight)] * 2)
+        diag += weight * (np.bincount(a, minlength=n) + np.bincount(b, minlength=n))
+    dir_weight = np.zeros(n)
+    for e in dirichlet_edges:
+        axis, sel = EDGE_CELLS[e]
+        dir_weight[index[sel][mask[sel]]] += 2.0 * axis_weights[axis]
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return A + sp.diags(diag + dir_weight), dir_weight
+
+
+def separable_solve(shape, axis_weights, dirichlet_edges, shift):
+    """Direct solve of ``A + shift I``, A the `diffusion_operator` of a grid
+    of ``shape`` with every cell active, as a function of a flat right-hand
+    side.
+
+    A is then the Kronecker sum ``T_x (+) T_y`` of the 1-D operators of the
+    two axes, each `diffusion_operator` itself on one line of cells with the
+    other axis weighted 0, so the half-cell and no-flux rules are the 2-D
+    ones.  With the unknowns as an (nx, ny) array X the system reads
+    ``T_x X + X T_y + shift X = R``, and with the eigendecompositions
+    ``T = Q diag(lam) Q^T``, computed here once, each solve is
+    ``X = Q_x ((Q_x^T R Q_y) / (lam_x (+) lam_y + shift)) Q_y^T``: four
+    dense matmuls and one elementwise product (separation of variables;
+    Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+    """
+    (nx, ny), (wx, wy) = shape, axis_weights
+    T_x, _ = diffusion_operator(np.ones((nx, 1), dtype=bool), (wx, 0.0), dirichlet_edges)
+    T_y, _ = diffusion_operator(np.ones((1, ny), dtype=bool), (0.0, wy), dirichlet_edges)
+    lam_x, Q_x = np.linalg.eigh(T_x.toarray())
+    lam_y, Q_y = np.linalg.eigh(T_y.toarray())
+    inverse_eigenvalues = 1.0 / (lam_x[:, None] + lam_y[None, :] + shift)
+
+    def solve(b):
+        X = Q_x.T @ b.reshape(nx, ny) @ Q_y
+        return (Q_x @ (X * inverse_eigenvalues) @ Q_y.T).ravel()
+
+    return solve
+
+
+def factor_spd(A):
+    """Sparse LU factor of a symmetric positive definite matrix.
+
+    The symmetric-mode ordering (diagonal pivots, minimum degree on
+    ``A + A^T``) keeps the factor of the 5-point operators small.
+    """
+    return spla.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+
+
+class ImplicitOperator:
+    """The backward-Euler operator ``B = A + shift I`` of one transport run,
+    with a certified direct solve.
+
+    ``A`` is the `diffusion_operator` of the active cells of ``mask`` and
+    ``dir_weight`` its Dirichlet half-cell terms; ``shift`` is the
+    time-scaled volume term h^2/dt.  All three are fixed for a run.
+    ``solve`` applies ``B^-1`` to a vector: `separable_solve` when ``mask``
+    has no solid cells, the sparse LU factor of B otherwise.
     """
 
-    def __init__(self, A, mass_diag, solve=None):
-        self.A = A
-        self.mass_diag = mass_diag
+    def __init__(self, mask, axis_weights, dirichlet_edges, shift):
+        self.A, self.dir_weight = diffusion_operator(mask, axis_weights, dirichlet_edges)
+        self.shift = shift
         # residual measured against the operator scale; a mass-only scale is
         # unreachable when D*dt/h^2 is large (round-off floor of the solve)
-        self.scale = float(np.max(mass_diag + A.diagonal()))
-        B = A + sp.diags(mass_diag)
-        self.solve = factor_spd(B).solve if solve is None else solve
-        probe = np.random.default_rng(0).standard_normal(A.shape[0])
+        self.scale = float(np.max(shift + self.A.diagonal()))
+        B = self.A + shift * sp.identity(self.A.shape[0])
+        self.solve = separable_solve(mask.shape, axis_weights, dirichlet_edges, shift) if mask.all() else factor_spd(B).solve
+        probe = np.random.default_rng(0).standard_normal(B.shape[0])
         res = float(np.max(np.abs(B @ self.solve(probe) - probe)) / np.max(np.abs(probe)))
         if not res <= SOLVE_TOL:
             raise SolverError(
@@ -91,10 +167,10 @@ def newton_reaction_diffusion(
     lin_tol,
     newton_tol,
 ):
-    """Solve  mass_diag*u + A u + weight * sum_f G(u[owners_f]) = rhs.
+    """Solve  shift*u + A u + weight * sum_f G(u[owners_f]) = rhs.
 
     ``op`` holds the (SPD) diffusion operator ``A`` over active cells, the
-    time-scaled volume term ``mass_diag`` and the solve of their sum;
+    time-scaled volume term ``shift`` and the solve of their sum;
     ``owners`` maps reaction carriers (grain faces or cells) to cell indices
     and ``weight`` is their common coupling (eps*h for faces, the
     coupled-storage c_g*h^2 for macro cells).  ``lin_tol`` and
@@ -103,11 +179,11 @@ def newton_reaction_diffusion(
     """
     u = u0.copy()
     n = u.size
-    A, mass_diag, scale = op.A, op.mass_diag, op.scale
+    A, shift, scale = op.A, op.shift, op.scale
     best = None  # the accepted iterate with the smallest mass defect so far
     for _ in range(MAX_NEWTON):
         g = net_rate(law, u[owners], v, dt)
-        F = mass_diag * u + A @ u - rhs
+        F = shift * u + A @ u - rhs
         F += np.bincount(owners, weights=weight * g, minlength=n)
         res = float(np.max(np.abs(F))) / scale
         # the signed residual sum is the per-step mass defect: drive it an
@@ -123,7 +199,7 @@ def newton_reaction_diffusion(
                 return best[0], best[1]
             best = (u, res, defect)
         gp = net_rate_derivative(law, u[owners], v, dt)
-        d = mass_diag + np.bincount(owners, weights=weight * gp, minlength=n)
+        d = shift + np.bincount(owners, weights=weight * gp, minlength=n)
         delta, _, _ = cg(lambda p: A @ p + d * p, F, tol=lin_tol, precond=op.solve)
         u = u - delta
     raise SolverError(f"implicit reaction-diffusion Newton stalled at residual {res:.3e}", residual=res)

@@ -70,6 +70,11 @@ SPD_TOL = 1e-8
 _SCHUR_TOL = 1e-13
 _SCHUR_MAXITER = 500
 
+# bound on the Stokes divergence, relative to max(|velocity| / h, 1), that
+# certifies a cell solve (3e-16 to 6e-14 measured up to n = 512).  A fixed
+# guard, not [tolerances] cell, which bounds the momentum residual
+_DIV_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # scalar corrector problems
@@ -399,10 +404,10 @@ class _MacOperators:
         p = project(p)
         return solve_A(b - self.gradient(p)), p, iters
 
-    def certify(self, u, v, p, direction: int, tol: float, div_tol: float):
+    def certify(self, u, v, p, direction: int, tol: float):
         """Max cell divergence and momentum backward error of the face
         velocities ``u``, ``v`` and cell pressure ``p`` for body force
-        e_direction; `SolverError` when the divergence exceeds ``div_tol``
+        e_direction; `SolverError` when the divergence exceeds ``_DIV_TOL``
         (relative to the velocity scale) or the residual exceeds ``tol``.
 
         The momentum residual is taken relative to the sizes of the terms it
@@ -416,7 +421,7 @@ class _MacOperators:
         b = self._force(direction)
         div_max = float(np.max(np.abs(self.divergence(x)))) / (self.h * self.h)
         vel_scale = max(float(np.max(np.abs(x))), 1e-300)
-        if not div_max <= div_tol * max(vel_scale / self.h, 1.0):  # NaN fails too
+        if not div_max <= _DIV_TOL * max(vel_scale / self.h, 1.0):  # NaN fails too
             raise SolverError(f"Stokes solve left max divergence {div_max:.3e}", residual=div_max)
         p = np.where(self.cell.fluid, p, 0.0)
         # the sizes |A||x| + |G||p| + |b|: A is its diagonal minus nonnegative
@@ -477,10 +482,10 @@ def _is_transposed(cell: UnitCell, A_u: _Stencil, A_v: _Stencil) -> bool:
     return np.array_equal(A_v @ probe, _transposed(cell, A_u @ _transposed(cell, probe)))
 
 
-def solve_stokes_cell(cell: UnitCell, tol: float = DEFAULT_TOL, div_tol: float = 1e-12) -> list[StokesCellSolution]:
+def solve_stokes_cell(cell: UnitCell, tol: float = DEFAULT_TOL) -> list[StokesCellSolution]:
     """Solve the Stokes cell problems ``[chi^1, chi^2]`` for body forces
     e_1 and e_2, each to a momentum backward error of at most ``tol``
-    and a divergence of at most ``div_tol`` (`SolverError` otherwise).
+    and a divergence of at most ``_DIV_TOL`` (`SolverError` otherwise).
 
     Schur-complement CG solves e_1; ``chi^2`` is the `_transposed`
     ``chi^1`` (``u^2 = T v^1``, ``v^2 = T u^1``, ``p^2 = T p^1``), and its
@@ -491,7 +496,7 @@ def solve_stokes_cell(cell: UnitCell, tol: float = DEFAULT_TOL, div_tol: float =
     pf = np.where(cell.fluid, p - p[cell.fluid].mean(), np.nan)
     sols = []
     for direction, chi in enumerate([(u, v, pf), [_transposed(cell, f) for f in (v, u, pf)]]):
-        div_max, mom_res = ops.certify(*chi, direction, tol, div_tol)
+        div_max, mom_res = ops.certify(*chi, direction, tol)
         sols.append(StokesCellSolution(cell, *chi, div_max, mom_res, iters, ops))
     return sols
 

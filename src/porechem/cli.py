@@ -31,7 +31,7 @@ from .cell_problems import (
     write_tensor_csv,
 )
 from .config import parse_config
-from .errors import AssemblyError, ConfigError, SolverError, StateError
+from .errors import AssemblyError, ConfigError, SolverError, StateError, labelled
 from .geometry import tile_domain, write_classification
 from .gridio import read_csv, write_csv, write_field
 from .homogenize import isometry_residual, oscillation_check, sweep
@@ -105,8 +105,7 @@ def cmd_micro(args, cfg):
     stokes = None
     if cfg.micro.velocity_mode == "reconstructed":
         stokes = solve_stokes_cell(cfg.cell, cfg.tolerances["cell"])
-    solver = MicroSolver(cfg.micro, grid, stokes)
-    run = solver.run()
+    run = labelled(f"[micro] eps = {cfg.eps:g}:", MicroSolver, cfg.micro, grid, stokes).run()
     write_classification(grid, out / "grid_classification.txt")
     write_csv(out / "micro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     faces = grid.faces

@@ -16,12 +16,12 @@ import numpy as np
 
 from .cell_problems import DEFAULT_TOL, SPD_TOL
 from .errors import ConfigError, labelled
-from .geometry import UnitCell, cells_per_edge
+from .geometry import UnitCell, cells_per_edge, check_edges
 from .homogenize import check_sweep
 from .kinetics import RateLaw
 from .macro_sim import MacroConfig
 from .micro_sim import MicroConfig
-from .transport import TransportConfig, check_edges
+from .transport import TransportConfig
 
 
 def _text(x: float) -> str:

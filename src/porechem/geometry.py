@@ -21,10 +21,28 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .gridio import write_field
 
 _ALIGN_TOL = 1e-9
+
+# the edges of the unit square: the axis normal to the edge, and the grid cells along it
+EDGE_CELLS = {
+    "left": (0, (0, slice(None))),
+    "right": (0, (-1, slice(None))),
+    "bottom": (1, (slice(None), 0)),
+    "top": (1, (slice(None), -1)),
+}
+EDGES = tuple(EDGE_CELLS)
+
+
+def check_edges(edges) -> tuple:
+    """``edges``, or a ConfigError naming the first that is not an edge of
+    the unit square."""
+    for e in edges:
+        if e not in EDGES:
+            raise ConfigError(f"unknown edge {e!r} in dirichlet_edges; valid edges: {', '.join(EDGES)}")
+    return edges
 
 
 def index_map(mask: np.ndarray) -> np.ndarray:

@@ -9,13 +9,11 @@ preconditioner projects out.  The iterates take the shape of the
 right-hand side, a vector or an n x n array.  The stopping rule is on the
 true residual of ``A``.
 
-``factor_spd`` is the sparse LU factorization of the implicit transport
-step on the perforated pore-scale grid only; on a grid without solid
-cells, such as the macro grid, `transport.separable_solve` inverts the same
-operator by separation of variables.  The cell problems need neither:
-their operators are the periodic 5-point Laplacian of the cell grid
-changed on the ring of nodes around the grain, which `CapacitanceSolver`
-inverts exactly with FFTs and a small dense system on the ring.  It reads
+The direct solves of the implicit transport step live with that step, in
+`porechem._implicit`.  The cell problems need no sparse factor: their
+operators are the periodic 5-point Laplacian of the cell grid changed on
+the ring of nodes around the grain, which `CapacitanceSolver` inverts
+exactly with FFTs and a small dense system on the ring.  It reads
 the operator only through the ring's sources and conditions, so the
 operator it inverts is never assembled, and it builds the capacitance
 matrix a block of rows at a time: no index array is as large as the
@@ -25,7 +23,6 @@ matrix.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SolverError
@@ -77,17 +74,6 @@ def cg(A, b, *, precond, tol, maxiter=None):
         f"CG failed to reach {tol:g} in {maxiter} iterations "
         f"(relative residual {np.linalg.norm(r) / max(bnorm, 1.0):.3e})",
         residual=float(np.linalg.norm(r) / max(bnorm, 1.0)),
-    )
-
-
-def factor_spd(A):
-    """Sparse LU factor of a symmetric positive definite matrix.
-
-    The symmetric-mode ordering (diagonal pivots, minimum degree on
-    ``A + A^T``) keeps the factor of the 5-point operators small.
-    """
-    return spla.splu(
-        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
 
 

@@ -24,10 +24,9 @@ mass identity
 holds to the nonlinear-solver tolerance, and the scheme is monotone, so
 solute stays in the box bounds and ordered initial data stay ordered.
 
-The Newton solve of step 2 is preconditioned by a direct solve of the
-backward-Euler operator, built once per run: the sparse LU factor on a
-grid with solid cells, and `separable_solve` on a grid without, where
-the operator is a Kronecker sum.
+Step 2 is `porechem._implicit`: it builds the diffusion operator and a
+certified direct solve of the backward-Euler operator once per run, and
+solves each step by Newton.
 """
 
 from __future__ import annotations
@@ -36,31 +35,11 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._implicit import ImplicitOperator, newton_floor
 from .errors import ConfigError, StateError
-from .geometry import index_map
+from .geometry import EDGE_CELLS, check_edges
 from .kinetics import RateLaw, dissolution_rate
-
-EDGES = ("left", "right", "bottom", "top")
-
-# the axis each edge's faces are normal to, and the cells along the edge
-_EDGE_CELLS = {
-    "left": (0, (0, slice(None))),
-    "right": (0, (-1, slice(None))),
-    "bottom": (1, (slice(None), 0)),
-    "top": (1, (slice(None), -1)),
-}
-
-
-def check_edges(edges) -> tuple:
-    """``edges``, or a ConfigError naming the first that is not an edge of
-    the unit square."""
-    for e in edges:
-        if e not in EDGES:
-            raise ConfigError(f"unknown edge {e!r} in dirichlet_edges; valid edges: {', '.join(EDGES)}")
-    return edges
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -176,66 +155,6 @@ class FaceVelocity:
             raise ConfigError(f"dt*|q|/h = {cfl:.3g} violates the advective CFL bound <= 1")
 
 
-def diffusion_operator(mask, axis_weights, dirichlet_edges):
-    """Masked 5-point operator with one face weight per axis.
-
-    Neighbouring active cells are coupled across each shared face with the
-    weight of the face's axis (no wrap at the outer boundary), and an
-    active cell on a Dirichlet edge gets the half-cell term ``2 * weight``
-    on its diagonal.  Returns ``(A, dir_weight)``, with ``dir_weight`` that
-    half-cell term alone: the right-hand side gets ``dir_weight * u_D``.
-    """
-    n = int(np.count_nonzero(mask))
-    index = index_map(mask)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for axis, weight in enumerate(axis_weights):
-        lo = (slice(0, -1), slice(None)) if axis == 0 else (slice(None), slice(0, -1))
-        hi = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
-        both = mask[lo] & mask[hi]
-        a = index[lo][both]
-        b = index[hi][both]
-        rows.extend([a, b])
-        cols.extend([b, a])
-        vals.extend([np.full(a.size, -weight)] * 2)
-        diag += weight * (np.bincount(a, minlength=n) + np.bincount(b, minlength=n))
-    dir_weight = np.zeros(n)
-    for e in dirichlet_edges:
-        axis, sel = _EDGE_CELLS[e]
-        dir_weight[index[sel][mask[sel]]] += 2.0 * axis_weights[axis]
-    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return A + sp.diags(diag + dir_weight), dir_weight
-
-
-def separable_solve(shape, axis_weights, dirichlet_edges, shift):
-    """Direct solve of ``A + shift I``, A the `diffusion_operator` of a grid
-    of ``shape`` with every cell active, as a function of a flat right-hand
-    side.
-
-    A is then the Kronecker sum ``T_x (+) T_y`` of the 1-D operators of the
-    two axes, each `diffusion_operator` itself on one line of cells with the
-    other axis weighted 0, so the half-cell and no-flux rules are the 2-D
-    ones.  With the unknowns as an (nx, ny) array X the system reads
-    ``T_x X + X T_y + shift X = R``, and with the eigendecompositions
-    ``T = Q diag(lam) Q^T``, computed here once, each solve is
-    ``X = Q_x ((Q_x^T R Q_y) / (lam_x (+) lam_y + shift)) Q_y^T``: four
-    dense matmuls and one elementwise product (separation of variables;
-    Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
-    """
-    (nx, ny), (wx, wy) = shape, axis_weights
-    T_x, _ = diffusion_operator(np.ones((nx, 1), dtype=bool), (wx, 0.0), dirichlet_edges)
-    T_y, _ = diffusion_operator(np.ones((1, ny), dtype=bool), (0.0, wy), dirichlet_edges)
-    lam_x, Q_x = np.linalg.eigh(T_x.toarray())
-    lam_y, Q_y = np.linalg.eigh(T_y.toarray())
-    inverse_eigenvalues = 1.0 / (lam_x[:, None] + lam_y[None, :] + shift)
-
-    def solve(b):
-        X = Q_x.T @ b.reshape(nx, ny) @ Q_y
-        return (Q_x @ (X * inverse_eigenvalues) @ Q_y.T).ravel()
-
-    return solve
-
-
 def _sample(spec, x, y):
     """A constant or ``f(x, y)`` initial profile at the given points."""
     if callable(spec):
@@ -262,17 +181,14 @@ class TransportSolver:
         self.mask = mask
         self.h = h
         self.grid = grid
-        self.A, self.dir_weight = diffusion_operator(mask, axis_weights, cfg.dirichlet_edges)
-        shift = h * h / cfg.dt
-        # without solid cells A is a Kronecker sum; otherwise the sparse LU
-        solve = separable_solve(mask.shape, axis_weights, cfg.dirichlet_edges, shift) if mask.all() else None
-        self.implicit = ImplicitOperator(self.A, np.full(self.A.shape[0], shift), solve)
         self.owners = owners
         self.weight = weight
         self.carriers = carriers
         self.vel = velocity
+        # before the direct solve is built: a factor is the costly part
         if velocity is not None:
             velocity.check_cfl(cfg.dt, h)
+        self.implicit = ImplicitOperator(mask, axis_weights, cfg.dirichlet_edges, h * h / cfg.dt)
 
     def initial_state(self) -> State:
         cfg = self.cfg
@@ -295,12 +211,11 @@ class TransportSolver:
         h, dt = self.h, cfg.dt
         qx, qy = self.vel.qx, self.vel.qy
         # open outer boundaries: upwind outflow, configured value on inflow,
-        # as ghost cells outside each edge
-        b = {e: (cfg.dirichlet_value if e in cfg.dirichlet_edges else 0.0) for e in EDGES}
-        ux = np.pad(u, ((1, 1), (0, 0)))
-        ux[0, :], ux[-1, :] = b["left"], b["right"]
-        uy = np.pad(u, ((0, 0), (1, 1)))
-        uy[:, 0], uy[:, -1] = b["bottom"], b["top"]
+        # as ghost cells outside each edge, the edge's cells of u padded on its axis
+        ux, uy = (np.pad(u, [(1, 1) if ax == axis else (0, 0) for ax in (0, 1)]) for axis in (0, 1))
+        for e in cfg.dirichlet_edges:
+            axis, ghosts = EDGE_CELLS[e]
+            (ux, uy)[axis][ghosts] = cfg.dirichlet_value
         # face fluxes, positive in +axis direction
         Fx = np.maximum(qx, 0.0) * ux[:-1, :] + np.minimum(qx, 0.0) * ux[1:, :]
         Fy = np.maximum(qy, 0.0) * uy[:, :-1] + np.minimum(qy, 0.0) * uy[:, 1:]
@@ -319,7 +234,7 @@ class TransportSolver:
 
         u_adv, adv_in = self._advect(state.u)
         u0 = u_adv[self.mask]
-        rhs = self.implicit.mass_diag * u0 + self.dir_weight * cfg.dirichlet_value
+        rhs = self.implicit.shift * u0 + self.implicit.dir_weight * cfg.dirichlet_value
         v = state.v.ravel()
         u_act, _ = newton(
             self.implicit, rhs, self.owners, self.weight,
@@ -333,7 +248,7 @@ class TransportSolver:
         v_new, _w_eff = ode_step(law, u_own, v, dt)
         w_new = dissolution_rate(law, u_own, v_new)
 
-        diff_in = float(np.sum(self.dir_weight * (cfg.dirichlet_value - u_act))) * dt
+        diff_in = float(np.sum(self.implicit.dir_weight * (cfg.dirichlet_value - u_act))) * dt
         shape = state.v.shape
         new = State(t=state.t + dt, u=u_new, v=np.asarray(v_new).reshape(shape),
                     w=np.asarray(w_new).reshape(shape))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from porechem import cell_problems, linalg
+from porechem import _implicit, cell_problems, linalg
 from porechem.cell_problems import (
     assemble_K,
     assemble_S,
@@ -371,7 +371,7 @@ def test_effective_tensors_build_one_ring_system_per_operator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cell layer factored a sparse matrix")
 
-    monkeypatch.setattr(linalg, "factor_spd", refuse)
+    monkeypatch.setattr(_implicit, "factor_spd", refuse)
     monkeypatch.setattr(spla, "splu", refuse)
     built = []
     init = linalg.CapacitanceSolver.__init__
@@ -461,14 +461,15 @@ def test_direction_1_certificates_need_the_shift(monkeypatch, center, fires):
         s = solve_stokes_cell(c)[1]
         assert _momentum_residual(s, 1) <= 1e-11
         assert s.momentum_res <= 1e-11
-        assert s0.ops.certify(*plain, 1, 1e-11, 1e-12)[1] <= 1e-11
+        assert s0.ops.certify(*plain, 1, 1e-11)[1] <= 1e-11
         return
     with pytest.raises(SolverError, match="corrector solve left relative residual"):
         solve_diffusion_cell(c)
     with pytest.raises(SolverError, match="Stokes solve left max divergence"):
-        s0.ops.certify(*plain, 1, np.inf, 1e-12)
+        s0.ops.certify(*plain, 1, np.inf)
+    monkeypatch.setattr(cell_problems, "_DIV_TOL", np.inf)
     with pytest.raises(SolverError, match="Stokes solve left momentum residual"):
-        s0.ops.certify(*plain, 1, cell_problems.DEFAULT_TOL, np.inf)
+        s0.ops.certify(*plain, 1, cell_problems.DEFAULT_TOL)
 
 
 def test_stokes_tolerance_is_an_acceptance_bound():

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import SuperLU
 
-from porechem import cell_problems, cli, config, linalg, micro_sim, transport
+from porechem import _implicit, cell_problems, cli, config, linalg, micro_sim, transport
 from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
@@ -470,7 +470,7 @@ def test_compute_tensors_builds_two_ring_systems_and_keeps_none(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cell layer factored a sparse matrix")
 
-    monkeypatch.setattr(linalg, "factor_spd", refuse)
+    monkeypatch.setattr(_implicit, "factor_spd", refuse)
     monkeypatch.setattr(spla, "splu", refuse)
     built = []
     init = linalg.CapacitanceSolver.__init__
@@ -620,6 +620,21 @@ def test_cli_converge_checks_every_cfl_number_before_any_step(tmp_path, monkeypa
     assert "kind = config" in record
     assert "[micro] eps = 0.125: dt*|q|/h = 1.71 violates the advective CFL bound" in record
     assert not (out / "convergence_report.csv").exists()
+
+
+def test_cli_micro_checks_its_cfl_number_before_the_factor(tmp_path, monkeypatch):
+    factored = []
+    factor = _implicit.factor_spd
+    monkeypatch.setattr(_implicit, "factor_spd", lambda B: factored.append(B.shape) or factor(B))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[micro]\nvelocity_mode = reconstructed\npressure_gradient = -120, 0\nt_end = 0.1\n")
+    out = tmp_path / "o"
+    assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record
+    assert "[micro] eps = 0.25: dt*|q|/h = 1.71 violates the advective CFL bound" in record
+    assert factored == []
+    assert not (out / "micro_series.csv").exists()
 
 
 def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):

@@ -8,6 +8,7 @@ from porechem.geometry import UnitCell, tile_domain
 from porechem.kinetics import RateLaw
 from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor
 from porechem.micro_sim import MicroConfig, MicroSolver
+from porechem.transport import FaceVelocity, TransportConfig, TransportSolver
 
 from oracles import lumped_trajectory, stability_gap
 
@@ -193,6 +194,29 @@ def test_darcy_transport_bounds():
         assert row.min_u >= -1e-10
         assert row.max_u <= 1.0 + 1e-10
         assert row.min_v >= 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up-right", "down-left"])
+@pytest.mark.parametrize("edges", [(), ("left",), ("right",), ("bottom", "top"), ("left", "right", "bottom", "top")],
+                         ids=lambda e: "+".join(e) or "none")
+def test_upwind_inflow_takes_the_dirichlet_value_on_its_edges(sign, edges):
+    # one advection step of u = 0 under a uniform velocity: each Dirichlet
+    # edge the flow enters through brings in q * u_D, an outflow edge nothing
+    m, dt, u_D, (qx, qy) = 8, 0.01, 0.7, (2.0, 3.0)
+    h = 1.0 / m
+    cfg = TransportConfig(dt=dt, t_end=dt, dirichlet_edges=edges, dirichlet_value=u_D)
+    vel = FaceVelocity(qx=np.full((m + 1, m), sign * qx), qy=np.full((m, m + 1), sign * qy))
+    solver = TransportSolver(cfg, np.ones((m, m), dtype=bool), h, (1.0, 1.0), owners=np.zeros(0, dtype=np.intp),
+                             weight=0.0, carriers=(np.zeros(0), np.zeros(0)), velocity=vel)
+    inflow = {"left": (np.s_[0, :], qx), "bottom": (np.s_[:, 0], qy)} if sign > 0 else \
+        {"right": (np.s_[-1, :], qx), "top": (np.s_[:, -1], qy)}
+    expected = np.zeros((m, m))
+    for e in set(edges) & set(inflow):
+        cells, q = inflow[e]
+        expected[cells] += dt / h * q * u_D
+    u, influx = solver._advect(np.zeros((m, m)))
+    assert u == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert influx == pytest.approx(expected.sum() * h * h, rel=1e-14, abs=0.0)
 
 
 def test_stability_gap_identical_runs():
