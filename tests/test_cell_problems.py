@@ -300,6 +300,20 @@ def test_corrector_tolerance_is_an_acceptance_bound(cell64):
         solve_diffusion_cell(cell64, tol=1e-20)
 
 
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_corrector_certificate_is_a_backward_error(n, monkeypatch):
+    # relative to ||b|| the residual grew as n^2 eps (9.2e-15 at n = 64), so
+    # a tolerance of 1e-15 failed a solve at round-off; against the sizes of
+    # the terms it is flat in n (4e-17 to 7e-17)
+    cell = UnitCell(n, 0.5, (0.5, 0.5))
+    assert max(f.residual for f in solve_diffusion_cell(cell, tol=1e-15)) <= 1e-16
+    # and it still sees a solution off by 1e-9 relative (6e-13 to 1.3e-10)
+    transposed = cell_problems._transposed
+    monkeypatch.setattr(cell_problems, "_transposed", lambda cell, f: (1.0 + 1e-9) * transposed(cell, f))
+    with pytest.raises(SolverError, match="corrector solve left relative residual"):
+        solve_diffusion_cell(cell, tol=1e-15)
+
+
 # cells whose transpose is a nontrivial periodic shift of the cell, and the
 # extremes: one-cell margins all round and two-cell channels
 TRANSPOSE_CELLS = [

@@ -265,7 +265,7 @@ def test_cli_macro_rejects_off_diagonal_tensors(tmp_path):
     columns, rows = read_csv(out / "effective_tensors.csv")
     rows[0]["s12"] = rows[0]["s21"] = 0.1 * rows[0]["s11"]
     tensors = tmp_path / "full_tensors.csv"
-    write_csv(tensors, columns, rows)
+    write_csv(tensors, {c: [r[c] for r in rows] for c in columns})
     argv = ["macro", "--config", str(cfg), "--out", str(out), "--quiet", "--tensors", str(tensors)]
     assert main(argv) == 2
     record = (out / "error_record.txt").read_text()
@@ -280,7 +280,7 @@ def test_cli_macro_rejects_nan_tensors(tmp_path):
     columns, rows = read_csv(out / "effective_tensors.csv")
     rows[0]["s21"] = rows[0]["k12"] = float("nan")
     tensors = tmp_path / "nan_tensors.csv"
-    write_csv(tensors, columns, rows)
+    write_csv(tensors, {c: [r[c] for r in rows] for c in columns})
     argv = ["macro", "--config", str(cfg), "--out", str(out), "--quiet", "--tensors", str(tensors)]
     assert main(argv) == 2
     assert "kind = config" in (out / "error_record.txt").read_text()
@@ -644,6 +644,17 @@ def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):
     assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     record = (out / "error_record.txt").read_text()
     assert "kind = runtime" in record and "corrector solve left relative residual" in record
+
+
+def test_cli_cell_tolerance_at_round_off_passes_the_corrector(tmp_path):
+    # the corrector's ||b||-relative residual was 9.2e-15 at n = 64 and
+    # failed this tolerance; its backward error is 4.6e-17
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[geometry]\nn = 64\n[tolerances]\ncell = 1e-15\n")
+    out = tmp_path / "o"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    row = read_csv(out / "effective_tensors.csv")[1][0]
+    assert max(row["xi_res_1"], row["xi_res_2"]) <= 1e-16
 
 
 def test_cli_cell_tolerance_reaches_the_stokes_solve(tmp_path):

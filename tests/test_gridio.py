@@ -1,11 +1,11 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from porechem.gridio import write_field
+from porechem.gridio import read_csv, write_csv, write_field
 
-from oracles import read_field
+from oracles import csv_text, field_text, read_field
 
 # values whose text forms differ most: signed zeros and infinities, nan,
 # the smallest and largest subnormals, and 17-digit round-trip cases
@@ -45,3 +45,79 @@ def test_write_field_matches_per_value_format(tmp_path_factory, data, h):
     assert np.array_equal(back_mask, ~np.isnan(want))
     assert np.array_equal(back[back_mask], want[back_mask])
     assert np.array_equal(np.signbit(back[back_mask]), np.signbit(want[back_mask]))
+
+
+# NaNs of other bit patterns than np.nan's: the sign bit set, a payload
+OTHER_NANS = [-np.nan, np.array(0x7FF8000000000001).view(float).item()]
+floats = st.one_of(values, st.sampled_from(OTHER_NANS))
+
+
+def _few_values(shape):
+    """Arrays of ``shape`` drawn mostly from a pool of at most four values,
+    so that values repeat, as on most fields porechem writes."""
+    return st.lists(floats, min_size=1, max_size=4).flatmap(
+        lambda pool: arrays(float, shape, elements=st.sampled_from(pool) | floats)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+        lambda shape: st.tuples(_few_values(shape), st.none() | arrays(bool, shape))
+    ),
+    st.sampled_from([1.0, 1.0 / 3.0, 1.0 / 128.0]),
+)
+@example((np.array([[0.0, -0.0], [-0.0, 0.0]]), None), 0.5)
+@example((np.array([[np.nan, -np.nan, OTHER_NANS[1], 5e-324, -5e-324, np.inf, -np.inf] * 2]), None), 1.0)
+@example((np.full((1, 1), -0.0), np.zeros((1, 1), dtype=bool)), 1.0)
+def test_write_field_gives_the_bytes_of_the_one_template_writer(tmp_path_factory, data, h):
+    vals, mask = data
+    path = tmp_path_factory.mktemp("field") / "f.txt"
+    write_field(path, vals, h, mask)
+    assert path.read_bytes() == field_text(vals, h, mask).encode()
+
+
+def _column(size):
+    """One CSV column of ``size`` cells: a numeric array (float, int or
+    bool), or a list mixing ints, numpy floats and ints, None and strings
+    with floats."""
+    cell = st.one_of(
+        floats,
+        floats.map(np.float64),
+        st.integers(-(2**70), 2**70),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.booleans(),
+        st.none(),
+        st.text("ab,=.-_ 09e", max_size=6),
+    )
+    return st.one_of(
+        st.lists(cell, min_size=size, max_size=size),
+        _few_values((size,)),
+        arrays(np.int64, (size,)),
+        arrays(bool, (size,)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(0, 6)).flatmap(
+        lambda shape: st.lists(_column(shape[1]), min_size=shape[0], max_size=shape[0])
+    )
+)
+@example([[0.0, -0.0, None, "x", 7, np.float64(-0.0)], np.array([np.nan, -np.nan, 1.0, 1.0, 1e-320, 2.0**60])])
+def test_write_csv_gives_the_bytes_of_the_row_writer(tmp_path_factory, columns):
+    names = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, dict(zip(names, columns)))
+    # the row writer gets what a caller iterating the columns gets: the
+    # arrays' numpy scalars
+    assert path.read_bytes() == csv_text(names, list(zip(*columns))).encode()
+
+
+def test_write_csv_round_trips_through_read_csv(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, {"n": np.array([3, 4]), "x": [0.1, None], "y": np.array([-0.0, np.inf])})
+    columns, rows = read_csv(path)
+    assert columns == ["n", "x", "y"]
+    assert [r["n"] for r in rows] == [3.0, 4.0] and [r["x"] for r in rows] == [0.1, None]
+    assert str(rows[0]["y"]) == "-0.0" and rows[1]["y"] == np.inf

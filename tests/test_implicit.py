@@ -14,6 +14,10 @@ these systems.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import porechem
 from porechem import _implicit
 from porechem._implicit import diffusion_operator, factor_spd, separable_solve
 from porechem.errors import SolverError
@@ -168,6 +173,43 @@ def test_micro_run_factors_its_operator_once(monkeypatch):
     run = MicroSolver(cfg, grid).run()
     assert calls == [(grid.n_fluid_cells,) * 2]
     assert abs(run.mass[-1].drift) <= cfg.invariant_slack
+
+
+# the growth of the peak resident size of a fresh process across one
+# factor_spd of the eps = 1/32 micro operator (49,152 unknowns), in MB.  The
+# peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec from the
+# process that started this one, so under a large test process the growth
+# of ru_maxrss reads low (24-25 MB instead of 32 for a factor with default
+# panels and a CSC copy)
+FACTOR_GROWTH = """
+import scipy.sparse as sp
+from porechem import _implicit
+from porechem.config import parse_config
+from porechem.geometry import tile_domain
+
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+cfg = parse_config("[geometry]\\neps = 0.03125\\n")
+grid, micro = tile_domain(cfg.cell, cfg.eps), cfg.micro
+A, _ = _implicit.diffusion_operator(grid.fluid_mask, (micro.D, micro.D), micro.dirichlet_edges)
+B = A + grid.h ** 2 / micro.dt * sp.identity(A.shape[0])
+before = peak_kb()
+_implicit.factor_spd(B)
+print((peak_kb() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak resident size from /proc")
+def test_factor_resident_growth_is_bounded():
+    # SuperLU allocates outside Python's allocator, where tracemalloc cannot
+    # see it.  Default 10-column panels and a CSC copy of B grew the peak by
+    # 29-33 MB; one-column panels on B's own arrays by 15-16 MB
+    src = Path(porechem.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", FACTOR_GROWTH], env=env, capture_output=True, text=True, check=True)
+    assert float(out.stdout) <= 20.0
 
 
 @pytest.mark.parametrize("wrong", ["shift", "edges"])
