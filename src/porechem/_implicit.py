@@ -122,12 +122,9 @@ def factor_spd(A):
     ``A + A^T``) keeps the factor of the 5-point operators small.  A is
     symmetric, so its CSR arrays are its CSC arrays: ``A.T`` hands them to
     SuperLU without a copy.  SuperLU sizes its working arrays by the panel
-    width times the order of A; one-column panels (``panel_size=1``, the
-    default is 10) give a factor of the same fill in half the working
-    memory and 45-72% of the time.  On the eps = 1/64 micro operator
-    (196,608 unknowns) the resident growth of the factor fell from 139 to
-    72 MB, and its time from 0.89 to 0.64 s (1 BLAS thread, 2-vCPU x86-64
-    machine).
+    width times the order of A, and on these operators wider panels buy no
+    speed: one-column panels (``panel_size=1``, the default is 10) give a
+    factor of the same fill in about half the working memory, and sooner.
     """
     return spla.splu(
         A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=1,

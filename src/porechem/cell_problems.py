@@ -185,9 +185,7 @@ def solve_diffusion_cell(cell: UnitCell, tol: float = DEFAULT_TOL) -> list[CellS
     for b, f in zip(rhs, (x, _transposed(cell, x))):
         # relative to the sizes of the terms the residual adds up,
         # |A||f| + |b| with |A| = 2 diag(A) - A, as Stokes `certify` takes
-        # it: a backward error, flat in n (3.7e-17 to 6.4e-17 measured up
-        # to n = 512).  Relative to ||b|| alone it grew as n^2 eps (3.7e-16
-        # at n = 8, 2.0e-13 at n = 512), past tolerances validation accepts
+        # it: a backward error, at round-off at any n
         abs_f = np.abs(f)
         sizes = 2.0 * A.diag * abs_f - A @ abs_f + np.abs(b)
         relres = float(np.linalg.norm(A @ f - b) / np.linalg.norm(sizes))
@@ -612,7 +610,7 @@ def write_tensor_csv(path, tensors: EffectiveTensors):
         *(f.residual for f in tensors.fields), *(sol.div_inf for sol in tensors.sols),
         int(np.all(np.linalg.eigvalsh(S) > 0)), int(np.all(np.linalg.eigvalsh(K) > 0)),
     ]
-    write_csv(path, {c: [v] for c, v in zip(_CSV_COLUMNS, row)})
+    write_csv(path, _CSV_COLUMNS, [row])
 
 
 def read_tensor_csv(path):

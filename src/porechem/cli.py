@@ -85,18 +85,18 @@ def cmd_cell(args, cfg):
 _SERIES_COLUMNS = ["t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v", "l1_step_rate"]
 
 
-def _series_table(run):
-    """Series CSV columns, one row per snapshot: the mass report's row at
-    each stored step and the L1 step rate, ``difference_quotient_norm`` on
-    a pore-scale run, the same quotient of the solute alone on a macro run."""
+def _series_rows(run):
+    """Series CSV rows, one per snapshot: the mass report's row at each stored
+    step and the L1 step rate, ``difference_quotient_norm`` on a pore-scale
+    run, the same quotient of the solute alone on a macro run."""
     if run.grid is not None:
         rates = difference_quotient_norm(run)
     else:
         h2 = 1.0 / run.states[0].u.size
         rates = [0.0] + [float(np.abs(b.u - a.u).sum() * h2) / (b.t - a.t)
                          for a, b in zip(run.states, run.states[1:])]
-    rows = [run.mass[s] for s in run.cfg.snapshot_steps]
-    return {c: [getattr(r, c) for r in rows] for c in _SERIES_COLUMNS[:-1]} | {"l1_step_rate": rates}
+    return [{c: getattr(run.mass[s], c) for c in _SERIES_COLUMNS[:-1]} | {"l1_step_rate": rate}
+            for s, rate in zip(run.cfg.snapshot_steps, rates)]
 
 
 def cmd_micro(args, cfg):
@@ -107,13 +107,19 @@ def cmd_micro(args, cfg):
         stokes = solve_stokes_cell(cfg.cell, cfg.tolerances["cell"])
     run = labelled(f"[micro] eps = {cfg.eps:g}:", MicroSolver, cfg.micro, grid, stokes).run()
     write_classification(grid, out / "grid_classification.txt")
-    write_csv(out / "micro_series.csv", _series_table(run))
+    write_csv(out / "micro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     faces = grid.faces
-    face_table = {"face": np.arange(faces.count), "kx": faces.kx, "ky": faces.ky, "local": faces.local,
-                  "center_x": faces.centers[:, 0], "center_y": faces.centers[:, 1]}
     for i, state in enumerate(run.states):
         write_field(out / f"u_{i:05d}.txt", state.u, grid.h, grid.fluid_mask)
-        write_csv(out / f"faces_{i:05d}.csv", face_table | {"v": state.v, "w": state.w})
+        write_csv(
+            out / f"faces_{i:05d}.csv",
+            ["face", "kx", "ky", "local", "center_x", "center_y", "v", "w"],
+            [
+                (int(f), int(faces.kx[f]), int(faces.ky[f]), int(faces.local[f]),
+                 faces.centers[f, 0], faces.centers[f, 1], state.v[f], state.w[f])
+                for f in range(faces.count)
+            ],
+        )
     _say(args.quiet, f"micro run: {len(run.times)} snapshots, final t = {run.times[-1]}")
     _say(args.quiet, f"mass drift = {run.mass[-1].drift:.3e}")
     return 0
@@ -136,7 +142,7 @@ def cmd_macro(args, cfg):
         )
     solver = MacroSolver(cfg.macro, cfg.cell, S, K)
     run = solver.run()
-    write_csv(out / "macro_series.csv", _series_table(run))
+    write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     for i, state in enumerate(run.states):
         write_field(out / f"macro_u_{i:05d}.txt", state.u, solver.h)
         write_field(out / f"macro_v_{i:05d}.txt", state.v, solver.h)
@@ -183,7 +189,7 @@ def cmd_unfold(args, cfg):
     )
     for r in osc:
         rows.append({"kind": "oscillation_x1", "name": f"eps={r['eps']:.6g}", "value": r["error"]})
-    write_csv(out / "unfold_report.csv", {c: [r[c] for r in rows] for c in ("kind", "name", "value")})
+    write_csv(out / "unfold_report.csv", ["kind", "name", "value"], rows)
     _say(args.quiet, f"wrote {out / 'unfold_report.csv'} ({len(rows)} rows)")
     return 0
 

@@ -1,18 +1,15 @@
-"""Deterministic text formats for fields and tables.
+"""Deterministic text formats for fields and time series.
 
 Structured-grid field files: two header lines (``nx ny`` and ``h``), then
 ny rows of nx values in ``%.17g``, x varying along each row, iy increasing
-down the file.  Solid cells are tagged ``nan``.  CSV files: a header of
-column names, then one line per row; floats in ``%.17g``, ints and strings
-as ``str`` gives them, ``None`` as an empty cell.  No timestamps anywhere;
+down the file.  Solid cells are tagged ``nan``.  No timestamps anywhere;
 identical data produce identical bytes.
 
-Both writers format each distinct float once and place its text: a field
-or a face table repeats a few values many times (one solute level over
-most of a grid, one precipitate level on every face), and formatting, not
-writing, is what costs.  A field with more distinct values than half its
-cells is formatted cell by cell in one template, as placing the text
-would cost more.
+`write_field` formats each distinct value of a field once and places its
+text: a field repeats a few values over most of its cells (one solute
+level on a macro grid, ``nan`` on every solid cell), and formatting, not
+writing, is what costs.  Values are told apart by bit pattern, so ``-0.0``
+keeps its ``-0``.
 """
 
 from __future__ import annotations
@@ -20,18 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _unique(values):
-    """The distinct values of a float array by bit pattern, so that -0.0
-    stays apart from 0.0, and the index of each value among them."""
-    bits, where = np.unique(np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64), return_inverse=True)
-    return bits.view(float), where
-
-
-def _format(values) -> np.ndarray:
-    """``%.17g`` of each value of a 1-D float array, in one ``%`` template,
-    as an object array of strings ("-0" for -0.0, "nan" for every NaN)."""
-    text = "\n".join(["%.17g"] * values.size) % tuple(values.tolist())
-    return np.array(text.split("\n"), dtype=object)
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
 
 
 def write_field(path, values: np.ndarray, h: float, mask: np.ndarray | None = None):
@@ -40,39 +27,24 @@ def write_field(path, values: np.ndarray, h: float, mask: np.ndarray | None = No
     out = np.asarray(values, dtype=float)
     if mask is not None:
         out = np.where(mask, out, np.nan)
-    cells = out.T.ravel()  # in file order
-    distinct, where = _unique(cells)
-    if 2 * distinct.size > cells.size:
-        # mostly distinct: placing the text of each would cost more than
-        # formatting every cell (1.6x at 512 x 512 with all distinct)
-        row = " ".join(["%.17g"] * nx) + "\n"
-        body = (row * ny) % tuple(cells.tolist())
-    else:
-        body = "\n".join(map(" ".join, _format(distinct)[where].reshape(ny, nx).tolist())) + "\n"
+    bits, where = np.unique(out.T.reshape(-1).view(np.int64), return_inverse=True)
+    # "%.17g" % x is format(x, ".17g"): one template for the distinct values
+    text = np.array(("\n".join(["%.17g"] * bits.size) % tuple(bits.view(float).tolist())).split("\n"), dtype=object)
     with open(path, "w") as f:
-        f.write(f"{nx} {ny}\n{h!r}\n{body}")
+        f.write(f"{nx} {ny}\n{h!r}\n")
+        f.write("\n".join(map(" ".join, text[where.reshape(ny, nx)].tolist())) + "\n")
 
 
-def _column_text(cells) -> list[str]:
-    """The CSV text of one column: "" for None, ``str`` of str and int
-    cells, ``%.17g`` of every other cell taken as a float.  A numeric array
-    is formatted as floats, as its numpy scalars would be one by one."""
-    if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "biuf"):
-        cells = list(cells)
-        is_float = [c is not None and not isinstance(c, (str, int)) for c in cells]
-        floats = iter(_column_text(np.array([float(c) for c, f in zip(cells, is_float) if f], dtype=float)))
-        return [next(floats) if f else "" if c is None else str(c) for c, f in zip(cells, is_float)]
-    distinct, where = _unique(cells)
-    return _format(distinct)[where].tolist()
-
-
-def write_csv(path, table: dict):
-    """Fixed-column CSV of ``table``, which maps each column name, in file
-    order, to the column's cells (a sequence or an array; all of one
-    length)."""
-    rows = zip(*(_column_text(cells) for cells in table.values()))
+def write_csv(path, columns, rows):
+    """Fixed-column CSV with %.17g floats; rows are dicts or sequences."""
     with open(path, "w") as f:
-        f.write("\n".join([",".join(table), *map(",".join, rows)]) + "\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            if isinstance(row, dict):
+                cells = [row.get(c) for c in columns]
+            else:
+                cells = list(row)
+            f.write(",".join("" if c is None else _fmt(c) if not isinstance(c, (str, int)) else str(c) for c in cells) + "\n")
 
 
 def read_csv(path):

@@ -189,7 +189,7 @@ class ConvergenceReport:
 
     def write_csv(self, path):
         cols = ["eps", "err_u_L2", "err_v_unfolded_L2", "err_r_L2", "order_u", "order_v"]
-        write_csv(path, {c: [r.get(c) for r in self.rows] for c in cols})
+        write_csv(path, cols, self.rows)
 
 
 def sweep(

@@ -8,9 +8,9 @@ and the face classification of the operators they check, and assemble
 the sparse matrices that the package applies as stencils and two-point
 differences.  The helpers at the end (the ramp-regularized
 precipitate ODE, the field-file reader, the stability gap of two macro
-runs) only read what the package returns; the two text writers there
-(`field_text`, `csv_text`) are the file formats written out one template or
-one row at a time, the byte oracles of `porechem.gridio`.
+runs) only read what the package returns; `field_text` there writes the
+field file format with one template for every value, the byte oracle of
+`porechem.gridio.write_field`.
 """
 
 from dataclasses import dataclass
@@ -278,20 +278,6 @@ def field_text(values, h, mask=None) -> str:
         out = np.where(mask, out, np.nan)
     row = " ".join(["%.17g"] * nx) + "\n"
     return f"{nx} {ny}\n{h!r}\n" + (row * ny) % tuple(out.T.ravel().tolist())
-
-
-def csv_text(columns, rows) -> str:
-    """A CSV file as text, one row at a time: rows are dicts (a missing
-    column is None) or sequences; None is an empty cell, str and int cells
-    are ``str`` of the cell, and every other cell is ``%.17g`` of its
-    float."""
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = [row.get(c) for c in columns] if isinstance(row, dict) else list(row)
-        lines.append(",".join(
-            "" if c is None else str(c) if isinstance(c, (str, int)) else format(float(c), ".17g") for c in cells
-        ))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass

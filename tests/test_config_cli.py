@@ -265,7 +265,7 @@ def test_cli_macro_rejects_off_diagonal_tensors(tmp_path):
     columns, rows = read_csv(out / "effective_tensors.csv")
     rows[0]["s12"] = rows[0]["s21"] = 0.1 * rows[0]["s11"]
     tensors = tmp_path / "full_tensors.csv"
-    write_csv(tensors, {c: [r[c] for r in rows] for c in columns})
+    write_csv(tensors, columns, rows)
     argv = ["macro", "--config", str(cfg), "--out", str(out), "--quiet", "--tensors", str(tensors)]
     assert main(argv) == 2
     record = (out / "error_record.txt").read_text()
@@ -280,7 +280,7 @@ def test_cli_macro_rejects_nan_tensors(tmp_path):
     columns, rows = read_csv(out / "effective_tensors.csv")
     rows[0]["s21"] = rows[0]["k12"] = float("nan")
     tensors = tmp_path / "nan_tensors.csv"
-    write_csv(tensors, {c: [r[c] for r in rows] for c in columns})
+    write_csv(tensors, columns, rows)
     argv = ["macro", "--config", str(cfg), "--out", str(out), "--quiet", "--tensors", str(tensors)]
     assert main(argv) == 2
     assert "kind = config" in (out / "error_record.txt").read_text()
