@@ -47,6 +47,12 @@ of the u-block (4a - 2 wall and ghost nodes) serves both, and every
 application of the inverse is one two-column solve.  Each ring solver
 lives only for its solve: a solution keeps the operators its certificates
 read.
+
+The cell layer works in arrays its callers own: a ring solve overwrites
+its right-hand side, the Stokes operators fill one buffer per result, and
+the certificates work one velocity block at a time.  Each keeps the order
+of operations of the whole-array form, so the tensors and certificates do
+not depend on how the work is split.
 """
 
 from __future__ import annotations
@@ -129,7 +135,8 @@ class _Stencil:
         for axis in (0, 1):
             for step in (1, -1):
                 Y -= np.roll(X, -step, axis=axis)
-        return np.where(self.active, Y, 0.0)
+        np.copyto(Y, 0.0, where=~self.active)
+        return Y
 
 
 def _surface_functional(cell: UnitCell, direction: int) -> np.ndarray:
@@ -180,6 +187,7 @@ def solve_diffusion_cell(cell: UnitCell, tol: float = DEFAULT_TOL) -> list[CellS
     x = np.zeros_like(rhs[0])
     for _ in range(2):  # one refinement step: backward error 1.4e-16 -> 4.3e-17 at n = 256
         x += ring.solve(rhs[0] - A @ x)
+    del ring  # the certificates need only the stencil
     x[fluid] -= x[fluid].mean()
     fields = []
     for b, f in zip(rhs, (x, _transposed(cell, x))):
@@ -361,14 +369,21 @@ class _MacOperators:
         """``G p``: h times the pressure at each active face's cell (i, j)
         minus that at the cell behind it, (i-1, j) or (i, j-1)."""
         hp = self.h * p
-        return np.where(self.faces, np.stack([hp - np.roll(hp, 1, axis=axis) for axis in (0, 1)]), 0.0)
+        G = np.empty(self.faces.shape)
+        for axis in (0, 1):
+            np.subtract(hp, np.roll(hp, 1, axis=axis), out=G[axis])
+        np.copyto(G, 0.0, where=~self.faces)
+        return G
 
     def divergence(self, x):
         """``G^T x``, minus h^2 times the cell divergence of the face
-        velocity ``x``; zero off the fluid cells, as x is zero off the
-        active faces."""
-        hx = self.h * x
-        return (hx[0] - np.roll(hx[0], -1, axis=0)) + (hx[1] - np.roll(hx[1], -1, axis=1))
+        velocity ``x`` (its u- and v-blocks); zero off the fluid cells, as x
+        is zero off the active faces."""
+        hu, hv = self.h * x[0], self.h * x[1]
+        hu -= np.roll(hu, -1, axis=0)
+        hv -= np.roll(hv, -1, axis=1)
+        hu += hv
+        return hu
 
     def _force(self, direction: int) -> np.ndarray:
         """The momentum right-hand side of body force e_direction."""
@@ -393,22 +408,25 @@ class _MacOperators:
 
         def solve_A(r):
             # one two-column solve with the ring solver of A_u, since
-            # A_v^-1 r_v = T A_u^-1 T r_v
-            z = ring.solve(np.stack([r[0], _transposed(cell, r[1])]))
-            return np.stack([z[0], _transposed(cell, z[1])])
+            # A_v^-1 r_v = T A_u^-1 T r_v; r is overwritten
+            r[1] = _transposed(cell, r[1])
+            ring.solve(r)
+            r[1] = _transposed(cell, r[1])
+            return r
 
         def project(p):
             return np.where(fluid, p - p[fluid].mean(), 0.0)
 
         h2 = self.h * self.h
-        b = self._force(0)
-        rhs = project(self.divergence(solve_A(b)) / h2)
+        # the force is built again for the velocity rather than held
+        # through the CG
+        rhs = project(self.divergence(solve_A(self._force(0))) / h2)
         p, _, iters = cg(
             lambda p: self.divergence(solve_A(self.gradient(p))) / h2, rhs,
             tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER, precond=project,
         )
         p = project(p)
-        return solve_A(b - self.gradient(p)), p, iters
+        return solve_A(self._force(0) - self.gradient(p)), p, iters
 
     def certify(self, u, v, p, direction: int, tol: float):
         """Max cell divergence and momentum backward error of the face
@@ -423,20 +441,33 @@ class _MacOperators:
         grew as n^2 eps (1.4e-15 at n = 8, 3.9e-11 at n = 511), past
         tolerances that validation accepts.
         """
-        x = np.where(self.faces, np.stack([u, v]), 0.0)
-        b = self._force(direction)
-        div_max = float(np.max(np.abs(self.divergence(x)))) / (self.h * self.h)
+        h2 = self.h * self.h
+        x = np.zeros(self.faces.shape)
+        for x_q, f, faces in zip(x, (u, v), self.faces):
+            np.copyto(x_q, f, where=faces)
+        div_max = float(np.max(np.abs(self.divergence(x)))) / h2
         vel_scale = max(float(np.max(np.abs(x))), 1e-300)
         if not div_max <= _DIV_TOL * max(vel_scale / self.h, 1.0):  # NaN fails too
             raise SolverError(f"Stokes solve left max divergence {div_max:.3e}", residual=div_max)
         p = np.where(self.cell.fluid, p, 0.0)
-        # the sizes |A||x| + |G||p| + |b|: A is its diagonal minus nonnegative
-        # couplings, so |A| = 2 diag(A) - A, and G takes h times the pressure
-        # on either side of a face
-        abs_x, abs_p = np.abs(x), np.abs(p)
-        sizes = 2.0 * np.stack([self.A_u.diag, self.A_v.diag]) * abs_x - self.laplacian(abs_x) + np.abs(b)
-        sizes += np.where(self.faces, np.stack([self.h * (abs_p + np.roll(abs_p, 1, axis=ax)) for ax in (0, 1)]), 0.0)
-        mom_res = float(np.linalg.norm(self.laplacian(x) + self.gradient(p) - b) / np.linalg.norm(sizes))
+        # one velocity block at a time, the residual A x + G p - b into G p
+        # and the sizes |A||x| + |G||p| + |b| into x: A is its diagonal minus
+        # nonnegative couplings, so |A| = 2 diag(A) - A, G takes h times the
+        # pressure on either side of a face, and b is h^2 on the active faces
+        # of the force's block
+        res = self.gradient(p)
+        abs_p = np.abs(p, out=p)
+        for axis, (x_q, r_q, A, faces) in enumerate(zip(x, res, (self.A_u, self.A_v), self.faces)):
+            r_q += A @ x_q
+            np.abs(x_q, out=x_q)
+            sizes = 2.0 * A.diag * x_q
+            sizes -= A @ x_q
+            if axis == direction:
+                np.subtract(r_q, h2, out=r_q, where=faces)
+                np.add(sizes, h2, out=sizes, where=faces)
+            sizes += np.where(faces, self.h * (abs_p + np.roll(abs_p, 1, axis=axis)), 0.0)
+            x_q[...] = sizes
+        mom_res = float(np.linalg.norm(res) / np.linalg.norm(x))
         if not mom_res <= tol:
             raise SolverError(f"Stokes solve left momentum residual {mom_res:.3e} > {tol:g}", residual=mom_res)
         return div_max, mom_res

@@ -10,6 +10,9 @@ text: a field repeats a few values over most of its cells (one solute
 level on a macro grid, ``nan`` on every solid cell), and formatting, not
 writing, is what costs.  Values are told apart by bit pattern, so ``-0.0``
 keeps its ``-0``.
+
+CSV files have one header row of column names; `read_csv` gives back the
+floats, the text cells and the empty cells that `write_csv` wrote.
 """
 
 from __future__ import annotations
@@ -47,14 +50,22 @@ def write_csv(path, columns, rows):
             f.write(",".join("" if c is None else _fmt(c) if not isinstance(c, (str, int)) else str(c) for c in cells) + "\n")
 
 
+def _cell(text):
+    """A CSV cell as written by `write_csv`: None when empty, else a float,
+    or the text itself when it does not parse as one."""
+    if text == "":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def read_csv(path):
-    """Read a CSV written by write_csv into (columns, list of dicts of floats)."""
+    """Read a CSV written by `write_csv` into (columns, list of dicts): a
+    cell is a float, a str when it does not parse as a float (``isometry``
+    in ``unfold_report.csv``), and None when empty."""
     with open(path) as f:
         columns = f.readline().strip().split(",")
-        rows = []
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            rows.append(
-                {c: (float(p) if p not in ("",) else None) for c, p in zip(columns, parts)}
-            )
+        rows = [dict(zip(columns, map(_cell, line.rstrip("\n").split(",")))) for line in f]
     return columns, rows

@@ -214,13 +214,7 @@ def sweep(
             vel = reconstruct_velocity(grid, stokes, micro_cfg.pressure_gradient)
             labelled(f"[micro] eps = {eps:g}:", vel.check_cfl, micro_cfg.dt, grid.h)
     macro = labelled("[macro]", MacroSolver, macro_cfg, cell, S, K).run()
-    rows = []
-    for eps in eps_list:
-        grid = tile_domain(cell, eps)
-        micro = MicroSolver(micro_cfg, grid, stokes).run()
-        row = two_scale_errors(micro, macro)
-        row["dq_max"] = float(np.max(difference_quotient_norm(micro)))
-        rows.append(row)
+    rows = [_sweep_row(cell, eps, micro_cfg, stokes, macro) for eps in eps_list]
     for i, row in enumerate(rows):
         if i == 0:
             row["order_u"] = None
@@ -230,6 +224,16 @@ def sweep(
             row["order_u"] = _order(rows[i - 1]["err_u_L2"], row["err_u_L2"], span)
             row["order_v"] = _order(rows[i - 1]["err_v_unfolded_L2"], row["err_v_unfolded_L2"], span)
     return ConvergenceReport(rows=rows)
+
+
+def _sweep_row(cell, eps, micro_cfg, stokes, macro) -> dict:
+    """The two-scale errors and ``dq_max`` of the micro run at ``eps``
+    against ``macro``; the run and its grid are released on return, before
+    the next one is built."""
+    micro = MicroSolver(micro_cfg, tile_domain(cell, eps), stokes).run()
+    row = two_scale_errors(micro, macro)
+    row["dq_max"] = float(np.max(difference_quotient_norm(micro)))
+    return row
 
 
 def _order(e_prev, e_next, log_span):

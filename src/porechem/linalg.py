@@ -17,7 +17,9 @@ exactly with FFTs and a small dense system on the ring.  It reads
 the operator only through the ring's sources and conditions, so the
 operator it inverts is never assembled, and it builds the capacitance
 matrix a block of rows at a time: no index array is as large as the
-matrix.
+matrix.  The matrix is assembled and factored in one array, and a solve
+overwrites its right-hand side with the solution: the callers own the
+arrays the cell layer works in.
 """
 
 from __future__ import annotations
@@ -102,8 +104,11 @@ class CapacitanceSolver:
 
     L is translation-invariant, so the entries of C are gathers of one
     Green's function ``g = L+ e_0`` at index differences: building C needs
-    no solves.  C is factored once with dense LU, and every solve is two
-    FFT solves and one pair of triangular solves.
+    no solves.  C, with its border when there are conditions, is gathered
+    into one Fortran-ordered array that dense LU factors in place, once.
+    Every solve is two FFT solves and one pair of triangular solves, and
+    `solve` overwrites its argument: the second FFT solve writes the
+    solution into it.
 
     ``sources`` and ``conditions`` are ``(nodes, weights)`` pairs of (m, 2)
     arrays: row i is the vector with ``weights[i, k]`` at flat torus node
@@ -120,22 +125,34 @@ class CapacitanceSolver:
         symbol = 4.0 - 2.0 * np.cos(freq)[:, None] - 2.0 * np.cos(freq[: n // 2 + 1])[None, :]
         symbol[0, 0] = np.inf  # the pseudo-inverse drops the constant mode
         self.inverse_symbol = 1.0 / symbol
-        C = _gather_pairs(np.fft.irfft2(self.inverse_symbol, s=(n, n)), self.conditions, sources)
-        m = C.shape[0]
+        # C, bordered by the constant and the balance when there are
+        # conditions, in one Fortran-ordered array that LU overwrites
+        m, border = len(self.conditions[0]), 0 if self.cut else 1
+        C = np.zeros((m + border, m + border), order="F")
+        _gather_pairs(np.fft.irfft2(self.inverse_symbol, s=(n, n)), self.conditions, sources, C[:m, :m])
         if self.cut:
             C[np.diag_indices(m)] -= 1.0
             C -= 1.0 / m
         else:
-            C = np.block([[C, conditions[1].sum(axis=1)[:, None]], [sources[1].sum(axis=1)[None, :], np.zeros((1, 1))]])
-        self.capacitance = lu_factor(C, check_finite=False)
+            C[:m, m] = conditions[1].sum(axis=1)
+            C[m, :m] = sources[1].sum(axis=1)
+        self.capacitance = lu_factor(C, overwrite_a=True, check_finite=False)
 
-    def _lplus(self, B):
-        return np.fft.irfft2(np.fft.rfft2(B) * self.inverse_symbol, s=B.shape[-2:])
+    def _lplus(self, B, out=None):
+        """``L+ B`` for arrays B of shape ``(k, n, n)``, into ``out`` if given.
+        The transforms of `numpy.fft.rfft2` and `irfft2`, one axis at a
+        time, run in one complex array."""
+        F = np.fft.rfft(B)
+        np.fft.fft(F, axis=-2, out=F)
+        F *= self.inverse_symbol
+        np.fft.ifft(F, axis=-2, out=F)
+        return np.fft.irfft(F, B.shape[-1], out=out)
 
     def solve(self, b):
-        """Solution for right-hand sides ``b`` of shape ``(n, n)`` or
-        ``(k, n, n)``, zero off the domain."""
-        B = b.reshape((-1,) + self.domain.shape).copy()
+        """Overwrite the right-hand sides ``b``, of shape ``(n, n)`` or
+        ``(k, n, n)``, with their solutions, zero off the domain; returns
+        ``b``."""
+        B = b if b.ndim == 3 else b[None]
         nodes, weights = self.conditions
         rhs = -(self._lplus(B).reshape(len(B), -1)[:, nodes] * weights).sum(axis=-1)
         if not self.cut:
@@ -144,21 +161,20 @@ class CapacitanceSolver:
         nodes, weights = self.sources
         for B_k, lam_k in zip(B, lam):
             B_k += np.bincount(nodes.ravel(), (weights * lam_k[: len(nodes), None]).ravel(), B_k.size).reshape(B_k.shape)
-        X = self._lplus(B)
+        self._lplus(B, out=B)
         if not self.cut:
-            X += lam[:, -1:, None]
-        X[:, ~self.domain] = 0.0
-        return X.reshape(b.shape)
+            B += lam[:, -1:, None]
+        B[:, ~self.domain] = 0.0
+        return b
 
 
-def _gather_pairs(g, rows, cols):
-    """``rows^T L+ cols`` from the Green's function g of ``L+``: entry (i, j)
-    sums the weight products times g at the index differences of the nodes
-    of row i and column j.  The differences are taken 64 rows at a time, so
-    no index array is as large as the result."""
+def _gather_pairs(g, rows, cols, out):
+    """Add ``rows^T L+ cols`` to ``out`` from the Green's function g of
+    ``L+``: entry (i, j) sums the weight products times g at the index
+    differences of the nodes of row i and column j.  The differences are
+    taken 64 rows at a time, so no index array is as large as the result."""
     n = g.shape[0]
     g = g.ravel()
-    out = np.zeros((rows[0].shape[0], cols[0].shape[0]))
     for s in range(2):
         rx, ry = np.divmod(rows[0][:, s], n)
         for t in range(2):
@@ -169,4 +185,3 @@ def _gather_pairs(g, rows, cols):
                     diff = (rx[b, None] - cx) % n * n
                     diff += (ry[b, None] - cy) % n
                     out[b] += np.outer(rows[1][b, s], cols[1][:, t]) * g[diff]
-    return out

@@ -10,13 +10,16 @@ differences.  The helpers at the end (the ramp-regularized
 precipitate ODE, the field-file reader, the stability gap of two macro
 runs) only read what the package returns; `field_text` there writes the
 field file format with one template for every value, the byte oracle of
-`porechem.gridio.write_field`.
+`porechem.gridio.write_field`, and `out_of_place_ring_solve` is the ring
+solve of `porechem.linalg.CapacitanceSolver` into a new array, the bit
+oracle of the solve that overwrites its argument.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_solve
 
 from porechem.errors import ConfigError
 
@@ -278,6 +281,30 @@ def field_text(values, h, mask=None) -> str:
         out = np.where(mask, out, np.nan)
     row = " ".join(["%.17g"] * nx) + "\n"
     return f"{nx} {ny}\n{h!r}\n" + (row * ny) % tuple(out.T.ravel().tolist())
+
+
+def out_of_place_ring_solve(ring, b):
+    """The solution of a `porechem.linalg.CapacitanceSolver` ring system for
+    right-hand sides b of shape (n, n) or (k, n, n), in a new array: the
+    solver's solve as it was before it overwrote its argument, reading the
+    ring's sources, conditions, symbol and factored capacitance matrix."""
+    def lplus(B):
+        return np.fft.irfft2(np.fft.rfft2(B) * ring.inverse_symbol, s=B.shape[-2:])
+
+    B = b.reshape((-1,) + ring.domain.shape).copy()
+    nodes, weights = ring.conditions
+    rhs = -(lplus(B).reshape(len(B), -1)[:, nodes] * weights).sum(axis=-1)
+    if not ring.cut:
+        rhs = np.column_stack([rhs, -B.sum(axis=(1, 2))])
+    lam = lu_solve(ring.capacitance, rhs.T, check_finite=False).T
+    nodes, weights = ring.sources
+    for B_k, lam_k in zip(B, lam):
+        B_k += np.bincount(nodes.ravel(), (weights * lam_k[: len(nodes), None]).ravel(), B_k.size).reshape(B_k.shape)
+    X = lplus(B)
+    if not ring.cut:
+        X += lam[:, -1:, None]
+    X[:, ~ring.domain] = 0.0
+    return X.reshape(b.shape)
 
 
 @dataclass

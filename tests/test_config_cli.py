@@ -252,6 +252,18 @@ def test_cli_micro_macro_unfold(tmp_path):
     assert iso and all(float(line.split(",")[2]) <= 1e-12 for line in iso)
 
 
+def test_unfold_report_reads_back(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["unfold", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    columns, rows = read_csv(out / "unfold_report.csv")
+    assert columns == ["kind", "name", "value"]
+    assert {r["kind"] for r in rows} == {"isometry", "oscillation_x1"}
+    assert all(isinstance(r["kind"], str) and isinstance(r["name"], str) and isinstance(r["value"], float) for r in rows)
+    assert [r["name"] for r in rows if r["kind"] == "isometry"] == sorted(p.name for p in out.glob("faces_*.csv"))
+
+
 def test_cli_macro_requires_tensors(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "fresh"
