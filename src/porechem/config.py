@@ -92,9 +92,11 @@ CELL_BUDGET = 512 * 512
 
 # the most steps a transport run may take, and the most grid cells its stored
 # snapshots may cover: the mass report keeps a 384-byte row per step (Python
-# 3.11), 38 MB for 10^5 steps, a thousand times the default run's 100; a
-# snapshot keeps u, v and w, at most 24 bytes per cell (v and w live on grain
-# faces or macro cells), 201 MB for 32 snapshots of 512 x 512 cells
+# 3.11), 38 MB for 10^5 steps, a thousand times the default run's 100.  The
+# subcommands hand each snapshot to a consumer that writes or folds it, so
+# they hold at most two (it and the one before, for the L1 step rate): the
+# snapshot budget bounds the output, one field file per snapshot of about 21
+# bytes of text per cell, 176 MB for 32 snapshots of 512 x 512 cells
 STEP_BUDGET = 100_000
 SNAPSHOT_BUDGET = 32 * CELL_BUDGET
 

@@ -19,6 +19,7 @@ this keeps the comparison free of interpolation bias at the grain walls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,8 +27,9 @@ from .errors import ConfigError, labelled
 from .geometry import PerforatedGrid, UnitCell, cells_per_edge, tile_domain
 from .gridio import write_csv
 from .macro_sim import MacroConfig, MacroSolver
-from .micro_sim import MicroConfig, MicroSolver, difference_quotient_norm, reconstruct_velocity
-from .transport import Run
+from .micro_sim import MicroConfig, MicroSolver, l1_step_rate, reconstruct_velocity
+from .micro_sim import difference_quotient_norm  # noqa: F401 -- not called here; perfbench/spans.py traces this name
+from .transport import Run, StepRates
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,43 @@ def _macro_on_eps_cells(u_macro: np.ndarray, N: int) -> np.ndarray:
     return u_macro.reshape(N, b, N, b).mean(axis=(1, 3))
 
 
+def _macro_level(state, N: int) -> tuple:
+    """The eps-cell averages of a macro snapshot's solute and precipitate,
+    the precipitate's flattened kx-major, as the grain faces are."""
+    return _macro_on_eps_cells(state.u, N), _macro_on_eps_cells(state.v, N).reshape(N * N)
+
+
+def _snapshot_errors(grid: PerforatedGrid, law, state, level) -> tuple:
+    """Squared volume, boundary and rate errors of one micro snapshot
+    against the macro snapshot's eps-cell averages ``level``."""
+    n = grid.cell.n
+    h2 = grid.h**2
+    U, V = level
+    u_ext = extend(state.u, grid)
+    U_fine = np.repeat(np.repeat(U, n, axis=0), n, axis=1)
+    e_u = np.sum((u_ext - U_fine) ** 2) * h2
+    e_r = np.sum((law.rate(u_ext) - law.rate(U_fine)) ** 2) * h2
+    tr = unfold(state.v, grid)
+    e_v = grid.eps**2 * (1.0 / n) * np.sum((tr - V[:, None]) ** 2)
+    return e_u, e_v, e_r
+
+
+def _space_time_norms(eps, times, errors) -> dict:
+    """The rows of `two_scale_errors` from the per-snapshot squared errors,
+    integrated in time by the trapezoid rule."""
+    e_u, e_v, e_r = np.array(errors).T
+    dt_w = np.zeros_like(times)  # trapezoid weights on the time axis
+    gaps = np.diff(times)
+    dt_w[:-1] += 0.5 * gaps
+    dt_w[1:] += 0.5 * gaps
+    return {
+        "eps": eps,
+        "err_u_L2": float(np.sqrt(np.sum(e_u * dt_w))),
+        "err_v_unfolded_L2": float(np.sqrt(np.sum(e_v * dt_w))),
+        "err_r_L2": float(np.sqrt(np.sum(e_r * dt_w))),
+    }
+
+
 def two_scale_errors(micro: Run, macro: Run) -> dict:
     """Space-time errors between one micro run and the macro run.
 
@@ -152,35 +191,15 @@ def two_scale_errors(micro: Run, macro: Run) -> dict:
     Boundary error: L2(Omega x Gamma x (0,T)) distance between the unfolded
     precipitate trace and the (y-independent) eps-cell average of the macro
     precipitate.  The rate error applies r(.) before the volume norm.
+    Both runs keep their snapshots; `sweep` folds the same per-snapshot
+    errors while its runs step.
     """
     grid = micro.grid
     check_sweep([grid.eps], micro.cfg, macro.cfg)
-    N, n = grid.cells_per_edge, grid.cell.n
-    h2 = grid.h**2
+    N = grid.cells_per_edge
     law = micro.cfg.rate_law
-    e_u = np.empty(len(micro.times))
-    e_v = np.empty(len(micro.times))
-    e_r = np.empty(len(micro.times))
-    y_meas = 1.0 / n
-    for i, (ms, Ms) in enumerate(zip(micro.states, macro.states)):
-        u_ext = extend(ms.u, grid)
-        U = _macro_on_eps_cells(Ms.u, N)
-        U_fine = np.repeat(np.repeat(U, n, axis=0), n, axis=1)
-        e_u[i] = np.sum((u_ext - U_fine) ** 2) * h2
-        e_r[i] = np.sum((law.rate(u_ext) - law.rate(U_fine)) ** 2) * h2
-        tr = unfold(ms.v, grid)
-        V = _macro_on_eps_cells(Ms.v, N).reshape(N * N)  # kx-major, matching faces
-        e_v[i] = grid.eps**2 * y_meas * np.sum((tr - V[:, None]) ** 2)
-    dt_w = np.zeros_like(micro.times)  # trapezoid weights on the time axis
-    gaps = np.diff(micro.times)
-    dt_w[:-1] += 0.5 * gaps
-    dt_w[1:] += 0.5 * gaps
-    return {
-        "eps": grid.eps,
-        "err_u_L2": float(np.sqrt(np.sum(e_u * dt_w))),
-        "err_v_unfolded_L2": float(np.sqrt(np.sum(e_v * dt_w))),
-        "err_r_L2": float(np.sqrt(np.sum(e_r * dt_w))),
-    }
+    errors = [_snapshot_errors(grid, law, ms, _macro_level(Ms, N)) for ms, Ms in zip(micro.states, macro.states)]
+    return _space_time_norms(grid.eps, micro.times, errors)
 
 
 @dataclass
@@ -205,7 +224,14 @@ def sweep(
     factor of ``cell``, and the micro problem per eps on ``cell`` tiled, with
     the Stokes solutions ``stokes`` (reconstructed flow); report the
     two-scale errors with observed orders between consecutive eps.  Before
-    any run steps: `check_sweep`, and every run's advective CFL bound."""
+    any run steps: `check_sweep`, and every run's advective CFL bound.
+
+    No run keeps its snapshots.  The macro run's consumer keeps, per
+    snapshot and per eps, only the eps-cell averages the errors read; each
+    micro run's consumer adds its snapshot's squared errors and L1 step rate
+    and holds only the snapshot before.  The rows are those of
+    `two_scale_errors` and `difference_quotient_norm` on stored runs, bit
+    for bit."""
     check_sweep(eps_list, micro_cfg, macro_cfg)
     if micro_cfg.velocity_mode == "reconstructed":
         # each run rebuilds its velocity, so no two micro runs are held at once
@@ -213,8 +239,14 @@ def sweep(
             grid = tile_domain(cell, eps)
             vel = reconstruct_velocity(grid, stokes, micro_cfg.pressure_gradient)
             labelled(f"[micro] eps = {eps:g}:", vel.check_cfl, micro_cfg.dt, grid.h)
-    macro = labelled("[macro]", MacroSolver, macro_cfg, cell, S, K).run()
-    rows = [_sweep_row(cell, eps, micro_cfg, stokes, macro) for eps in eps_list]
+    levels = {cells_per_edge(eps): [] for eps in eps_list}
+
+    def average(state):
+        for N, kept in levels.items():
+            kept.append(_macro_level(state, N))
+
+    labelled("[macro]", MacroSolver, macro_cfg, cell, S, K, consumer=average).run()
+    rows = [_sweep_row(tile_domain(cell, eps), micro_cfg, stokes, levels[cells_per_edge(eps)]) for eps in eps_list]
     for i, row in enumerate(rows):
         if i == 0:
             row["order_u"] = None
@@ -226,13 +258,22 @@ def sweep(
     return ConvergenceReport(rows=rows)
 
 
-def _sweep_row(cell, eps, micro_cfg, stokes, macro) -> dict:
-    """The two-scale errors and ``dq_max`` of the micro run at ``eps``
-    against ``macro``; the run and its grid are released on return, before
-    the next one is built."""
-    micro = MicroSolver(micro_cfg, tile_domain(cell, eps), stokes).run()
-    row = two_scale_errors(micro, macro)
-    row["dq_max"] = float(np.max(difference_quotient_norm(micro)))
+def _sweep_row(grid, micro_cfg, stokes, levels) -> dict:
+    """The two-scale errors and ``dq_max`` of the micro run on ``grid``
+    against the macro snapshots' eps-cell averages ``levels``, folded while
+    the run steps; the grid and the run are released on return, before the
+    next one is built."""
+    law = micro_cfg.rate_law
+    errors = []
+    rates = StepRates(partial(l1_step_rate, grid=grid))
+
+    def fold(state):
+        errors.append(_snapshot_errors(grid, law, state, levels[len(errors)]))
+        rates(state)
+
+    run = MicroSolver(micro_cfg, grid, stokes, consumer=fold).run()
+    row = _space_time_norms(grid.eps, run.times, errors)
+    row["dq_max"] = float(np.max(rates.values))
     return row
 
 

@@ -42,6 +42,10 @@ def cg(A, b, *, precond, tol, maxiter=None):
     tol : relative residual target, ||r|| <= tol * ||b|| (absolute floor
         of tol when b = 0).
 
+    Between calls of ``A`` and ``precond`` the loop holds three vectors, x,
+    r and p: it drops ``A p`` and ``M^-1 r`` once used and updates p in
+    place.
+
     Returns
     -------
     (x, relres, iters)
@@ -57,20 +61,22 @@ def cg(A, b, *, precond, tol, maxiter=None):
     if np.linalg.norm(r) <= floor:
         return x, np.linalg.norm(r) / max(bnorm, 1.0), 0
 
-    z = precond(r)
-    p = z.copy()
-    rz = np.vdot(r, z)
+    p = precond(r).copy()  # updated in place, so never the preconditioner's own array
+    rz = np.vdot(r, p)
     for it in range(1, maxiter + 1):
         Ap = A(p)
         alpha = rz / np.vdot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
+        del Ap  # x, r and p are all that cross the next matvec
         rnorm = np.linalg.norm(r)
         if rnorm <= floor:
             return x, rnorm / max(bnorm, 1.0), it
         z = precond(r)
         rz_new = np.vdot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz  # p = z + beta p, in place and to the same bits
+        p += z
+        del z
         rz = rz_new
     raise SolverError(
         f"CG failed to reach {tol:g} in {maxiter} iterations "

@@ -89,9 +89,11 @@ def darcy_solve(K, m, p_left=1.0, p_right=0.0):
 
 class MacroSolver(TransportSolver):
     """The transport core on the all-fluid m x m grid of the unit square, with
-    the coefficients S (D included), K (darcy mode) and |Gamma|/|Y| of ``cell``."""
+    the coefficients S (D included), K (darcy mode) and |Gamma|/|Y| of
+    ``cell``; ``consumer``, when given, takes each stored snapshot in place
+    of ``Run.states`` (`TransportSolver._run`)."""
 
-    def __init__(self, cfg: MacroConfig, cell: UnitCell, S, K=None):
+    def __init__(self, cfg: MacroConfig, cell: UnitCell, S, K=None, *, consumer=None):
         S = diagonal_tensor("S", S)
         if K is not None:
             K = diagonal_tensor("K", K)
@@ -109,7 +111,7 @@ class MacroSolver(TransportSolver):
             owners=np.arange(m * m),
             weight=cell.surface_measure / cell.pore_area * h * h,
             carriers=np.meshgrid(xs, xs, indexing="ij"),
-            velocity=vel,
+            velocity=vel, consumer=consumer,
         )
         self.m = m
 

@@ -65,9 +65,11 @@ def reconstruct_velocity(grid: PerforatedGrid, stokes, G) -> FaceVelocity:
 
 
 class MicroSolver(TransportSolver):
-    """The transport core on the fluid cells of one perforated grid."""
+    """The transport core on the fluid cells of one perforated grid;
+    ``consumer``, when given, takes each stored snapshot in place of
+    ``Run.states`` (`TransportSolver._run`)."""
 
-    def __init__(self, cfg: MicroConfig, grid: PerforatedGrid, stokes=None):
+    def __init__(self, cfg: MicroConfig, grid: PerforatedGrid, stokes=None, *, consumer=None):
         vel = reconstruct_velocity(grid, stokes, cfg.pressure_gradient) if cfg.velocity_mode == "reconstructed" else None
         f = grid.faces
         super().__init__(
@@ -75,7 +77,7 @@ class MicroSolver(TransportSolver):
             owners=grid.fluid_index[f.owner_ix, f.owner_iy],
             weight=grid.eps * grid.h,
             carriers=(f.centers[:, 0], f.centers[:, 1]),
-            velocity=vel, grid=grid,
+            velocity=vel, grid=grid, consumer=consumer,
         )
         self.m = grid.n_fluid_cells
 
@@ -98,13 +100,20 @@ def l1_distance(a: State, b: State, grid: PerforatedGrid) -> float:
     return du + dv
 
 
+def l1_step_rate(a: State, b: State, grid: PerforatedGrid) -> float:
+    """The ``l1_distance`` from snapshot ``a`` to the later ``b`` over their
+    time gap."""
+    return l1_distance(b, a, grid) / (b.t - a.t)
+
+
 def difference_quotient_norm(run: Run) -> np.ndarray:
     """L1 step rate of a pore-scale run at each snapshot: 0 at t = 0, then
-    the ``l1_distance`` to the snapshot before over their actual time gap
+    `l1_step_rate` from the snapshot before, over their actual time gap
     (the last gap is shorter when ``output_every`` does not divide the step
-    count).  By L1 contraction it does not grow between gaps of one length."""
-    times = run.times
-    out = np.zeros(len(times))
-    for i in range(1, len(times)):
-        out[i] = l1_distance(run.states[i], run.states[i - 1], run.grid) / (times[i] - times[i - 1])
+    count).  By L1 contraction it does not grow between gaps of one length.
+    A run whose snapshots went to a consumer folds the same rates with
+    ``StepRates(partial(l1_step_rate, grid=grid))``."""
+    out = np.zeros(len(run.times))
+    for i in range(1, len(out)):
+        out[i] = l1_step_rate(run.states[i - 1], run.states[i], run.grid)
     return out

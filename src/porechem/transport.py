@@ -132,10 +132,25 @@ class MassRow:
 @dataclass
 class Run:
     cfg: TransportConfig
-    times: np.ndarray
-    states: list
-    mass: list
+    times: np.ndarray      # of the stored snapshots
+    states: list           # the stored snapshots, empty when a consumer took them
+    mass: list             # one row per step
     grid: object = None    # the perforated grid of a pore-scale run
+
+
+class StepRates:
+    """Snapshot consumer that folds a step rate: ``values`` gets
+    ``rate(previous, snapshot)`` for each snapshot after the first, and 0
+    for the first.  It holds the previous snapshot and nothing more."""
+
+    def __init__(self, rate):
+        self.rate = rate
+        self.values = []
+        self.previous = None
+
+    def __call__(self, state: State):
+        self.values.append(0.0 if self.previous is None else self.rate(self.previous, state))
+        self.previous = state
 
 
 @dataclass(frozen=True)
@@ -165,19 +180,23 @@ def _sample(spec, x, y):
 class TransportSolver:
     """Operators, initial state, step and run loop of one transport run.
 
-    ``MicroSolver`` and ``MacroSolver`` construct it from their geometry and
-    define ``step`` and ``run`` on top of ``_step`` and ``_run``.  ``step``
-    passes in the Newton solve and the precipitate update under its own
-    module's names, so that tracing which patches a module's names
-    (``perfbench/spans.py``) tells the two scales apart.
+    ``MicroSolver`` and ``MacroSolver`` construct it from their geometry,
+    passing their ``consumer`` keyword through, and define ``step`` and
+    ``run`` on top of ``_step`` and ``_run``.  ``step`` passes in the Newton
+    solve and the precipitate update under its own module's names, so that
+    tracing which patches a module's names (``perfbench/spans.py``) tells
+    the two scales apart.
     """
 
     def __init__(self, cfg: TransportConfig, mask, h, axis_weights, owners, weight, carriers,
-                 velocity: FaceVelocity | None = None, grid=None):
+                 velocity: FaceVelocity | None = None, grid=None, *, consumer=None):
         """``mask`` marks the active cells of the grid, ``owners`` the
         active-cell index of each reaction carrier, ``carriers`` the
-        carriers' ``(x, y)`` positions and ``weight`` their coupling."""
+        carriers' ``(x, y)`` positions and ``weight`` their coupling.
+        ``consumer``, when given, takes each stored snapshot in place of
+        ``Run.states`` (see `_run`)."""
         self.cfg = cfg
+        self.consumer = consumer
         self.mask = mask
         self.h = h
         self.grid = grid
@@ -290,12 +309,19 @@ class TransportSolver:
 
     def _run(self) -> Run:
         """Integrate to t_end.  The mass report has one row per step; field
-        snapshots are stored at ``cfg.snapshot_steps``; no step mutates a
-        state, so each is stored as the step made it."""
+        snapshots are taken at ``cfg.snapshot_steps`` and handed, as the
+        step makes each one, to the consumer, which by default appends it
+        to ``Run.states``.  A consumer that folds or writes the snapshots
+        leaves ``states`` empty, so the run holds no field history; the
+        consumer may keep what it is given, since no step mutates a state.
+        ``Run.times`` and ``Run.mass`` are filled either way."""
         cfg = self.cfg
         stored = set(cfg.snapshot_steps)
+        states = []
+        consume = states.append if self.consumer is None else self.consumer
         state = self.initial_state()
-        states = [state]
+        consume(state)
+        times = [state.t]
         rows = [self._mass_row(state, 0.0, 0.0)]
         base = rows[0].mass_u + rows[0].mass_v
         influx = 0.0
@@ -305,5 +331,6 @@ class TransportSolver:
             row.drift = (row.mass_u + row.mass_v) - base - influx
             rows.append(row)
             if k in stored:
-                states.append(state)
-        return Run(cfg=cfg, times=np.array([s.t for s in states]), states=states, mass=rows, grid=self.grid)
+                consume(state)
+                times.append(state.t)
+        return Run(cfg=cfg, times=np.array(times), states=states, mass=rows, grid=self.grid)

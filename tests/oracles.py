@@ -12,10 +12,14 @@ runs) only read what the package returns; `field_text` there writes the
 field file format with one template for every value, the byte oracle of
 `porechem.gridio.write_field`, and `out_of_place_ring_solve` is the ring
 solve of `porechem.linalg.CapacitanceSolver` into a new array, the bit
-oracle of the solve that overwrites its argument.
+oracle of the solve that overwrites its argument.  `stored_run_files`
+writes, from a run that kept its snapshots, the files the `micro` and
+`macro` subcommands write while their runs step, and `assert_same_run`
+compares a run that handed its snapshots to a consumer with one that kept
+them, bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -305,6 +309,66 @@ def out_of_place_ring_solve(ring, b):
         X += lam[:, -1:, None]
     X[:, ~ring.domain] = 0.0
     return X.reshape(b.shape)
+
+
+def csv_text(columns, rows) -> str:
+    """A CSV file as text: ints and strings as written, other numbers in
+    ``%.17g``."""
+    def cell(c):
+        return str(c) if isinstance(c, (str, int)) else format(float(c), ".17g")
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [columns, *rows])
+
+
+SERIES_COLUMNS = ["t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v", "l1_step_rate"]
+
+
+def stored_run_files(run, h, grid=None) -> dict:
+    """Name -> text of the files `porechem micro` (a pore-scale run on
+    ``grid``) or `porechem macro` (``grid`` None, cells of side h) writes
+    for ``run``, computed after the run from its stored snapshots: each
+    snapshot's fields, and the series rows with the L1 step rate between
+    consecutive snapshots over their time gap, solute and precipitate on a
+    pore-scale run, the solute alone on a macro run."""
+    states, files = run.states, {}
+    for i, s in enumerate(states):
+        if grid is None:
+            files[f"macro_u_{i:05d}.txt"] = field_text(s.u, h)
+            files[f"macro_v_{i:05d}.txt"] = field_text(s.v, h)
+            continue
+        f = grid.faces
+        files[f"u_{i:05d}.txt"] = field_text(s.u, h, grid.fluid_mask)
+        files[f"faces_{i:05d}.csv"] = csv_text(
+            ["face", "kx", "ky", "local", "center_x", "center_y", "v", "w"],
+            [(j, int(f.kx[j]), int(f.ky[j]), int(f.local[j]), *f.centers[j], s.v[j], s.w[j]) for j in range(f.count)])
+    rates = [0.0]
+    for a, b in zip(states, states[1:]):
+        if grid is None:
+            dist = float(np.abs(b.u - a.u).sum() * (1.0 / b.u.size))
+        else:
+            fluid = grid.fluid_mask
+            dist = float(np.abs(b.u[fluid] - a.u[fluid]).sum() * h * h) + float(grid.eps * h * np.abs(b.v - a.v).sum())
+        rates.append(dist / (b.t - a.t))
+    rows = [[getattr(run.mass[k], c) for c in SERIES_COLUMNS[:-1]] + [rate]
+            for k, rate in zip(run.cfg.snapshot_steps, rates)]
+    files["macro_series.csv" if grid is None else "micro_series.csv"] = csv_text(SERIES_COLUMNS, rows)
+    return files
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_same_run(streamed, taken, stored):
+    """``streamed``, whose consumer was handed the snapshots ``taken``, is
+    ``stored``, a run that kept them: the same snapshots, times and mass
+    rows, bit for bit, and no snapshot kept in the run itself."""
+    assert streamed.states == [] and len(taken) == len(stored.states) > 1
+    for a, b in zip(taken, stored.states):
+        for name in ("t", "u", "v", "w"):
+            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
+    assert np.array_equal(_bits(streamed.times), _bits(stored.times))
+    assert np.array_equal(_bits([astuple(r) for r in streamed.mass]), _bits([astuple(r) for r in stored.mass]))
 
 
 @dataclass

@@ -585,10 +585,10 @@ def test_in_place_ring_solve_keeps_the_bits(cut):
         assert np.array_equal(B.view(np.int64), ref.view(np.int64))
 
 
-def _traced_peak(f, *args):
+def _traced_peak(f, *args, **kwargs):
     tracemalloc.start()
     try:
-        f(*args)
+        f(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -607,6 +607,17 @@ def test_cell_pairs_peak_memory():
     ops = cell_problems._MacOperators(UnitCell(256, 0.5))
     ring = cell_problems._wall_ring(ops.u_active, ops.u_interior, 1)
     assert _traced_peak(linalg.CapacitanceSolver, ops.u_active, *ring) <= 5 * 2**20
+
+
+def test_cg_holds_three_vectors_between_calls():
+    # a diagonal system of 2^17 unknowns, 1 MiB a vector, whose matvec holds
+    # a temporary besides its product, as the Newton matvec A p + d p does:
+    # x, r and p cross each call, so the peak is five vectors; keeping the
+    # last A p and M^-1 r through the next calls peaked at seven
+    d = np.linspace(1.0, 100.0, 2**17)
+    b = np.ones_like(d)
+    peak = _traced_peak(linalg.cg, lambda p: d * p + 0.5 * p, b, precond=lambda r: r / 2.0, tol=1e-10)
+    assert peak <= 5.25 * 2**20
 
 
 def test_mac_operators_peak_memory():

@@ -8,14 +8,18 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import SuperLU
 
-from porechem import _implicit, cell_problems, cli, config, linalg, micro_sim, transport
+from porechem import _implicit, cell_problems, cli, config, linalg, macro_sim, micro_sim, transport
+from porechem.cell_problems import read_tensor_csv, solve_stokes_cell
 from porechem.cli import _compute_tensors, main
 from porechem.config import parse_config
 from porechem.errors import ConfigError
+from porechem.geometry import tile_domain
 from porechem.gridio import read_csv, write_csv, write_field
+from porechem.macro_sim import MacroSolver
+from porechem.micro_sim import MicroSolver
 from porechem.transport import TransportConfig
 
-from oracles import read_field
+from oracles import read_field, stored_run_files
 
 MINIMAL = """
 [geometry]
@@ -778,6 +782,71 @@ def test_cli_run_time_invariant_failure_exits_3_with_the_state(tmp_path, monkeyp
     u, h, mask = read_field(out / "abort_state_u.txt")
     assert mask.all() and h == 1.0 / u.shape[0]
     assert np.array_equal(u, checked[-1].u) and checked[-1].u.any()
+
+
+def _flow_run(tmp_path):
+    """A config with flow at both scales and an uneven last gap (steps 0, 3,
+    6, 9 and 10), and the output directory with its cell problems solved."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MINIMAL + "".join(
+        f"[{s}]\nvelocity_mode = {mode}\ndt = 0.01\nt_end = 0.1\noutput_every = 3\nv_init = constant:0.05\n{extra}"
+        for s, mode, extra in (("micro", "reconstructed", ""), ("macro", "darcy", "resolution = 16\n"))))
+    out = tmp_path / "out"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    return cfg, out
+
+
+def _stored_run_files(command, cfg_path, out):
+    """What `stored_run_files` writes for the run of ``command``, made again
+    with its snapshots kept."""
+    cfg = parse_config(str(cfg_path))
+    if command == "micro":
+        grid = tile_domain(cfg.cell, cfg.eps)
+        run = MicroSolver(cfg.micro, grid, solve_stokes_cell(cfg.cell, cfg.tolerances["cell"])).run()
+        return stored_run_files(run, grid.h, grid)
+    _, _, S, K = read_tensor_csv(out / "effective_tensors.csv")
+    solver = MacroSolver(cfg.macro, cfg.cell, S, K)
+    return stored_run_files(solver.run(), solver.h)
+
+
+@pytest.mark.parametrize("command", ["micro", "macro"])
+def test_cli_writes_the_files_of_the_stored_run(tmp_path, command):
+    # each snapshot is written as the run makes it, and the series from the
+    # rates folded on the way: the bytes of writing the stored run's files
+    cfg, out = _flow_run(tmp_path)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    want = _stored_run_files(command, cfg, out)
+    assert len(want) == 11  # 5 snapshots, 2 files each, and the series
+    for name, text in want.items():
+        assert (out / name).read_text() == text, name
+    written = {p.name for p in out.glob("*_0*.*")}
+    assert written == {name for name in want if "_0" in name}
+
+
+@pytest.mark.parametrize("command, module", [("micro", micro_sim), ("macro", macro_sim)], ids=["micro", "macro"])
+def test_cli_run_failing_mid_run_leaves_the_snapshots_before_the_failure(tmp_path, monkeypatch, command, module):
+    # the precipitate update breaks v >= 0 at step 8: the run exits 3 with
+    # the snapshots of steps 0, 3 and 6 written, those of the run that does
+    # not fail, and no series
+    cfg, out = _flow_run(tmp_path)
+    want = _stored_run_files(command, cfg, out)
+    calls = []
+    ode_step = module.ode_step
+
+    def failing_ode_step(law, u, v, dt):
+        calls.append(None)
+        v_new, w = ode_step(law, u, v, dt)
+        return (v_new - 1.0 if len(calls) == 8 else v_new), w
+
+    monkeypatch.setattr(module, "ode_step", failing_ode_step)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert "error = StateError" in (out / "error_record.txt").read_text()
+    written = sorted(p.name for p in out.glob("*_0*.*"))
+    assert written == sorted(name for name in want if re.search("_0000[0-2]", name))
+    assert len(written) == 6
+    for name in written:
+        assert (out / name).read_text() == want[name], name
+    assert not list(out.glob("*_series.csv"))
 
 
 def test_cli_macro_writes_the_linear_darcy_pressure(tmp_path):

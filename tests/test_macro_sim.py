@@ -10,7 +10,7 @@ from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_t
 from porechem.micro_sim import MicroConfig, MicroSolver
 from porechem.transport import FaceVelocity, TransportConfig, TransportSolver
 
-from oracles import lumped_trajectory, stability_gap
+from oracles import assert_same_run, lumped_trajectory, stability_gap
 
 S_ISO = np.eye(2) * 0.768
 K_ISO = np.eye(2) * 0.0177
@@ -309,3 +309,11 @@ def test_step_properties_at_kinetic_bound(exponent, k, u_onset, u_span, s, side,
          for a, b in zip(runs[0].states, runs[1].states)]
     for i in range(1, len(d)):
         assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14
+
+
+def test_a_consumer_takes_the_snapshots_of_the_stored_run():
+    cfg = closed_box(u_init=0.3, v_init=0.05, t_end=0.3, output_every=7, dirichlet_edges=("left",),
+                     velocity_mode="darcy", p_left=2.0)
+    taken = []
+    streamed = MacroSolver(cfg, CELL, S_ISO, K_ISO, consumer=taken.append).run()
+    assert_same_run(streamed, taken, MacroSolver(cfg, CELL, S_ISO, K_ISO).run())

@@ -17,10 +17,12 @@ from porechem.micro_sim import (
     MicroSolver,
     difference_quotient_norm,
     l1_distance,
+    l1_step_rate,
     reconstruct_velocity,
 )
+from porechem.transport import StepRates
 
-from oracles import lumped_trajectory
+from oracles import assert_same_run, lumped_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,16 @@ def test_run_stores_exactly_the_snapshot_steps(grid, t_end, output_every, steps)
         assert r.mass[s].mass_v == float(grid.eps * grid.h * state.v.sum())
 
 
+def test_a_consumer_takes_the_snapshots_of_the_stored_run(cell, grid):
+    # reconstructed flow and an uneven last gap: steps 0, 7, 14, 21, 28, 30
+    cfg = closed_box(u_init=0.3, v_init=0.05, t_end=0.3, output_every=7, dirichlet_edges=("left",),
+                     velocity_mode="reconstructed", pressure_gradient=(-2.0, 0.0))
+    stokes = solve_stokes_cell(cell)
+    taken = []
+    streamed = MicroSolver(cfg, grid, stokes, consumer=taken.append).run()
+    assert_same_run(streamed, taken, MicroSolver(cfg, grid, stokes).run())
+
+
 def test_difference_quotient_uses_the_actual_last_gap(grid):
     # 95 steps stored every 10: the last gap is 5 steps, 0.05, not 0.1
     cfg = closed_box(u_init=0.0, v_init=0.05, t_end=0.95, dirichlet_edges=("left",))
@@ -86,7 +98,10 @@ def test_difference_quotient_uses_the_actual_last_gap(grid):
     last = l1_distance(r.states[-1], r.states[-2], grid)
     assert last > 0.0
     assert dq[-1] == pytest.approx(last / 0.05, rel=1e-12)
-    assert [row["l1_step_rate"] for row in _series_rows(r)] == dq.tolist()
+    # the series CSV's rates, folded by the consumer of a run that keeps no snapshots
+    rates = StepRates(functools.partial(l1_step_rate, grid=grid))
+    streamed = MicroSolver(cfg, grid, consumer=rates).run()
+    assert [row["l1_step_rate"] for row in _series_rows(streamed, rates.values)] == dq.tolist()
 
 
 def test_closed_box_conservation(grid):
