@@ -5,21 +5,23 @@ while the precipitate exchange term is evaluated at the new solute level
 through the event-resolved net rate ``G(u) = k (r(u) - w_eff)`` of the
 exact Heaviside selection (`kinetics.net_rate`).  G is monotone
 nondecreasing in u and piecewise smooth, so Newton with the generalized
-derivative (`kinetics.net_rate_derivative`) converges globally for this
+derivative (`kinetics.net_rate_slope`) converges globally for this
 M-function system; we iterate until the nonlinear residual is small enough
 that the per-step mass-balance defect sits at round-off.
 
-``ImplicitOperator`` builds, once per run, the masked 5-point diffusion
-operator A and a direct solve of the backward-Euler operator
-``B = A + (h^2/dt) I``, certified on a probe vector before the run.  On a
-grid without solid cells, such as the macro grid, B is a Kronecker sum and
+``ImplicitOperator`` builds, once per run, the backward-Euler operator
+``B = A + (h^2/dt) I``, A the masked 5-point diffusion operator, and a
+direct solve of B, certified on a probe vector before the run.  On a grid
+without solid cells, such as the macro grid, B is a Kronecker sum and
 `separable_solve` inverts it by separation of variables, with no factor to
 store; on the perforated grid the solve is the sparse LU factor of B.  The
 Newton matrix ``J = B + diag(extra)`` differs from B only by the
-nonnegative slope of the net rate on the reaction carriers, so ``B^-1`` is
-an SPD preconditioner for CG on ``J``: a handful of iterations per solve,
-one when no carrier reacts.  ``J`` is applied matrix-free, and the CG
-tolerance stays on its true residual.
+nonnegative slope of the net rate on the reaction carriers.  When no
+carrier adds any, as when every carrier is on the event branch, J is B
+and the Newton step is one direct solve.  Otherwise ``B^-1`` is an SPD
+preconditioner for CG on ``J``, applied matrix-free: a handful of
+iterations per solve, stopped on the true residual once it is below what
+the Newton test can see.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .geometry import EDGE_CELLS, index_map
-from .kinetics import RateLaw, net_rate, net_rate_derivative
+from .kinetics import RateLaw, net_rate_and_branch, net_rate_slope
 from .kinetics import ode_step  # noqa: F401 -- not called here; perfbench/spans.py traces this name
 from .linalg import cg
 
@@ -55,14 +57,16 @@ def newton_floor(box_bound: float) -> float:
     return 1.5 * 1.7 * np.finfo(float).eps * box_bound
 
 
-def diffusion_operator(mask, axis_weights, dirichlet_edges):
-    """Masked 5-point operator with one face weight per axis.
+def diffusion_operator(mask, axis_weights, dirichlet_edges, shift=0.0):
+    """Masked 5-point operator with one face weight per axis, plus
+    ``shift`` times the identity.
 
     Neighbouring active cells are coupled across each shared face with the
     weight of the face's axis (no wrap at the outer boundary), and an
     active cell on a Dirichlet edge gets the half-cell term ``2 * weight``
-    on its diagonal.  Returns ``(A, dir_weight)``, with ``dir_weight`` that
-    half-cell term alone: the right-hand side gets ``dir_weight * u_D``.
+    on its diagonal.  Returns ``(A + shift I, dir_weight)``, with
+    ``dir_weight`` that half-cell term alone: the right-hand side gets
+    ``dir_weight * u_D``.
     """
     n = int(np.count_nonzero(mask))
     index = index_map(mask)
@@ -83,7 +87,7 @@ def diffusion_operator(mask, axis_weights, dirichlet_edges):
         axis, sel = EDGE_CELLS[e]
         dir_weight[index[sel][mask[sel]]] += 2.0 * axis_weights[axis]
     A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return A + sp.diags(diag + dir_weight), dir_weight
+    return A + sp.diags(diag + dir_weight + shift), dir_weight
 
 
 def separable_solve(shape, axis_weights, dirichlet_edges, shift):
@@ -136,23 +140,23 @@ class ImplicitOperator:
     """The backward-Euler operator ``B = A + shift I`` of one transport run,
     with a certified direct solve.
 
-    ``A`` is the `diffusion_operator` of the active cells of ``mask`` and
-    ``dir_weight`` its Dirichlet half-cell terms; ``shift`` is the
-    time-scaled volume term h^2/dt.  All three are fixed for a run.
-    ``solve`` applies ``B^-1`` to a vector: `separable_solve` when ``mask``
-    has no solid cells, the sparse LU factor of B otherwise.
+    ``B`` is the CSR matrix of the `diffusion_operator` of the active cells
+    of ``mask`` with the time-scaled volume term ``shift = h^2/dt``, and
+    ``dir_weight`` its Dirichlet half-cell terms; all three are fixed for
+    a run, and A is not kept beside B.  ``solve`` applies ``B^-1`` to a
+    vector: `separable_solve` when ``mask`` has no solid cells, the sparse
+    LU factor of this same B otherwise.
     """
 
     def __init__(self, mask, axis_weights, dirichlet_edges, shift):
-        self.A, self.dir_weight = diffusion_operator(mask, axis_weights, dirichlet_edges)
+        self.B, self.dir_weight = diffusion_operator(mask, axis_weights, dirichlet_edges, shift)
         self.shift = shift
         # residual measured against the operator scale; a mass-only scale is
         # unreachable when D*dt/h^2 is large (round-off floor of the solve)
-        self.scale = float(np.max(shift + self.A.diagonal()))
-        B = self.A + shift * sp.identity(self.A.shape[0])
-        self.solve = separable_solve(mask.shape, axis_weights, dirichlet_edges, shift) if mask.all() else factor_spd(B).solve
-        probe = np.random.default_rng(0).standard_normal(B.shape[0])
-        res = float(np.max(np.abs(B @ self.solve(probe) - probe)) / np.max(np.abs(probe)))
+        self.scale = float(np.max(self.B.diagonal()))
+        self.solve = separable_solve(mask.shape, axis_weights, dirichlet_edges, shift) if mask.all() else factor_spd(self.B).solve
+        probe = np.random.default_rng(0).standard_normal(self.B.shape[0])
+        res = float(np.max(np.abs(self.B @ self.solve(probe) - probe)) / np.max(np.abs(probe)))
         if not res <= SOLVE_TOL:
             raise SolverError(
                 f"direct solve of the backward-Euler operator left probe residual {res:.3e} > {SOLVE_TOL:g}",
@@ -173,23 +177,32 @@ def newton_reaction_diffusion(
     lin_tol,
     newton_tol,
 ):
-    """Solve  shift*u + A u + weight * sum_f G(u[owners_f]) = rhs.
+    """Solve  B u + weight * sum_f G(u[owners_f]) = rhs.
 
-    ``op`` holds the (SPD) diffusion operator ``A`` over active cells, the
-    time-scaled volume term ``shift`` and the solve of their sum;
-    ``owners`` maps reaction carriers (grain faces or cells) to cell indices
-    and ``weight`` is their common coupling (eps*h for faces, the
-    coupled-storage c_g*h^2 for macro cells).  ``lin_tol`` and
+    ``op`` holds the (SPD) backward-Euler operator ``B`` over active cells
+    and its direct solve; ``owners`` maps reaction carriers (grain faces or
+    cells) to cell indices and ``weight`` is their common coupling (eps*h
+    for faces, the coupled-storage c_g*h^2 for macro cells).  ``lin_tol`` and
     ``newton_tol`` are ``[tolerances] linear`` and ``newton``.
     Returns ``(u, residual)`` with residual in concentration units.
+
+    Each iterate evaluates the rate law once.  The Newton step is
+    ``B^-1 F`` when no carrier adds to the Jacobian's diagonal, and CG on
+    ``J`` otherwise.  CG stops at ``lin_tol ||F||``, or once both the
+    2-norm and the sum of its residual are within ``0.1 newton_tol
+    scale``: the next iterate's residual and mass defect are then what
+    the Newton test accepts, up to the step's nonlinear remainder.  The
+    sum is read too because it can stay above that allowance while the
+    2-norm is below it.
     """
     u = u0.copy()
     n = u.size
-    A, shift, scale = op.A, op.shift, op.scale
+    B, scale = op.B, op.scale
     best = None  # the accepted iterate with the smallest mass defect so far
     for _ in range(MAX_NEWTON):
-        g = net_rate(law, u[owners], v, dt)
-        F = shift * u + A @ u - rhs
+        u_own = u[owners]
+        g, smooth = net_rate_and_branch(law, u_own, v, dt)
+        F = B @ u - rhs
         F += np.bincount(owners, weights=weight * g, minlength=n)
         res = float(np.max(np.abs(F))) / scale
         # the signed residual sum is the per-step mass defect: drive it an
@@ -204,8 +217,13 @@ def newton_reaction_diffusion(
             if best is not None and defect >= best[2]:
                 return best[0], best[1]
             best = (u, res, defect)
-        gp = net_rate_derivative(law, u[owners], v, dt)
-        d = shift + np.bincount(owners, weights=weight * gp, minlength=n)
-        delta, _, _ = cg(lambda p: A @ p + d * p, F, tol=lin_tol, precond=op.solve)
+        extra = None
+        if smooth.any():
+            extra = np.bincount(owners, weights=weight * net_rate_slope(law, u_own, smooth), minlength=n)
+        if extra is None or not extra.any():
+            delta = op.solve(F)  # J = B
+        else:
+            delta, _, _ = cg(lambda p: B @ p + extra * p, F, tol=lin_tol, atol=0.1 * newton_tol * scale,
+                             precond=op.solve)
         u = u - delta
     raise SolverError(f"implicit reaction-diffusion Newton stalled at residual {res:.3e}", residual=res)

@@ -401,7 +401,8 @@ class _MacOperators:
         preconditioned only by the projection onto zero fluid mean, converges
         in a mesh-independent number of iterations.  Its residual is the cell
         divergence of the recovered velocity ``x = A^-1 (b - G p)``, which
-        solves the momentum equation to the accuracy of the ring solver.
+        one refinement ``x += A^-1 (b - G p - A x)`` brings to a momentum
+        backward error at round-off.
         """
         cell, fluid = self.cell, self.cell.fluid
         ring = CapacitanceSolver(self.u_active, *_wall_ring(self.u_active, self.u_interior, tangential_axis=1))
@@ -426,7 +427,14 @@ class _MacOperators:
             tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER, precond=project,
         )
         p = project(p)
-        return solve_A(self._force(0) - self.gradient(p)), p, iters
+        # the velocity, refined once on its momentum residual, built again
+        # like the force: on narrow channels one ring solve alone leaves a
+        # backward error above 1e-14
+        x = solve_A(self._force(0) - self.gradient(p))
+        r = self._force(0) - self.gradient(p)
+        r -= self.laplacian(x)
+        x += solve_A(r)
+        return x, p, iters
 
     def certify(self, u, v, p, direction: int, tol: float):
         """Max cell divergence and momentum backward error of the face

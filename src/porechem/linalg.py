@@ -30,7 +30,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import SolverError
 
 
-def cg(A, b, *, precond, tol, maxiter=None):
+def cg(A, b, *, precond, tol, atol=0.0, maxiter=None):
     """Solve A x = b by preconditioned conjugate gradients.
 
     Parameters
@@ -41,6 +41,10 @@ def cg(A, b, *, precond, tol, maxiter=None):
     precond : function applying an SPD M^-1 to a residual.
     tol : relative residual target, ||r|| <= tol * ||b|| (absolute floor
         of tol when b = 0).
+    atol : absolute target on the residual's 2-norm and on its sum, for a
+        residual whose sum is a conserved quantity's defect: the loop also
+        stops at the first iterate with ``||r|| <= atol`` and
+        ``|sum(r)| <= atol``.
 
     Between calls of ``A`` and ``precond`` the loop holds three vectors, x,
     r and p: it drops ``A p`` and ``M^-1 r`` once used and updates p in
@@ -58,7 +62,11 @@ def cg(A, b, *, precond, tol, maxiter=None):
     r = b.copy()  # the residual at x = 0, without applying A
     bnorm = np.linalg.norm(b)
     floor = tol * max(bnorm, 1.0) if bnorm == 0.0 else tol * bnorm
-    if np.linalg.norm(r) <= floor:
+
+    def done(rnorm):
+        return rnorm <= floor or (rnorm <= atol and abs(r.sum()) <= atol)
+
+    if done(np.linalg.norm(r)):
         return x, np.linalg.norm(r) / max(bnorm, 1.0), 0
 
     p = precond(r).copy()  # updated in place, so never the preconditioner's own array
@@ -70,7 +78,7 @@ def cg(A, b, *, precond, tol, maxiter=None):
         r -= alpha * Ap
         del Ap  # x, r and p are all that cross the next matvec
         rnorm = np.linalg.norm(r)
-        if rnorm <= floor:
+        if done(rnorm):
             return x, rnorm / max(bnorm, 1.0), it
         z = precond(r)
         rz_new = np.vdot(r, z)

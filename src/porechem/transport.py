@@ -177,6 +177,33 @@ def _sample(spec, x, y):
     return np.full(np.shape(x), float(spec))
 
 
+class _Upwind:
+    """First-order upwind face fluxes of one face velocity, set up once per
+    run: the positive and negative parts of each face velocity, and the
+    cell field padded with one ghost cell outside each edge of one axis.
+    The open outer boundaries take the upwind outflow, and the configured
+    value on inflow through a Dirichlet edge: its ghost cells hold that
+    value, the others 0."""
+
+    def __init__(self, vel: FaceVelocity, shape, dirichlet_edges, dirichlet_value):
+        self.qx_pos, self.qx_neg = np.maximum(vel.qx, 0.0), np.minimum(vel.qx, 0.0)
+        self.qy_pos, self.qy_neg = np.maximum(vel.qy, 0.0), np.minimum(vel.qy, 0.0)
+        nx, ny = shape
+        self.ux, self.uy = np.zeros((nx + 2, ny)), np.zeros((nx, ny + 2))
+        for e in dirichlet_edges:
+            axis, ghosts = EDGE_CELLS[e]
+            (self.ux, self.uy)[axis][ghosts] = dirichlet_value
+
+    def fluxes(self, u):
+        """Face fluxes ``(Fx, Fy)`` of the cell field ``u``, positive in the
+        +axis direction."""
+        self.ux[1:-1, :] = u
+        self.uy[:, 1:-1] = u
+        Fx = self.qx_pos * self.ux[:-1, :] + self.qx_neg * self.ux[1:, :]
+        Fy = self.qy_pos * self.uy[:, :-1] + self.qy_neg * self.uy[:, 1:]
+        return Fx, Fy
+
+
 class TransportSolver:
     """Operators, initial state, step and run loop of one transport run.
 
@@ -207,6 +234,7 @@ class TransportSolver:
         # before the direct solve is built: a factor is the costly part
         if velocity is not None:
             velocity.check_cfl(cfg.dt, h)
+            self._upwind = _Upwind(velocity, mask.shape, cfg.dirichlet_edges, cfg.dirichlet_value)
         self.implicit = ImplicitOperator(mask, axis_weights, cfg.dirichlet_edges, h * h / cfg.dt)
 
     def initial_state(self) -> State:
@@ -226,18 +254,8 @@ class TransportSolver:
         """Explicit upwind advection; returns (u_new, inflow integral)."""
         if self.vel is None:
             return u, 0.0
-        cfg = self.cfg
-        h, dt = self.h, cfg.dt
-        qx, qy = self.vel.qx, self.vel.qy
-        # open outer boundaries: upwind outflow, configured value on inflow,
-        # as ghost cells outside each edge, the edge's cells of u padded on its axis
-        ux, uy = (np.pad(u, [(1, 1) if ax == axis else (0, 0) for ax in (0, 1)]) for axis in (0, 1))
-        for e in cfg.dirichlet_edges:
-            axis, ghosts = EDGE_CELLS[e]
-            (ux, uy)[axis][ghosts] = cfg.dirichlet_value
-        # face fluxes, positive in +axis direction
-        Fx = np.maximum(qx, 0.0) * ux[:-1, :] + np.minimum(qx, 0.0) * ux[1:, :]
-        Fy = np.maximum(qy, 0.0) * uy[:, :-1] + np.minimum(qy, 0.0) * uy[:, 1:]
+        h, dt = self.h, self.cfg.dt
+        Fx, Fy = self._upwind.fluxes(u)
         div = (Fx[1:, :] - Fx[:-1, :]) + (Fy[:, 1:] - Fy[:, :-1])
         u_new = u - (dt / h) * div
         u_new[~self.mask] = 0.0

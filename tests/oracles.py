@@ -10,9 +10,11 @@ differences.  The helpers at the end (the ramp-regularized
 precipitate ODE, the field-file reader, the stability gap of two macro
 runs) only read what the package returns; `field_text` there writes the
 field file format with one template for every value, the byte oracle of
-`porechem.gridio.write_field`, and `out_of_place_ring_solve` is the ring
+`porechem.gridio.write_field`, `out_of_place_ring_solve` is the ring
 solve of `porechem.linalg.CapacitanceSolver` into a new array, the bit
-oracle of the solve that overwrites its argument.  `stored_run_files`
+oracle of the solve that overwrites its argument, and `upwind_advection`
+pads the field and splits the velocity on every step, the bit oracle of
+the transport step's advection, which sets both up once per run.  `stored_run_files`
 writes, from a run that kept its snapshots, the files the `micro` and
 `macro` subcommands write while their runs step, and `assert_same_run`
 compares a run that handed its snapshots to a consumer with one that kept
@@ -309,6 +311,27 @@ def out_of_place_ring_solve(ring, b):
         X += lam[:, -1:, None]
     X[:, ~ring.domain] = 0.0
     return X.reshape(b.shape)
+
+
+def upwind_advection(u, qx, qy, mask, h, dt, dirichlet_edges, dirichlet_value):
+    """One explicit first-order upwind step of the cell field ``u`` under
+    the face velocity ``(qx, qy)``: returns ``(u_new, inflow)``, u_new zero
+    off ``mask`` and inflow the dt-integrated advective inflow through the
+    outer boundary.  Outside each edge ``u`` is padded with ghost cells
+    that hold ``dirichlet_value`` on the Dirichlet edges and 0 elsewhere,
+    and each face takes the upwind cell's value."""
+    ghosts = {"left": (0, np.s_[0, :]), "right": (0, np.s_[-1, :]), "bottom": (1, np.s_[:, 0]), "top": (1, np.s_[:, -1])}
+    ux, uy = (np.pad(u, [(1, 1) if ax == axis else (0, 0) for ax in (0, 1)]) for axis in (0, 1))
+    for e in dirichlet_edges:
+        axis, cells = ghosts[e]
+        (ux, uy)[axis][cells] = dirichlet_value
+    Fx = np.maximum(qx, 0.0) * ux[:-1, :] + np.minimum(qx, 0.0) * ux[1:, :]
+    Fy = np.maximum(qy, 0.0) * uy[:, :-1] + np.minimum(qy, 0.0) * uy[:, 1:]
+    div = (Fx[1:, :] - Fx[:-1, :]) + (Fy[:, 1:] - Fy[:, :-1])
+    u_new = u - (dt / h) * div
+    u_new[~mask] = 0.0
+    inflow = float(Fx[0, :].sum() - Fx[-1, :].sum() + Fy[:, 0].sum() - Fy[:, -1].sum()) * h * dt
+    return u_new, inflow
 
 
 def csv_text(columns, rows) -> str:

@@ -412,9 +412,10 @@ def test_effective_tensors_build_one_ring_system_per_operator(monkeypatch):
     assert [s.cut for s in built] == [True, False]
     # each family is solved once, in direction 0: the corrector and its
     # refinement step, then the Schur CG's right-hand side, one matvec per
-    # iteration and the recovered velocity, each one two-column solve
+    # iteration, the recovered velocity and its refinement step, each one
+    # two-column solve
     iters = t.sols[0].iters
-    assert solves == [(0, (c.n, c.n))] * 2 + [(1, (2, c.n, c.n))] * (iters + 2)
+    assert solves == [(0, (c.n, c.n))] * 2 + [(1, (2, c.n, c.n))] * (iters + 3)
 
 
 @st.composite
@@ -611,7 +612,7 @@ def test_cell_pairs_peak_memory():
 
 def test_cg_holds_three_vectors_between_calls():
     # a diagonal system of 2^17 unknowns, 1 MiB a vector, whose matvec holds
-    # a temporary besides its product, as the Newton matvec A p + d p does:
+    # a temporary besides its product, as the Newton matvec B p + extra p does:
     # x, r and p cross each call, so the peak is five vectors; keeping the
     # last A p and M^-1 r through the next calls peaked at seven
     d = np.linspace(1.0, 100.0, 2**17)

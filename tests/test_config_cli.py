@@ -141,6 +141,45 @@ def test_cli_newton_tolerance_at_round_off(tmp_path, tol, code):
     assert abs(drift) <= TransportConfig.invariant_slack * mass
 
 
+# the benchmark's upscaled_darcy workload: cell problems at n = 256, then
+# a Darcy-flow macro run at m = 128
+UPSCALED_DARCY = """[geometry]
+n = 256
+[macro]
+resolution = 128
+dt = 0.0025
+t_end = 0.25
+output_every = 10
+velocity_mode = darcy
+u_init = constant:0.0
+v_init = constant:0.05
+"""
+
+
+def test_cli_runs_keep_the_mass_drift_at_round_off(tmp_path, monkeypatch):
+    # every step's Newton solve ends with its mass defect at round-off, so
+    # the cumulative drift stays within 1e-12 of the initial mass: at most
+    # 9.4e-15 of it on the default sweep's runs and 1.2e-13 on the Darcy run
+    runs = []
+    original = transport.TransportSolver._run
+
+    def recording_run(self):
+        runs.append(original(self))
+        return runs[-1]
+
+    monkeypatch.setattr(transport.TransportSolver, "_run", recording_run)
+    (tmp_path / "default.ini").write_text("")
+    (tmp_path / "darcy.ini").write_text(UPSCALED_DARCY)
+    assert main(["converge", "--config", str(tmp_path / "default.ini"), "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    for command in ("cell", "macro"):
+        assert main([command, "--config", str(tmp_path / "darcy.ini"), "--out", str(tmp_path / "d"), "--quiet",
+                     *(["--tensors", str(tmp_path / "d" / "effective_tensors.csv")] if command == "macro" else [])]) == 0
+    assert len(runs) == 5
+    for run in runs:
+        mass = run.mass[0].mass_u + run.mass[0].mass_v
+        assert max(abs(row.drift) for row in run.mass) <= 1e-12 * mass
+
+
 def _macro_at_solute_level(level):
     return (
         f"[geometry]\ndirichlet_edges =\n[kinetics]\nu_solubility = {level}\nrate_constant = 1e-7\n"
@@ -671,6 +710,16 @@ def test_cli_cell_tolerance_at_round_off_passes_the_corrector(tmp_path):
     assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     row = read_csv(out / "effective_tensors.csv")[1][0]
     assert max(row["xi_res_1"], row["xi_res_2"]) <= 1e-16
+
+
+def test_cli_cell_tolerance_at_round_off_passes_the_stokes_solve_on_a_narrow_channel(tmp_path):
+    # a one-cell channel: one ring solve of the velocity left a momentum
+    # backward error of 2.4e-14 to 3.1e-14, and one refinement 5.6e-17
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[geometry]\nn = 64\nhole_side = 0.96875\n[tolerances]\ncell = 1e-15\n")
+    out = tmp_path / "o"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert read_csv(out / "effective_tensors.csv")[1][0]["k11"] > 0.0
 
 
 def test_cli_cell_tolerance_reaches_the_stokes_solve(tmp_path):

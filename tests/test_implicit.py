@@ -27,11 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porechem
-from porechem import _implicit
+from porechem import _implicit, macro_sim, micro_sim
 from porechem._implicit import diffusion_operator, factor_spd, separable_solve
 from porechem.errors import SolverError
+from porechem.linalg import cg
 from porechem.geometry import EDGES, UnitCell, tile_domain
-from porechem.kinetics import RateLaw, net_rate, net_rate_derivative
+from porechem.kinetics import RateLaw, net_rate_and_branch, net_rate_slope
 from porechem.macro_sim import MacroConfig, MacroSolver
 from porechem.micro_sim import MicroConfig, MicroSolver
 
@@ -43,14 +44,14 @@ D = 1.0
 def reference_newton(op, rhs, owners, weights, v, u0, tol=1e-12):
     u = u0.copy()
     n = u.size
-    B = op.A + op.shift * sp.identity(n)
+    B = op.B
     for _ in range(60):
-        g = net_rate(LAW, u[owners], v, DT)
-        F = op.shift * u + op.A @ u - rhs
+        g, smooth = net_rate_and_branch(LAW, u[owners], v, DT)
+        F = B @ u - rhs
         np.add.at(F, owners, weights * g)
         if np.max(np.abs(F)) <= tol * op.scale and abs(F.sum()) <= 0.1 * tol * op.scale:
             return u
-        gp = net_rate_derivative(LAW, u[owners], v, DT)
+        gp = net_rate_slope(LAW, u[owners], smooth)
         extra = np.zeros(n)
         np.add.at(extra, owners, weights * gp)
         u = u - spla.spsolve((B + sp.diags(extra)).tocsc(), F)
@@ -95,12 +96,130 @@ def test_newton_matches_direct_solve_with_few_cg_iterations(problem, monkeypatch
     u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weights, LAW, v, DT, u0,
                                                  lin_tol=1e-12, newton_tol=1e-12)
 
-    slope = net_rate_derivative(LAW, u[owners], v, DT)
+    slope = net_rate_slope(LAW, u[owners], net_rate_and_branch(LAW, u[owners], v, DT)[1])
     assert np.all(slope > 0.0)
     assert res <= 1e-12
     ref = reference_newton(op, rhs, owners, weights, v, u0)
     assert np.max(np.abs(u - ref)) <= 1e-11
     assert iters and max(iters) <= 5
+
+
+@pytest.mark.parametrize("problem", [micro_problem, macro_problem], ids=["micro", "macro"])
+def test_newton_drives_a_mass_defect_below_the_cg_floor(problem, monkeypatch):
+    # start where the residual test passes and the residual's 2-norm is
+    # under CG's absolute floor 0.1*newton*scale, but its sum, the mass
+    # defect, is above that same allowance: CG must still iterate, or
+    # Newton would step by 0 and keep the defect
+    op, rhs, owners, weight, v, u0 = problem()
+    tol, scale, n = 1e-6, op.scale, u0.size
+
+    def residual(u):
+        g, smooth = net_rate_and_branch(LAW, u[owners], v, DT)
+        F = op.B @ u - rhs + np.bincount(owners, weights=weight * g, minlength=n)
+        extra = np.bincount(owners, weights=weight * net_rate_slope(LAW, u[owners], smooth), minlength=n)
+        return F, extra
+
+    exact = reference_newton(op, rhs, owners, weight, v, u0)
+    _, extra = residual(exact)
+    target = np.full(n, 0.05 * tol * scale / np.sqrt(n))
+    start = exact + spla.spsolve((op.B + sp.diags(extra)).tocsc(), target)
+    F0, _ = residual(start)
+    assert np.max(np.abs(F0)) <= tol * scale
+    assert np.linalg.norm(F0) <= 0.1 * tol * scale < abs(F0.sum())
+
+    iters = []
+    original = _implicit.cg
+
+    def counting_cg(*args, **kwargs):
+        result = original(*args, **kwargs)
+        iters.append(result[2])
+        return result
+
+    monkeypatch.setattr(_implicit, "cg", counting_cg)
+    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weight, LAW, v, DT, start,
+                                                 lin_tol=1e-12, newton_tol=tol)
+    F, _ = residual(u)
+    assert iters and min(iters) >= 1 and res <= tol
+    assert abs(F.sum()) <= 0.1 * tol * scale
+
+
+def _counting(monkeypatch):
+    """Count the implicit CG calls and record each Newton residual of both
+    scales' runs."""
+    calls, residuals = [], []
+    original_cg, original_newton = _implicit.cg, _implicit.newton_reaction_diffusion
+
+    def counting_cg(*args, **kwargs):
+        calls.append(1)
+        return original_cg(*args, **kwargs)
+
+    def recording_newton(*args, **kwargs):
+        u, res = original_newton(*args, **kwargs)
+        residuals.append(res)
+        return u, res
+
+    monkeypatch.setattr(_implicit, "cg", counting_cg)
+    for module in (micro_sim, macro_sim):
+        monkeypatch.setattr(module, "newton_reaction_diffusion", recording_newton)
+    return calls, residuals
+
+
+def _runs(hole_side, u_init, v_init):
+    cell = UnitCell(8, hole_side, (0.5, 0.5))
+    common = dict(dt=DT, t_end=5 * DT, rate_law=LAW, dirichlet_edges=("left",), u_init=u_init, v_init=v_init)
+    micro = MicroSolver(MicroConfig(D=D, **common), tile_domain(cell, 0.25)).run()
+    macro = MacroSolver(MacroConfig(resolution_cells=16, **common), cell, D * np.eye(2)).run()
+    return micro, macro
+
+
+@pytest.mark.parametrize("hole_side", [0.5, 0.0], ids=["grain", "hole-free"])
+def test_steps_without_a_reacting_carrier_are_direct_solves(hole_side, monkeypatch):
+    # v = 0 and u below solubility put every carrier on the event branch,
+    # where its net rate does not depend on u: J = B, and each Newton step
+    # is one direct solve, certified by the same residual test.  A hole-free
+    # cell has no grain faces, and its macro cells couple with weight 0
+    calls, residuals = _counting(monkeypatch)
+    for run in _runs(hole_side, lambda x, y: 0.9 * x, 0.0):
+        assert run.mass[-1].mass_u > 0.0 and abs(run.mass[-1].drift) <= 1e-12 * run.mass[0].mass_u
+    assert calls == [] and len(residuals) == 10 and max(residuals) <= 1e-12
+    if hole_side == 0.0:
+        # the slope is positive on every carrier, but its coupling is 0
+        _runs(hole_side, 0.4, 0.05)
+        assert calls == []
+
+
+def test_a_reacting_step_runs_cg(monkeypatch):
+    calls, residuals = _counting(monkeypatch)
+    _runs(0.5, 0.4, 0.05)
+    assert len(calls) >= 10 and len(residuals) == 10 and max(residuals) <= 1e-12
+
+
+def test_cg_stops_at_the_first_iterate_below_its_absolute_floor():
+    rng = np.random.default_rng(3)
+    d = np.linspace(1.0, 1e3, 200)
+    b = rng.standard_normal(d.size)
+    floor = 1e-4 * np.linalg.norm(b)
+    x, relres, iters = cg(lambda p: d * p, b, tol=1e-14, atol=floor, precond=lambda r: r.copy())
+    assert relres * np.linalg.norm(b) <= floor
+    r = b - d * x
+    assert np.linalg.norm(r) <= 1.001 * floor and abs(r.sum()) <= 1.001 * floor
+    # one iteration fewer does not reach the floor, and the relative
+    # tolerance alone takes more iterations
+    with pytest.raises(SolverError):
+        cg(lambda p: d * p, b, tol=1e-14, atol=floor, precond=lambda r: r.copy(), maxiter=iters - 1)
+    assert cg(lambda p: d * p, b, tol=1e-14, precond=lambda r: r.copy())[2] > iters
+
+
+def test_cg_floor_also_bounds_the_residual_sum():
+    # a residual of one sign, with its 2-norm under the floor and its sum
+    # above it, is not yet done: the sum is a mass defect the caller reads
+    d = np.linspace(1.0, 1e3, 200)
+    b = np.full(d.size, 1e-9)
+    floor = 1.5 * np.linalg.norm(b)
+    assert np.linalg.norm(b) <= floor < b.sum()
+    x, _, iters = cg(lambda p: d * p, b, tol=1e-14, atol=floor, precond=lambda r: r.copy())
+    r = b - d * x
+    assert iters >= 1 and abs(r.sum()) <= 1.001 * floor
 
 
 EDGE_SETS = [edges for k in range(5) for edges in itertools.combinations(EDGES, k)]

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porechem.cell_problems import solve_stokes_cell
 from porechem.errors import ConfigError, StateError
-from porechem.geometry import UnitCell, tile_domain
+from porechem.geometry import EDGES, UnitCell, tile_domain
 from porechem.kinetics import RateLaw
 from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor
 from porechem.micro_sim import MicroConfig, MicroSolver
 from porechem.transport import FaceVelocity, TransportConfig, TransportSolver
 
-from oracles import assert_same_run, lumped_trajectory, stability_gap
+from oracles import assert_same_run, lumped_trajectory, stability_gap, upwind_advection
 
 S_ISO = np.eye(2) * 0.768
 K_ISO = np.eye(2) * 0.0177
@@ -217,6 +218,41 @@ def test_upwind_inflow_takes_the_dirichlet_value_on_its_edges(sign, edges):
     u, influx = solver._advect(np.zeros((m, m)))
     assert u == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert influx == pytest.approx(expected.sum() * h * h, rel=1e-14, abs=0.0)
+
+
+EDGE_SUBSETS = [tuple(e for i, e in enumerate(EDGES) if bits >> i & 1) for bits in range(2 ** len(EDGES))]
+
+
+def _advecting_solver(flow, edges):
+    """A solver of each scale whose advection moves every face: the
+    reconstructed Stokes flow of a grain with a pressure gradient along
+    both axes, or the Darcy flow to the right or to the left."""
+    common = dict(dt=0.001, t_end=0.001, dirichlet_edges=edges, dirichlet_value=0.3)
+    if flow == "micro":
+        cell = UnitCell(8, 0.5, (0.5, 0.5))
+        cfg = MicroConfig(velocity_mode="reconstructed", pressure_gradient=(-4.0, 1.0), **common)
+        return MicroSolver(cfg, tile_domain(cell, 0.25), solve_stokes_cell(cell))
+    p_left, p_right = (1.0, 0.0) if flow == "darcy-right" else (0.0, 1.0)
+    cfg = MacroConfig(velocity_mode="darcy", resolution_cells=16, p_left=p_left, p_right=p_right, **common)
+    return MacroSolver(cfg, CELL, S_ISO, K_ISO)
+
+
+@pytest.mark.parametrize("edges", EDGE_SUBSETS, ids=lambda e: "+".join(e) or "none")
+@pytest.mark.parametrize("flow", ["micro", "darcy-right", "darcy-left"])
+def test_advection_is_the_padded_upwind_step_bit_for_bit(flow, edges):
+    # the splits and ghost-padded buffers are set up once per run; every
+    # step must give the bits of padding the field and splitting the
+    # velocity anew, on the same solver step after step
+    solver = _advecting_solver(flow, edges)
+    vel, cfg = solver.vel, solver.cfg
+    rng = np.random.default_rng(len(edges))
+    for _ in range(3):
+        u = np.where(solver.mask, rng.uniform(0.0, 1.0, solver.mask.shape), 0.0)
+        got, inflow = solver._advect(u)
+        want, want_inflow = upwind_advection(u, vel.qx, vel.qy, solver.mask, solver.h, cfg.dt,
+                                             cfg.dirichlet_edges, cfg.dirichlet_value)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.float64(inflow).view(np.int64) == np.float64(want_inflow).view(np.int64)
 
 
 def test_stability_gap_identical_runs():
