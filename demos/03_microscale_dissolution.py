@@ -11,7 +11,7 @@ Run:  python3 demos/03_microscale_dissolution.py
 import numpy as np
 
 from porechem import UnitCell, tile_domain
-from porechem.micro_sim import MicroConfig, MicroSolver, difference_quotient_norm
+from porechem.micro_sim import MicroConfig, MicroSolver
 
 cell = UnitCell(8, 0.5, (0.5, 0.5))
 grid = tile_domain(cell, 0.25)
@@ -38,5 +38,4 @@ for t, state, step in zip(result.times, result.states, cfg.snapshot_steps):
 print("\nthe precipitate empties in finite time and the solute settles at the")
 print("conserved value; total mass is flat to solver round-off.")
 
-dq = difference_quotient_norm(result)
-print(f"\ntime difference-quotient diagnostic (monotone bound): {np.round(dq, 5)}")
+print(f"\nL1 step rates, the time difference quotients (monotone bound): {np.round(result.l1_step_rates, 5)}")

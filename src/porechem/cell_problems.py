@@ -70,6 +70,22 @@ from .linalg import CapacitanceSolver, cg
 DEFAULT_TOL = 1e-10
 SPD_TOL = 1e-8
 
+# the least [tolerances] cell and spd that every aligned cell the grid budget
+# admits meets; `parse_config` rejects smaller values.  Measured with one BLAS
+# thread over every aligned cell up to n = 24, 250 random ones up to n = 128,
+# and grains of one to sixteen cells, of side 1/2 and leaving channels two or
+# three cells wide, at n = 32 to 512:
+# - cell bounds the corrector and Stokes momentum backward errors, which do
+#   not grow with n: at most 1.54e-16 (n = 3), 1.1e-16 for n >= 4 and 7.1e-17
+#   for n >= 25.  The floor adds a margin of 1.6.
+# - spd bounds the S and K certificates.  They measure the forward error of
+#   the solves, which grows with n and varies tenfold between neighbouring
+#   cells: K's gradient identity up to 9.4e-14 of max|K| (n = 448, one-cell
+#   grain), S's quadratic form up to 3.9e-14 (n = 384, side 1/2), the
+#   asymmetries up to 1.5e-17.  The floor adds a margin of 10.
+CELL_TOL_FLOOR = 2.5e-16
+SPD_TOL_FLOOR = 1e-12
+
 # pressure Schur-complement CG: the 2-norm target sits well inside the
 # max-norm divergence acceptance of `solve`; the iteration count does not
 # grow with n, so the cap only turns a stalled solve into a SolverError

@@ -15,8 +15,8 @@ files carry no timestamps; run metadata goes to ``run_manifest.txt``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,8 @@ from .geometry import tile_domain, write_classification
 from .gridio import read_csv, write_csv, write_field
 from .homogenize import isometry_residual, oscillation_check, sweep
 from .macro_sim import MacroSolver
-from .micro_sim import MicroSolver, l1_step_rate
-from .micro_sim import l1_distance  # noqa: F401 -- not called here; perfbench/spans.py traces this name
-from .transport import StepRates
+from .micro_sim import MicroSolver
+from .transport import l1_distance  # noqa: F401 -- not called here; perfbench/spans.py traces this name
 
 
 def _say(quiet, *args):
@@ -87,19 +86,11 @@ def cmd_cell(args, cfg):
 _SERIES_COLUMNS = ["t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v", "l1_step_rate"]
 
 
-def _series_rows(run, rates):
+def _series_rows(run):
     """Series CSV rows, one per snapshot: the mass report's row at each stored
-    step and the snapshot's L1 step rate from ``rates``, folded by a
-    `StepRates` consumer while the run stepped: `l1_step_rate` on a
-    pore-scale run, the same quotient of the solute alone on a macro run."""
+    step and the run's L1 step rate at that snapshot."""
     return [{c: getattr(run.mass[s], c) for c in _SERIES_COLUMNS[:-1]} | {"l1_step_rate": rate}
-            for s, rate in zip(run.cfg.snapshot_steps, rates)]
-
-
-def _solute_step_rate(a, b):
-    """The L1 step rate of a macro run's solute from snapshot ``a`` to ``b``."""
-    h2 = 1.0 / b.u.size
-    return float(np.abs(b.u - a.u).sum() * h2) / (b.t - a.t)
+            for s, rate in zip(run.cfg.snapshot_steps, run.l1_step_rates)]
 
 
 def cmd_micro(args, cfg):
@@ -109,10 +100,10 @@ def cmd_micro(args, cfg):
     if cfg.micro.velocity_mode == "reconstructed":
         stokes = solve_stokes_cell(cfg.cell, cfg.tolerances["cell"])
     faces = grid.faces
-    rates = StepRates(partial(l1_step_rate, grid=grid))
+    index = itertools.count()
 
     def write(state):  # each snapshot as the run makes it
-        i = len(rates.values)
+        i = next(index)
         write_field(out / f"u_{i:05d}.txt", state.u, grid.h, grid.fluid_mask)
         write_csv(
             out / f"faces_{i:05d}.csv",
@@ -123,11 +114,10 @@ def cmd_micro(args, cfg):
                 for f in range(faces.count)
             ],
         )
-        rates(state)
 
     run = labelled(f"[micro] eps = {cfg.eps:g}:", MicroSolver, cfg.micro, grid, stokes, consumer=write).run()
     write_classification(grid, out / "grid_classification.txt")
-    write_csv(out / "micro_series.csv", _SERIES_COLUMNS, _series_rows(run, rates.values))
+    write_csv(out / "micro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     _say(args.quiet, f"micro run: {len(run.times)} snapshots, final t = {run.times[-1]}")
     _say(args.quiet, f"mass drift = {run.mass[-1].drift:.3e}")
     return 0
@@ -148,17 +138,16 @@ def cmd_macro(args, cfg):
             f"{tensor_path} holds the tensors of {cell} with D = {D!r}, not of the configured "
             f"{cfg.cell} with [micro] diffusivity = {cfg.micro.D!r}"
         )
-    rates = StepRates(_solute_step_rate)
+    index = itertools.count()
 
     def write(state):  # each snapshot as the run makes it
-        i = len(rates.values)
+        i = next(index)
         write_field(out / f"macro_u_{i:05d}.txt", state.u, solver.h)
         write_field(out / f"macro_v_{i:05d}.txt", state.v, solver.h)
-        rates(state)
 
     solver = MacroSolver(cfg.macro, cfg.cell, S, K, consumer=write)
     run = solver.run()
-    write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run, rates.values))
+    write_csv(out / "macro_series.csv", _SERIES_COLUMNS, _series_rows(run))
     if solver.P is not None:
         write_field(out / "macro_pressure.txt", solver.P, solver.h)
     _say(args.quiet, f"macro run: {len(run.times)} snapshots, final t = {run.times[-1]}")

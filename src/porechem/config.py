@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_problems import DEFAULT_TOL, SPD_TOL
+from .cell_problems import CELL_TOL_FLOOR, DEFAULT_TOL, SPD_TOL, SPD_TOL_FLOOR
 from .errors import ConfigError, labelled
 from .geometry import UnitCell, cells_per_edge, check_edges
 from .homogenize import check_sweep
@@ -290,6 +290,12 @@ def parse_config(path_or_text) -> RunConfig:
 
     # a tolerance that is not finite and positive stalls or disables its check
     tol = {key: _number("tolerances", key, text, positive=True) for key, text in raw["tolerances"].items()}
+    # and one below the round-off floor of what it bounds fails the cell solves
+    for key, floor, what in (("cell", CELL_TOL_FLOOR, "the cell solves' backward errors"),
+                             ("spd", SPD_TOL_FLOOR, "the S and K certificates")):
+        if tol[key] < floor:
+            raise ConfigError(f"[tolerances] {key} = {tol[key]:g} is below {floor:g}, the round-off floor of {what}; "
+                              f"set [tolerances] {key} >= {floor:g}")
     dump_fields = _parse_bool(raw["output"]["dump_fields"])
 
     sweep_eps = _parse_floats("sweep", "eps_list", raw["sweep"]["eps_list"])

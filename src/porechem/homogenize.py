@@ -19,7 +19,6 @@ this keeps the comparison free of interpolation bias at the grain walls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,9 +26,9 @@ from .errors import ConfigError, labelled
 from .geometry import PerforatedGrid, UnitCell, cells_per_edge, tile_domain
 from .gridio import write_csv
 from .macro_sim import MacroConfig, MacroSolver
-from .micro_sim import MicroConfig, MicroSolver, l1_step_rate, reconstruct_velocity
+from .micro_sim import MicroConfig, MicroSolver, reconstruct_velocity
 from .micro_sim import difference_quotient_norm  # noqa: F401 -- not called here; perfbench/spans.py traces this name
-from .transport import Run, StepRates
+from .transport import Run
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +227,8 @@ def sweep(
 
     No run keeps its snapshots.  The macro run's consumer keeps, per
     snapshot and per eps, only the eps-cell averages the errors read; each
-    micro run's consumer adds its snapshot's squared errors and L1 step rate
-    and holds only the snapshot before.  The rows are those of
+    micro run's consumer adds its snapshot's squared errors, and ``dq_max``
+    is the largest L1 step rate the run records.  The rows are those of
     `two_scale_errors` and `difference_quotient_norm` on stored runs, bit
     for bit."""
     check_sweep(eps_list, micro_cfg, macro_cfg)
@@ -265,15 +264,13 @@ def _sweep_row(grid, micro_cfg, stokes, levels) -> dict:
     next one is built."""
     law = micro_cfg.rate_law
     errors = []
-    rates = StepRates(partial(l1_step_rate, grid=grid))
 
     def fold(state):
         errors.append(_snapshot_errors(grid, law, state, levels[len(errors)]))
-        rates(state)
 
     run = MicroSolver(micro_cfg, grid, stokes, consumer=fold).run()
     row = _space_time_norms(grid.eps, run.times, errors)
-    row["dq_max"] = float(np.max(rates.values))
+    row["dq_max"] = max(run.l1_step_rates)
     return row
 
 

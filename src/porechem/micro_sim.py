@@ -1,13 +1,16 @@
 """Pore-scale transport: solute in the fluid cells, precipitate on the
 grain faces, coupled through the scaled boundary flux.
 
-The step, the run loop and the checks are the shared transport core
-(:mod:`porechem.transport`).  This module supplies the pore-scale
-geometry: the fluid cells of the perforated grid as the active cells,
-diffusivity D on both axes, the grain faces as reaction carriers with the
-exchange flux ``eps * k * (r(u) - w)`` (coupling weight eps*h), and the
-face velocity, zero or reconstructed from the Stokes cell solutions.  The
-discrete mass identity reads  d[sum u h^2 + eps sum v h] = boundary fluxes.
+The step, the run loop, the checks and the L1 contraction functional are
+the shared transport core (:mod:`porechem.transport`).  This module
+supplies the pore-scale geometry: the fluid cells of the perforated grid
+as the active cells, diffusivity D on both axes, the grain faces as
+reaction carriers with the exchange flux ``eps * k * (r(u) - w)``
+(coupling weight eps*h), and the face velocity, zero or reconstructed
+from the Stokes cell solutions.  The
+discrete mass identity reads  d[sum u h^2 + eps sum v h] = boundary fluxes,
+and the contraction functional  sum |du| h^2 + eps sum |dv| h  carries the
+same weights.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from ._implicit import newton_reaction_diffusion
 from .errors import ConfigError
 from .geometry import PerforatedGrid
 from .kinetics import ode_step
-from .transport import FaceVelocity, MassRow, Run, State, TransportConfig, TransportSolver
+from .transport import FaceVelocity, MassRow, Run, State, TransportConfig, TransportSolver, l1_distance
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -88,32 +91,11 @@ class MicroSolver(TransportSolver):
         return self._run()
 
 
-def l1_distance(a: State, b: State, grid: PerforatedGrid) -> float:
-    """Discrete contraction functional:
-    sum |u_a - u_b| h^2 over fluid cells + eps * sum |v_a - v_b| h."""
-    if a.u.shape != b.u.shape or a.v.shape != b.v.shape:
-        raise ValueError("states live on different grids")
-    fluid = grid.fluid_mask
-    h = grid.h
-    du = float(np.abs(a.u[fluid] - b.u[fluid]).sum() * h * h)
-    dv = float(grid.eps * h * np.abs(a.v - b.v).sum())
-    return du + dv
-
-
-def l1_step_rate(a: State, b: State, grid: PerforatedGrid) -> float:
-    """The ``l1_distance`` from snapshot ``a`` to the later ``b`` over their
-    time gap."""
-    return l1_distance(b, a, grid) / (b.t - a.t)
-
-
 def difference_quotient_norm(run: Run) -> np.ndarray:
-    """L1 step rate of a pore-scale run at each snapshot: 0 at t = 0, then
-    `l1_step_rate` from the snapshot before, over their actual time gap
-    (the last gap is shorter when ``output_every`` does not divide the step
-    count).  By L1 contraction it does not grow between gaps of one length.
-    A run whose snapshots went to a consumer folds the same rates with
-    ``StepRates(partial(l1_step_rate, grid=grid))``."""
-    out = np.zeros(len(run.times))
-    for i in range(1, len(out)):
-        out[i] = l1_step_rate(run.states[i - 1], run.states[i], run.grid)
-    return out
+    """`Run.l1_step_rates` of a pore-scale run recomputed from its stored
+    snapshots: 0 at t = 0, then `transport.l1_distance` from the snapshot
+    before over their actual time gap.  By L1 contraction it does not grow
+    between gaps of one length."""
+    grid, states = run.grid, run.states
+    return np.array([0.0, *(l1_distance(b, a, grid.fluid_mask, grid.h, grid.eps * grid.h) / (b.t - a.t)
+                            for a, b in zip(states, states[1:]))])

@@ -22,7 +22,9 @@ mass identity
     d[ sum u h^2 + weight sum v ] = boundary fluxes
 
 holds to the nonlinear-solver tolerance, and the scheme is monotone, so
-solute stays in the box bounds and ordered initial data stay ordered.
+solute stays in the box bounds, ordered initial data stay ordered, and the
+L1 distance in the same weights (`l1_distance`) between two runs does not
+grow.  Each run records its L1 step rates (`Run.l1_step_rates`).
 
 Step 2 is `porechem._implicit`: it builds the diffusion operator and a
 certified direct solve of the backward-Euler operator once per run, and
@@ -135,22 +137,15 @@ class Run:
     times: np.ndarray      # of the stored snapshots
     states: list           # the stored snapshots, empty when a consumer took them
     mass: list             # one row per step
+    l1_step_rates: list    # per stored snapshot: 0, then `l1_distance` to the one before over their time gap
     grid: object = None    # the perforated grid of a pore-scale run
 
 
-class StepRates:
-    """Snapshot consumer that folds a step rate: ``values`` gets
-    ``rate(previous, snapshot)`` for each snapshot after the first, and 0
-    for the first.  It holds the previous snapshot and nothing more."""
-
-    def __init__(self, rate):
-        self.rate = rate
-        self.values = []
-        self.previous = None
-
-    def __call__(self, state: State):
-        self.values.append(0.0 if self.previous is None else self.rate(self.previous, state))
-        self.previous = state
+def l1_distance(a: State, b: State, mask, h, weight) -> float:
+    """The L1 contraction functional: ``sum |u_a - u_b| h^2`` over the
+    active cells ``mask`` plus ``weight * sum |v_a - v_b|``, with ``weight``
+    the carriers' coupling weight, as in `MassRow.mass_v`."""
+    return float(np.abs(a.u[mask] - b.u[mask]).sum() * h * h) + float(weight * np.abs(a.v - b.v).sum())
 
 
 @dataclass(frozen=True)
@@ -330,16 +325,16 @@ class TransportSolver:
         snapshots are taken at ``cfg.snapshot_steps`` and handed, as the
         step makes each one, to the consumer, which by default appends it
         to ``Run.states``.  A consumer that folds or writes the snapshots
-        leaves ``states`` empty, so the run holds no field history; the
-        consumer may keep what it is given, since no step mutates a state.
-        ``Run.times`` and ``Run.mass`` are filled either way."""
+        leaves ``states`` empty, so the run holds only the snapshot before,
+        for the L1 step rate; the consumer may keep what it is given, since
+        no step mutates a state.  The other fields are filled either way."""
         cfg = self.cfg
         stored = set(cfg.snapshot_steps)
         states = []
         consume = states.append if self.consumer is None else self.consumer
-        state = self.initial_state()
+        state = previous = self.initial_state()
         consume(state)
-        times = [state.t]
+        times, rates = [state.t], [0.0]
         rows = [self._mass_row(state, 0.0, 0.0)]
         base = rows[0].mass_u + rows[0].mass_v
         influx = 0.0
@@ -351,4 +346,6 @@ class TransportSolver:
             if k in stored:
                 consume(state)
                 times.append(state.t)
-        return Run(cfg=cfg, times=np.array(times), states=states, mass=rows, grid=self.grid)
+                rates.append(l1_distance(state, previous, self.mask, self.h, self.weight) / (state.t - previous.t))
+                previous = state
+        return Run(cfg=cfg, times=np.array(times), states=states, mass=rows, l1_step_rates=rates, grid=self.grid)

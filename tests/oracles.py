@@ -346,13 +346,14 @@ def csv_text(columns, rows) -> str:
 SERIES_COLUMNS = ["t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v", "l1_step_rate"]
 
 
-def stored_run_files(run, h, grid=None) -> dict:
+def stored_run_files(run, h, weight, grid=None) -> dict:
     """Name -> text of the files `porechem micro` (a pore-scale run on
     ``grid``) or `porechem macro` (``grid`` None, cells of side h) writes
     for ``run``, computed after the run from its stored snapshots: each
     snapshot's fields, and the series rows with the L1 step rate between
-    consecutive snapshots over their time gap, solute and precipitate on a
-    pore-scale run, the solute alone on a macro run."""
+    consecutive snapshots over their time gap, on either scale
+    ``sum |du| h^2`` over the active cells plus ``weight * sum |dv|``, with
+    ``weight`` the solver's coupling weight."""
     states, files = run.states, {}
     for i, s in enumerate(states):
         if grid is None:
@@ -365,12 +366,9 @@ def stored_run_files(run, h, grid=None) -> dict:
             ["face", "kx", "ky", "local", "center_x", "center_y", "v", "w"],
             [(j, int(f.kx[j]), int(f.ky[j]), int(f.local[j]), *f.centers[j], s.v[j], s.w[j]) for j in range(f.count)])
     rates = [0.0]
+    active = np.ones(states[0].u.shape, dtype=bool) if grid is None else grid.fluid_mask
     for a, b in zip(states, states[1:]):
-        if grid is None:
-            dist = float(np.abs(b.u - a.u).sum() * (1.0 / b.u.size))
-        else:
-            fluid = grid.fluid_mask
-            dist = float(np.abs(b.u[fluid] - a.u[fluid]).sum() * h * h) + float(grid.eps * h * np.abs(b.v - a.v).sum())
+        dist = float(np.abs(b.u[active] - a.u[active]).sum() * h * h) + float(weight * np.abs(b.v - a.v).sum())
         rates.append(dist / (b.t - a.t))
     rows = [[getattr(run.mass[k], c) for c in SERIES_COLUMNS[:-1]] + [rate]
             for k, rate in zip(run.cfg.snapshot_steps, rates)]

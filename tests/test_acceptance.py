@@ -23,7 +23,8 @@ from porechem.kinetics import (
     ode_step,
 )
 from porechem.macro_sim import MacroConfig, MacroSolver
-from porechem.micro_sim import MicroConfig, MicroSolver, l1_distance
+from porechem.micro_sim import MicroConfig, MicroSolver
+from porechem.transport import l1_distance
 
 from oracles import heaviside_selection, lumped_trajectory, power_rate, regularized_steady_w, stability_gap
 
@@ -147,7 +148,8 @@ def test_c05_l1_contraction():
             cfg = MicroConfig(dt=0.01, t_end=0.6, output_every=6, dirichlet_edges=edges,
                               u_init=u0, v_init=v0)
             runs.append(MicroSolver(cfg, grid).run())
-        d = [l1_distance(a, b, grid) for a, b in zip(runs[0].states, runs[1].states)]
+        d = [l1_distance(a, b, grid.fluid_mask, grid.h, grid.eps * grid.h)
+             for a, b in zip(runs[0].states, runs[1].states)]
         for i in range(1, len(d)):
             assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14
     _report(5, "5 ordered initial-data pairs: discrete L1 distance nonincreasing "

@@ -497,6 +497,21 @@ def test_stokes_tolerance_is_an_acceptance_bound():
 
 
 @settings(max_examples=40, deadline=None)
+@given(aligned_cells())
+@example(UnitCell(3, 1 / 3, (0.5, 0.5)))  # the largest corrector backward error measured, 1.54e-16
+@example(UnitCell(64, 31 / 32, (0.5, 0.5)))  # one-cell channels
+@example(UnitCell(64, 61 / 64, (31.5 / 64, 32.5 / 64)))  # one-cell margins at left and bottom
+@example(UnitCell(64, 1 / 64, (1.5 / 64, 62.5 / 64)))  # one-cell grain in a corner
+def test_every_aligned_cell_meets_the_tolerance_floors(cell):
+    # [tolerances] cell and spd at their parse-time floors: every cell
+    # solve and every S and K certificate passes
+    fields = solve_diffusion_cell(cell, cell_problems.CELL_TOL_FLOOR)
+    sols = solve_stokes_cell(cell, cell_problems.CELL_TOL_FLOOR)
+    assemble_S(cell, fields, spd_tol=cell_problems.SPD_TOL_FLOOR)
+    assemble_K(cell, sols, spd_tol=cell_problems.SPD_TOL_FLOOR)
+
+
+@settings(max_examples=40, deadline=None)
 @given(aligned_cells(), st.integers(0, 2**32 - 1))
 @example(UnitCell(64, 31 / 32, (0.5, 0.5)), 0)  # one-cell channels
 @example(UnitCell(64, 1 / 64, (1.5 / 64, 62.5 / 64)), 1)  # one-cell grain in a corner

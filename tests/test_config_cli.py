@@ -426,7 +426,7 @@ def test_cli_bad_config_exit_code(tmp_path):
         ("micro", "[micro]\nu_init = constant:abc\n", 2),
         ("micro", "[micro]\noutput_every = 0\n", 2),
         ("cell", "[geometry]\neps = 0\n", 2),
-        ("cell", "[tolerances]\nspd = 1e-30\n", 3),
+        ("cell", "[tolerances]\nspd = 1e-30\n", 2),
     ],
     ids=lambda v: v.strip().replace("\n", ":") if isinstance(v, str) else None,
 )
@@ -692,7 +692,30 @@ def test_cli_micro_checks_its_cfl_number_before_the_factor(tmp_path, monkeypatch
     assert not (out / "micro_series.csv").exists()
 
 
-def test_cli_cell_tolerance_reaches_the_corrector(tmp_path):
+@pytest.mark.parametrize("command", ["cell", "converge"])
+@pytest.mark.parametrize("key, floor, what", [("cell", cell_problems.CELL_TOL_FLOOR, "backward errors"),
+                                              ("spd", cell_problems.SPD_TOL_FLOOR, "S and K certificates")])
+def test_cli_tolerance_below_its_round_off_floor_exits_2(tmp_path, command, key, floor, what):
+    # 1e-20 failed every cell at run time: "corrector solve left relative
+    # residual 4.767e-17 > 1e-20", "S asymmetry residual 7.228e-19 exceeds
+    # 1e-20"; the floor itself is accepted
+    assert parse_config(MINIMAL + f"[tolerances]\n{key} = {floor!r}\n").tolerances[key] == floor
+    with pytest.raises(ConfigError):
+        parse_config(MINIMAL + f"[tolerances]\n{key} = {floor * (1 - 1e-15)!r}\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[tolerances]\n{key} = 1e-20\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record
+    assert f"[tolerances] {key} = 1e-20 is below {floor:g}, the round-off floor of" in record and what in record
+    assert f"set [tolerances] {key} >= {floor:g}" in record
+    assert not (out / "effective_tensors.csv").exists()
+
+
+def test_cli_cell_tolerance_reaches_the_corrector(tmp_path, monkeypatch):
+    # below the parse-time floor, which is lifted here
+    monkeypatch.setattr(config, "CELL_TOL_FLOOR", 0.0)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[tolerances]\ncell = 1e-20\n")
     out = tmp_path / "o"
@@ -722,8 +745,10 @@ def test_cli_cell_tolerance_at_round_off_passes_the_stokes_solve_on_a_narrow_cha
     assert read_csv(out / "effective_tensors.csv")[1][0]["k11"] > 0.0
 
 
-def test_cli_cell_tolerance_reaches_the_stokes_solve(tmp_path):
-    # micro with the reconstructed velocity solves the Stokes cell problems alone
+def test_cli_cell_tolerance_reaches_the_stokes_solve(tmp_path, monkeypatch):
+    # micro with the reconstructed velocity solves the Stokes cell problems
+    # alone; the value is below the parse-time floor, which is lifted here
+    monkeypatch.setattr(config, "CELL_TOL_FLOOR", 0.0)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[tolerances]\ncell = 1e-20\n[micro]\nvelocity_mode = reconstructed\n")
     out = tmp_path / "o"
@@ -852,10 +877,10 @@ def _stored_run_files(command, cfg_path, out):
     if command == "micro":
         grid = tile_domain(cfg.cell, cfg.eps)
         run = MicroSolver(cfg.micro, grid, solve_stokes_cell(cfg.cell, cfg.tolerances["cell"])).run()
-        return stored_run_files(run, grid.h, grid)
+        return stored_run_files(run, grid.h, grid.eps * grid.h, grid)
     _, _, S, K = read_tensor_csv(out / "effective_tensors.csv")
     solver = MacroSolver(cfg.macro, cfg.cell, S, K)
-    return stored_run_files(solver.run(), solver.h)
+    return stored_run_files(solver.run(), solver.h, solver.weight)
 
 
 @pytest.mark.parametrize("command", ["micro", "macro"])
@@ -870,6 +895,25 @@ def test_cli_writes_the_files_of_the_stored_run(tmp_path, command):
         assert (out / name).read_text() == text, name
     written = {p.name for p in out.glob("*_0*.*")}
     assert written == {name for name in want if "_0" in name}
+
+
+def test_cli_macro_step_rate_does_not_grow_over_equal_gaps(tmp_path):
+    # a precipitate that dissolves throughout the run, with the solute near
+    # solubility, stored every 0.1: the L1 step rate of the solute alone
+    # grew 0.072 -> 0.237 over these equal gaps (largest ratio 1.764); that
+    # of the contraction functional, solute plus weighted precipitate, falls
+    cfg = tmp_path / "run.ini"
+    react = "u_init = constant:0.9\nv_init = constant:0.5\n"
+    cfg.write_text(MINIMAL + f"[micro]\n{react}[macro]\n{react}")
+    out = tmp_path / "out"
+    for command in ("cell", "macro"):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    rows = read_csv(out / "macro_series.csv")[1]
+    assert np.allclose(np.diff([row["t"] for row in rows]), 0.1, rtol=1e-12)
+    rates = [row["l1_step_rate"] for row in rows]
+    assert len(rates) == 11 and rates[0] == 0.0 and rates[-1] > 0.0
+    for before, after in zip(rates[1:], rates[2:]):
+        assert after <= before * (1.0 + 1e-8) + 1e-14
 
 
 @pytest.mark.parametrize("command, module", [("micro", micro_sim), ("macro", macro_sim)], ids=["micro", "macro"])

@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,8 @@ from porechem.errors import ConfigError, StateError
 from porechem.geometry import EDGES, UnitCell, tile_domain
 from porechem.kinetics import RateLaw
 from porechem.macro_sim import MacroConfig, MacroSolver, darcy_solve, diagonal_tensor
-from porechem.micro_sim import MicroConfig, MicroSolver
-from porechem.transport import FaceVelocity, TransportConfig, TransportSolver
+from porechem.micro_sim import MicroConfig, MicroSolver, difference_quotient_norm, reconstruct_velocity
+from porechem.transport import FaceVelocity, TransportConfig, TransportSolver, l1_distance
 
 from oracles import assert_same_run, lumped_trajectory, stability_gap, upwind_advection
 
@@ -353,3 +356,105 @@ def test_a_consumer_takes_the_snapshots_of_the_stored_run():
     taken = []
     streamed = MacroSolver(cfg, CELL, S_ISO, K_ISO, consumer=taken.append).run()
     assert_same_run(streamed, taken, MacroSolver(cfg, CELL, S_ISO, K_ISO).run())
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("scale", ["micro", "macro"])
+def test_runs_record_the_l1_step_rates_of_their_stored_snapshots(scale):
+    # flow on and an uneven last gap (steps 0, 7, 14, 21, 28, 30): a run
+    # whose consumer keeps nothing records, bit for bit, the rates
+    # recomputed from the snapshots of a run that kept them, with the
+    # weights of the scale's mass report
+    common = dict(dt=0.01, t_end=0.3, output_every=7, dirichlet_edges=("left",), u_init=0.3, v_init=0.05)
+    if scale == "micro":
+        grid, stokes = tile_domain(CELL, 0.25), solve_stokes_cell(CELL)
+        cfg = MicroConfig(velocity_mode="reconstructed", pressure_gradient=(-2.0, 0.0), **common)
+
+        def solver(consumer=None):
+            return MicroSolver(cfg, grid, stokes, consumer=consumer)
+
+        weight = grid.eps * grid.h
+    else:
+        cfg = closed_box(velocity_mode="darcy", p_left=2.0, **common)
+
+        def solver(consumer=None):
+            return MacroSolver(cfg, CELL, S_ISO, K_ISO, consumer=consumer)
+
+        weight = CELL.surface_measure / CELL.pore_area / cfg.resolution_cells**2
+    kept = solver()
+    assert kept.weight == pytest.approx(weight, rel=1e-15)
+    stored = kept.run()
+    states = stored.states
+    want = [0.0] + [l1_distance(b, a, kept.mask, kept.h, kept.weight) / (b.t - a.t) for a, b in zip(states, states[1:])]
+    assert np.allclose(np.diff(stored.times), [0.07] * 4 + [0.02], rtol=1e-12)
+    assert min(want[1:]) > 0.0
+    if scale == "micro":
+        assert np.array_equal(_bits(difference_quotient_norm(stored)), _bits(want))
+    streamed = solver(lambda state: None).run()
+    assert streamed.states == []
+    for run in (stored, streamed):
+        assert np.array_equal(_bits(run.l1_step_rates), _bits(want))
+
+
+@functools.cache
+def _micro_flow(cell):
+    """The pore-scale grid at eps = 1/4 of ``cell``, its Stokes cell
+    solutions, and the largest face speed of the velocity they give for a
+    unit pressure drop along x."""
+    grid, stokes = tile_domain(cell, 0.25), solve_stokes_cell(cell)
+    return grid, stokes, reconstruct_velocity(grid, stokes, (-1.0, 0.0)).max_abs
+
+
+@pytest.mark.parametrize("scale", ["micro", "macro"])
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.floats(0.5, 20.0),
+    kinetic=st.floats(0.05, 1.0),
+    cfl=st.floats(0.01, 1.0),
+    direction=st.sampled_from([1.0, -1.0]),
+    side=st.sampled_from([0.25, 0.5, 0.75]),
+    edges=st.sampled_from([(), ("left",), ("left", "right"), ("bottom", "top")]),
+    dirichlet_value=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_l1_contraction_of_ordered_data_with_flow(scale, k, kinetic, cfl, direction, side, edges, dirichlet_value,
+                                                    seed):
+    # ordered initial pairs under flow along +x or -x at the advective CFL
+    # number cfl, and dt at the fraction kinetic of the kinetic bound:
+    # l1_distance between the runs' snapshots, with the solver's own
+    # weights, does not grow.  Micro pairs take the reconstructed Stokes
+    # flow on the grid at eps = 1/4, macro pairs the Darcy flow at m = 8
+    cell = UnitCell(8, side, (0.5, 0.5))
+    law = RateLaw(k=k)
+    m0 = 1.0
+    dt = kinetic / (k * law.lipschitz_bound(max(m0, law.u_sol, dirichlet_value)))
+    common = dict(dt=dt, t_end=6 * dt, rate_law=law, m0=m0, dirichlet_edges=edges, dirichlet_value=dirichlet_value)
+    if scale == "micro":
+        grid, stokes, unit = _micro_flow(cell)
+        cfg = MicroConfig(velocity_mode="reconstructed", pressure_gradient=(-direction * cfl * grid.h / (dt * unit), 0.0),
+                          **common)
+        nu, nv = grid.n_fluid_cells, grid.faces.count
+
+        def run(u0, v0):
+            return MicroSolver(replace(cfg, u_init=_values(u0), v_init=_values(v0)), grid, stokes)
+    else:
+        m = 8
+        cfg = MacroConfig(velocity_mode="darcy", p_left=max(direction, 0.0), p_right=max(-direction, 0.0),
+                          resolution_cells=m, **common)
+        K = np.diag([cfl / (m * dt), 1.0])  # |q| = K11 * |p_left - p_right| = cfl * h / dt
+        nu, nv = m * m, (m, m)
+
+        def run(u0, v0):
+            return MacroSolver(replace(cfg, u_init=_values(u0), v_init=_values(v0)), cell, S_ISO, K)
+    rng = np.random.default_rng(seed)
+    u_lo, v_lo = rng.uniform(0.0, m0, nu), rng.uniform(0.0, m0, nv)
+    u_hi = u_lo + rng.uniform(0.0, 1.0, nu) * (m0 - u_lo)
+    v_hi = v_lo + rng.uniform(0.0, 1.0, nv) * (m0 - v_lo)
+    lo, hi = run(u_lo, v_lo), run(u_hi, v_hi)
+    d = [l1_distance(a, b, lo.mask, lo.h, lo.weight) for a, b in zip(lo.run().states, hi.run().states)]
+    assert d[0] > 0.0
+    for i in range(1, len(d)):
+        assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14

@@ -16,11 +16,9 @@ from porechem.micro_sim import (
     MicroConfig,
     MicroSolver,
     difference_quotient_norm,
-    l1_distance,
-    l1_step_rate,
     reconstruct_velocity,
 )
-from porechem.transport import StepRates
+from porechem.transport import l1_distance
 
 from oracles import assert_same_run, lumped_trajectory
 
@@ -33,6 +31,11 @@ def cell():
 @pytest.fixture(scope="module")
 def grid(cell):
     return tile_domain(cell, 0.25)
+
+
+def micro_l1(a, b, grid):
+    """`l1_distance` with the pore-scale weights: h^2 per fluid cell, eps*h per face."""
+    return l1_distance(a, b, grid.fluid_mask, grid.h, grid.eps * grid.h)
 
 
 def closed_box(**kw):
@@ -95,13 +98,12 @@ def test_difference_quotient_uses_the_actual_last_gap(grid):
     cfg = closed_box(u_init=0.0, v_init=0.05, t_end=0.95, dirichlet_edges=("left",))
     r = MicroSolver(cfg, grid).run()
     dq = difference_quotient_norm(r)
-    last = l1_distance(r.states[-1], r.states[-2], grid)
+    last = micro_l1(r.states[-1], r.states[-2], grid)
     assert last > 0.0
     assert dq[-1] == pytest.approx(last / 0.05, rel=1e-12)
-    # the series CSV's rates, folded by the consumer of a run that keeps no snapshots
-    rates = StepRates(functools.partial(l1_step_rate, grid=grid))
-    streamed = MicroSolver(cfg, grid, consumer=rates).run()
-    assert [row["l1_step_rate"] for row in _series_rows(streamed, rates.values)] == dq.tolist()
+    # the series CSV's rates, recorded by a run whose consumer kept nothing
+    streamed = MicroSolver(cfg, grid, consumer=lambda state: None).run()
+    assert [row["l1_step_rate"] for row in _series_rows(streamed)] == dq.tolist()
 
 
 def test_closed_box_conservation(grid):
@@ -148,10 +150,10 @@ def test_oracle_eps_independent(cell):
 def test_l1_distance_basics(grid):
     cfg = closed_box(t_end=0.0, u_init=0.3, v_init=0.1)
     s = MicroSolver(cfg, grid).run().states[0]
-    assert l1_distance(s, s, grid) == 0.0
+    assert micro_l1(s, s, grid) == 0.0
     s2 = replace(s, u=s.u + np.where(grid.fluid_mask, 0.25, 0.0))
     vol = grid.n_fluid_cells * grid.h**2
-    assert l1_distance(s, s2, grid) == pytest.approx(0.25 * vol, rel=1e-12)
+    assert micro_l1(s, s2, grid) == pytest.approx(0.25 * vol, rel=1e-12)
 
 
 def test_l1_contraction_ordered_data(grid):
@@ -164,7 +166,7 @@ def test_l1_contraction_ordered_data(grid):
         return MicroSolver(c1, grid).run(), MicroSolver(c2, grid).run()
 
     r1, r2 = pair(lambda x, y: 0.2 * np.sin(np.pi * x) * np.sin(np.pi * y), 0.3, 0.02, 0.05)
-    d = [l1_distance(a, b, grid) for a, b in zip(r1.states, r2.states)]
+    d = [micro_l1(a, b, grid) for a, b in zip(r1.states, r2.states)]
     for i in range(1, len(d)):
         assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14
     assert d[-1] <= d[0]
@@ -333,7 +335,7 @@ def test_step_properties_at_kinetic_bound(geometry, exponent, k, u_onset, u_span
             assert row.min_v >= 0.0
             assert abs(row.drift) <= cfg.invariant_slack
         runs.append(r)
-    d = [l1_distance(a, b, grid) for a, b in zip(runs[0].states, runs[1].states)]
+    d = [micro_l1(a, b, grid) for a, b in zip(runs[0].states, runs[1].states)]
     for i in range(1, len(d)):
         assert d[i] <= d[i - 1] * (1.0 + 1e-8) + 1e-14
 
