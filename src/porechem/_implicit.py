@@ -20,8 +20,9 @@ nonnegative slope of the net rate on the reaction carriers.  When no
 carrier adds any, as when every carrier is on the event branch, J is B
 and the Newton step is one direct solve.  Otherwise ``B^-1`` is an SPD
 preconditioner for CG on ``J``, applied matrix-free: a handful of
-iterations per solve, stopped on the true residual once it is below what
-the Newton test can see.
+iterations per solve, stopped once CG's recurrence residual is below what
+the Newton test can see; the next Newton iterate then evaluates the true
+residual F.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ MAX_NEWTON = 60
 
 # bound on the probe residual ||B solve(b) - b||_inf / ||b||_inf that
 # certifies a direct solve of B; both solves stay below 1e-13 up to
-# 512 x 512.  Fixed, not [tolerances] linear: a small accepted linear
-# tolerance must not fail a valid run here
+# 512 x 512.  Fixed, not a [tolerances] key: a small accepted tolerance
+# must not fail a valid run here
 SOLVE_TOL = 1e-10
 
 
@@ -174,7 +175,6 @@ def newton_reaction_diffusion(
     dt,
     u0,
     *,
-    lin_tol,
     newton_tol,
 ):
     """Solve  B u + weight * sum_f G(u[owners_f]) = rhs.
@@ -182,18 +182,17 @@ def newton_reaction_diffusion(
     ``op`` holds the (SPD) backward-Euler operator ``B`` over active cells
     and its direct solve; ``owners`` maps reaction carriers (grain faces or
     cells) to cell indices and ``weight`` is their common coupling (eps*h
-    for faces, the coupled-storage c_g*h^2 for macro cells).  ``lin_tol`` and
-    ``newton_tol`` are ``[tolerances] linear`` and ``newton``.
+    for faces, the coupled-storage c_g*h^2 for macro cells).  ``newton_tol``
+    is ``[tolerances] newton``.
     Returns ``(u, residual)`` with residual in concentration units.
 
     Each iterate evaluates the rate law once.  The Newton step is
     ``B^-1 F`` when no carrier adds to the Jacobian's diagonal, and CG on
-    ``J`` otherwise.  CG stops at ``lin_tol ||F||``, or once both the
-    2-norm and the sum of its residual are within ``0.1 newton_tol
-    scale``: the next iterate's residual and mass defect are then what
-    the Newton test accepts, up to the step's nonlinear remainder.  The
-    sum is read too because it can stay above that allowance while the
-    2-norm is below it.
+    ``J`` otherwise.  CG stops once both the 2-norm and the sum of its
+    recurrence residual are within ``0.1 newton_tol scale``: the next
+    iterate's residual and mass defect are then what the Newton test
+    accepts, up to the step's nonlinear remainder.  The sum is read too
+    because it can stay above that allowance while the 2-norm is below it.
     """
     u = u0.copy()
     n = u.size
@@ -223,7 +222,6 @@ def newton_reaction_diffusion(
         if extra is None or not extra.any():
             delta = op.solve(F)  # J = B
         else:
-            delta, _, _ = cg(lambda p: B @ p + extra * p, F, tol=lin_tol, atol=0.1 * newton_tol * scale,
-                             precond=op.solve)
+            delta, _, _ = cg(lambda p: B @ p + extra * p, F, atol=0.1 * newton_tol * scale, precond=op.solve)
         u = u - delta
     raise SolverError(f"implicit reaction-diffusion Newton stalled at residual {res:.3e}", residual=res)

@@ -72,7 +72,6 @@ _DEFAULTS = {
         "eps_list": "0.25, 0.125, 0.0625",
     },
     "tolerances": {
-        "linear": _text(TransportConfig.lin_tol),
         "newton": _text(TransportConfig.newton_tol),
         "invariant_slack": _text(TransportConfig.invariant_slack),
         "spd": _text(SPD_TOL),
@@ -304,8 +303,8 @@ def parse_config(path_or_text) -> RunConfig:
 
     # building the transport configs runs their cross-field checks (kinetic
     # time-step bound, box bounds on initial data ranges, modes)
-    common = dict(rate_law=rate_law, dirichlet_edges=dirichlet_edges, lin_tol=tol["linear"],
-                  newton_tol=tol["newton"], invariant_slack=tol["invariant_slack"])
+    common = dict(rate_law=rate_law, dirichlet_edges=dirichlet_edges, newton_tol=tol["newton"],
+                  invariant_slack=tol["invariant_slack"])
     mi, ma = raw["micro"], raw["macro"]
     micro = labelled(
         "[micro]", MicroConfig,

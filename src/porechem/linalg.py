@@ -6,8 +6,9 @@ transport step applies its Newton matrix matrix-free, preconditioned by
 the direct solve of its backward-Euler operator, and the Stokes cell solve
 runs CG on the pressure Schur complement, whose constant null space its
 preconditioner projects out.  The iterates take the shape of the
-right-hand side, a vector or an n x n array.  The stopping rule is on the
-true residual of ``A``.
+right-hand side, a vector or an n x n array.  The stopping rule reads the
+recurrence residual ``r -= alpha A p``; the callers check the true one:
+Newton at its next iterate, the Stokes solve in its certificate.
 
 The direct solves of the implicit transport step live with that step, in
 `porechem._implicit`.  The cell problems need no sparse factor: their
@@ -30,7 +31,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import SolverError
 
 
-def cg(A, b, *, precond, tol, atol=0.0, maxiter=None):
+def cg(A, b, *, precond, tol=0.0, atol=0.0, maxiter=None):
     """Solve A x = b by preconditioned conjugate gradients.
 
     Parameters
@@ -40,7 +41,7 @@ def cg(A, b, *, precond, tol, atol=0.0, maxiter=None):
     b : right-hand side, a vector or an array.
     precond : function applying an SPD M^-1 to a residual.
     tol : relative residual target, ||r|| <= tol * ||b|| (absolute floor
-        of tol when b = 0).
+        of tol when b = 0); 0 leaves the stop to ``atol``.
     atol : absolute target on the residual's 2-norm and on its sum, for a
         residual whose sum is a conserved quantity's defect: the loop also
         stops at the first iterate with ``||r|| <= atol`` and
@@ -87,7 +88,7 @@ def cg(A, b, *, precond, tol, atol=0.0, maxiter=None):
         del z
         rz = rz_new
     raise SolverError(
-        f"CG failed to reach {tol:g} in {maxiter} iterations "
+        f"CG failed to reach tol = {tol:g}, atol = {atol:g} in {maxiter} iterations "
         f"(relative residual {np.linalg.norm(r) / max(bnorm, 1.0):.3e})",
         residual=float(np.linalg.norm(r) / max(bnorm, 1.0)),
     )

@@ -61,7 +61,6 @@ class TransportConfig:
     dirichlet_value: float = 0.0
     m0: float = 1.0                 # bound on the initial data
     output_every: int = 1
-    lin_tol: float = 1e-12
     newton_tol: float = 1e-12
     invariant_slack: float = 1e-8
 
@@ -268,11 +267,7 @@ class TransportSolver:
         u0 = u_adv[self.mask]
         rhs = self.implicit.shift * u0 + self.implicit.dir_weight * cfg.dirichlet_value
         v = state.v.ravel()
-        u_act, _ = newton(
-            self.implicit, rhs, self.owners, self.weight,
-            law, v, dt, u0,
-            lin_tol=cfg.lin_tol, newton_tol=cfg.newton_tol,
-        )
+        u_act, _ = newton(self.implicit, rhs, self.owners, self.weight, law, v, dt, u0, newton_tol=cfg.newton_tol)
         u_new = np.zeros_like(state.u)
         u_new[self.mask] = u_act
 
@@ -284,11 +279,13 @@ class TransportSolver:
         shape = state.v.shape
         new = State(t=state.t + dt, u=u_new, v=np.asarray(v_new).reshape(shape),
                     w=np.asarray(w_new).reshape(shape))
-        self._check(new)
-        return new, self._mass_row(new, adv_in, diff_in)
+        row = self._mass_row(new, u_act, adv_in, diff_in)
+        self._check(new, row)
+        return new, row
 
-    def _mass_row(self, state: State, adv_in, diff_in) -> MassRow:
-        u, v = state.u[self.mask], state.v
+    def _mass_row(self, state: State, u, adv_in, diff_in) -> MassRow:
+        """The mass report of ``state``, ``u`` its solute on the active cells."""
+        v = state.v
         return MassRow(
             t=state.t,
             mass_u=float(u.sum() * (self.h * self.h)),
@@ -302,14 +299,16 @@ class TransportSolver:
             max_v=float(v.max()) if v.size else 0.0,
         )
 
-    def _check(self, state: State):
+    def _check(self, state: State, row: MassRow):
+        """StateError unless ``state`` keeps the run-time invariants, its
+        solute and precipitate ranges read from its mass report ``row``."""
         slack = self.cfg.invariant_slack
         M = self.cfg.box_bound
-        u, v, w = state.u[self.mask], state.v, state.w
+        v, w = state.v, state.w
         msg = None
-        if u.size and (u.min() < -slack or u.max() > M + slack):
-            msg = f"solute out of [0, {M}] at t={state.t}: range [{u.min()}, {u.max()}]"
-        elif v.size and v.min() < 0.0:
+        if row.min_u < -slack or row.max_u > M + slack:
+            msg = f"solute out of [0, {M}] at t={state.t}: range [{row.min_u}, {row.max_u}]"
+        elif row.min_v < 0.0:
             msg = f"negative precipitate at t={state.t}"
         elif w.size and (w.min() < -slack or w.max() > 1.0 + slack):
             msg = f"dissolution rate out of [0,1] at t={state.t}"
@@ -335,7 +334,7 @@ class TransportSolver:
         state = previous = self.initial_state()
         consume(state)
         times, rates = [state.t], [0.0]
-        rows = [self._mass_row(state, 0.0, 0.0)]
+        rows = [self._mass_row(state, state.u[self.mask], 0.0, 0.0)]
         base = rows[0].mass_u + rows[0].mass_v
         influx = 0.0
         for k in range(1, cfg.n_steps + 1):

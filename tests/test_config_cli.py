@@ -64,7 +64,7 @@ def test_unknown_key_lists_valid():
         parse_config(MINIMAL + "\n[chemistry]\nx = 1\n")
 
 
-@pytest.mark.parametrize("key", ["linear", "newton", "invariant_slack", "spd", "cell"])
+@pytest.mark.parametrize("key", ["newton", "invariant_slack", "spd", "cell"])
 def test_tolerances_must_be_finite_and_positive(key):
     # a NaN slack would silently pass every invariant check, a negative
     # Newton tolerance would stall the solve mid-run
@@ -79,13 +79,22 @@ def test_defaults_are_those_of_the_solvers(tmp_path):
     # config file's own spelling
     cfg = parse_config(MINIMAL)
     assert cfg.tolerances == {
-        "linear": TransportConfig.lin_tol, "newton": TransportConfig.newton_tol,
+        "newton": TransportConfig.newton_tol,
         "invariant_slack": TransportConfig.invariant_slack, "spd": cell_problems.SPD_TOL,
         "cell": cell_problems.DEFAULT_TOL,
     }
     cfg.write_resolved(tmp_path / "resolved_config.ini")
     text = (tmp_path / "resolved_config.ini").read_text()
-    assert "[tolerances]\nlinear = 1e-12\nnewton = 1e-12\ninvariant_slack = 1e-8\nspd = 1e-8\ncell = 1e-10\n" in text
+    assert "[tolerances]\nnewton = 1e-12\ninvariant_slack = 1e-8\nspd = 1e-8\ncell = 1e-10\n" in text
+
+
+def test_removed_linear_tolerance_is_an_unknown_key():
+    # the implicit step's CG stops on the Newton test's allowance alone, so
+    # a config (or an older resolved_config.ini) that sets a relative CG
+    # target gets the unknown-key error with the keys that remain
+    with pytest.raises(ConfigError, match="unknown key 'linear' in \\[tolerances\\]; valid keys: "
+                                          "newton, invariant_slack, spd, cell$"):
+        parse_config(MINIMAL + "\n[tolerances]\nlinear = 1e-12\n")
 
 
 def test_cli_cell_tolerance_of_1e_15_is_met_at_n_8(tmp_path):
@@ -496,6 +505,24 @@ def test_cli_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_cli_run_reproduces_from_its_resolved_config(tmp_path):
+    # `cell` and `micro` run again from the resolved_config.ini the first
+    # runs wrote: every data file keeps its bytes, the resolved config too
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MINIMAL + "hole_center = 0.5, 0.375\n[kinetics]\nexponent = 3\n"
+                   "[micro]\nvelocity_mode = reconstructed\nu_init = bump:0.8\nv_init = constant:0.3\n"
+                   "t_end = 0.1\noutput_every = 3\n[tolerances]\nnewton = 1e-11\n")
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    for cfg_path, out in ((cfg, out1), (out1 / "resolved_config.ini", out2)):
+        for command in ("cell", "micro"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    names = sorted(p.name for p in out1.iterdir() if p.name != "run_manifest.txt")
+    assert names == sorted(p.name for p in out2.iterdir() if p.name != "run_manifest.txt")
+    assert {"effective_tensors.csv", "micro_series.csv", "u_00004.txt", "resolved_config.ini"} <= set(names)
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_cli_dump_fields(tmp_path):
     cfg = _write_cfg(tmp_path, "\n[output]\ndump_fields = true\n")
     out = tmp_path / "out"
@@ -847,7 +874,8 @@ def test_cli_run_time_invariant_failure_exits_3_with_the_state(tmp_path, monkeyp
     checked = []
     check = transport.TransportSolver._check
     monkeypatch.setattr(micro_sim, "ode_step", negative_ode_step)
-    monkeypatch.setattr(transport.TransportSolver, "_check", lambda self, state: checked.append(state) or check(self, state))
+    monkeypatch.setattr(transport.TransportSolver, "_check",
+                        lambda self, state, row: checked.append(state) or check(self, state, row))
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
@@ -914,6 +942,44 @@ def test_cli_macro_step_rate_does_not_grow_over_equal_gaps(tmp_path):
     assert len(rates) == 11 and rates[0] == 0.0 and rates[-1] > 0.0
     for before, after in zip(rates[1:], rates[2:]):
         assert after <= before * (1.0 + 1e-8) + 1e-14
+
+
+def test_cli_reacting_newton_cg_stops_within_the_newton_allowance(tmp_path, monkeypatch):
+    # a precipitate that dissolves throughout the run takes CG on every
+    # Newton step; each CG call must return with the 2-norm and the sum of
+    # its residual within 0.1 * newton * scale, the share of the Newton test
+    # it is given.  A relative target 1e-12 * ||F|| stopped 3 of the
+    # converge run's 120 calls above that, with sums 60-100 times it.  CG
+    # stops on its recurrence residual; the true residual b - A x formed
+    # here differs from it by round-off, measured up to 3.2 eps times
+    # sum|b| + sum|A x|, which the sum is allowed on top
+    cfg = tmp_path / "run.ini"
+    react = "u_init = constant:0.9\nv_init = constant:0.5\nt_end = 0.1\n"
+    cfg.write_text(MINIMAL + f"[micro]\nvelocity_mode = reconstructed\n{react}[macro]\nvelocity_mode = darcy\n{react}")
+    newton_tol = parse_config(str(cfg)).tolerances["newton"]
+    scales, calls = [], []
+    for module in (micro_sim, macro_sim):
+        def recording_newton(op, *args, newton=module.newton_reaction_diffusion, **kwargs):
+            scales.append(op.scale)
+            return newton(op, *args, **kwargs)
+
+        monkeypatch.setattr(module, "newton_reaction_diffusion", recording_newton)
+    cg = _implicit.cg
+
+    def checked_cg(A, b, **kwargs):
+        x, relres, iters = cg(A, b, **kwargs)
+        Ax = A(x)
+        round_off = 4.0 * np.finfo(float).eps * (np.abs(b).sum() + np.abs(Ax).sum())
+        calls.append((relres * max(np.linalg.norm(b), 1.0), abs((b - Ax).sum()), 0.1 * newton_tol * scales[-1], round_off))
+        return x, relres, iters
+
+    monkeypatch.setattr(_implicit, "cg", checked_cg)
+    out = tmp_path / "out"
+    for command in ("cell", "converge"):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert calls
+    assert not [(norm, total, allowance) for norm, total, allowance, round_off in calls
+                if norm > allowance or total > allowance + round_off]
 
 
 @pytest.mark.parametrize("command, module", [("micro", micro_sim), ("macro", macro_sim)], ids=["micro", "macro"])

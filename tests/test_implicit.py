@@ -93,8 +93,7 @@ def test_newton_matches_direct_solve_with_few_cg_iterations(problem, monkeypatch
         return result
 
     monkeypatch.setattr(_implicit, "cg", counting_cg)
-    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weights, LAW, v, DT, u0,
-                                                 lin_tol=1e-12, newton_tol=1e-12)
+    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weights, LAW, v, DT, u0, newton_tol=1e-12)
 
     slope = net_rate_slope(LAW, u[owners], net_rate_and_branch(LAW, u[owners], v, DT)[1])
     assert np.all(slope > 0.0)
@@ -136,8 +135,7 @@ def test_newton_drives_a_mass_defect_below_the_cg_floor(problem, monkeypatch):
         return result
 
     monkeypatch.setattr(_implicit, "cg", counting_cg)
-    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weight, LAW, v, DT, start,
-                                                 lin_tol=1e-12, newton_tol=tol)
+    u, res = _implicit.newton_reaction_diffusion(op, rhs, owners, weight, LAW, v, DT, start, newton_tol=tol)
     F, _ = residual(u)
     assert iters and min(iters) >= 1 and res <= tol
     assert abs(F.sum()) <= 0.1 * tol * scale
