@@ -40,6 +40,12 @@ from .linalg import cg
 # Newton iterations before a solve counts as stalled
 MAX_NEWTON = 60
 
+# the Newton tolerance on max|F| / scale up to solute bounds of 1766, where
+# the residual's round-off floor (`newton_tolerance`) reaches it.  Fixed,
+# not a [tolerances] key: below that floor the solve stalls, and a looser
+# tolerance only lets each step leave a larger mass defect
+NEWTON_TOL = 1e-12
+
 # bound on the probe residual ||B solve(b) - b||_inf / ||b||_inf that
 # certifies a direct solve of B; both solves stay below 1e-13 up to
 # 512 x 512.  Fixed, not a [tolerances] key: a small accepted tolerance
@@ -47,15 +53,16 @@ MAX_NEWTON = 60
 SOLVE_TOL = 1e-10
 
 
-def newton_floor(box_bound: float) -> float:
-    """The smallest ``newton_tol`` the Newton solve can meet: the round-off
-    floor of its residual, with a margin of 1.5.
+def newton_tolerance(box_bound: float) -> float:
+    """The Newton tolerance of a run whose solute stays below ``box_bound``:
+    `NEWTON_TOL`, or the round-off floor of the residual with a margin of
+    1.5 where that is larger.
 
     The residual ``max|F| / scale`` is a difference of terms of the size of
     the solute, and its round-off floor measured 0.3-1.7 eps * box_bound
     (grids up to 512 x 512, box bounds 1-4000).
     """
-    return 1.5 * 1.7 * np.finfo(float).eps * box_bound
+    return max(NEWTON_TOL, 1.5 * 1.7 * np.finfo(float).eps * box_bound)
 
 
 def diffusion_operator(mask, axis_weights, dirichlet_edges, shift=0.0):
@@ -183,7 +190,7 @@ def newton_reaction_diffusion(
     and its direct solve; ``owners`` maps reaction carriers (grain faces or
     cells) to cell indices and ``weight`` is their common coupling (eps*h
     for faces, the coupled-storage c_g*h^2 for macro cells).  ``newton_tol``
-    is ``[tolerances] newton``.
+    is the run's `newton_tolerance`.
     Returns ``(u, residual)`` with residual in concentration units.
 
     Each iterate evaluates the rate law once.  The Newton step is

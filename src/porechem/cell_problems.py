@@ -66,25 +66,25 @@ from .geometry import UnitCell
 from .gridio import read_csv, write_csv
 from .linalg import CapacitanceSolver, cg
 
-# the defaults of [tolerances] cell and spd
+# the default of [tolerances] cell
 DEFAULT_TOL = 1e-10
-SPD_TOL = 1e-8
 
-# the least [tolerances] cell and spd that every aligned cell the grid budget
-# admits meets; `parse_config` rejects smaller values.  Measured with one BLAS
-# thread over every aligned cell up to n = 24, 250 random ones up to n = 128,
-# and grains of one to sixteen cells, of side 1/2 and leaving channels two or
-# three cells wide, at n = 32 to 512:
-# - cell bounds the corrector and Stokes momentum backward errors, which do
-#   not grow with n: at most 1.54e-16 (n = 3), 1.1e-16 for n >= 4 and 7.1e-17
-#   for n >= 25.  The floor adds a margin of 1.6.
-# - spd bounds the S and K certificates.  They measure the forward error of
-#   the solves, which grows with n and varies tenfold between neighbouring
-#   cells: K's gradient identity up to 9.4e-14 of max|K| (n = 448, one-cell
-#   grain), S's quadratic form up to 3.9e-14 (n = 384, side 1/2), the
-#   asymmetries up to 1.5e-17.  The floor adds a margin of 10.
+# Measured with one BLAS thread over every aligned cell up to n = 24, 250
+# random ones up to n = 128, and grains of one to sixteen cells, of side 1/2
+# and leaving channels two or three cells wide, at n = 32 to 512:
+# - the corrector and Stokes momentum backward errors, which [tolerances]
+#   cell bounds, do not grow with n: at most 1.54e-16 (n = 3), 1.1e-16 for
+#   n >= 4 and 7.1e-17 for n >= 25.  CELL_TOL_FLOOR, the least value
+#   `parse_config` accepts, adds a margin of 1.6.
+# - the S and K certificates measure the forward error of the solves, which
+#   grows with n and varies tenfold between neighbouring cells: K's gradient
+#   identity up to 9.4e-14 of max|K| (n = 448, one-cell grain), S's
+#   quadratic form up to 3.9e-14 (n = 384, side 1/2), the asymmetries up to
+#   1.5e-17.  SPD_TOL bounds them, relative to max|K| or max(D, 1), with a
+#   margin of 1e5: a fixed guard, not a [tolerances] key, that only an
+#   unconverged solve exceeds
 CELL_TOL_FLOOR = 2.5e-16
-SPD_TOL_FLOOR = 1e-12
+SPD_TOL = 1e-8
 
 # pressure Schur-complement CG: the 2-norm target sits well inside the
 # max-norm divergence acceptance of `solve`; the iteration count does not
@@ -282,7 +282,7 @@ def correction_matrix(cell: UnitCell, fields) -> np.ndarray:
     return C
 
 
-def assemble_S(cell: UnitCell, fields, D: float = 1.0, spd_tol: float = SPD_TOL):
+def assemble_S(cell: UnitCell, fields, D: float = 1.0):
     """Effective diffusion tensor  S = D (I + C / |Y|), symmetrized.
 
     Returns ``(S, diagnostics)``.  The independently evaluated quadratic
@@ -293,17 +293,17 @@ def assemble_S(cell: UnitCell, fields, D: float = 1.0, spd_tol: float = SPD_TOL)
     C = correction_matrix(cell, fields)
     S_raw = D * (np.eye(2) + C / cell.pore_area)
     asym = float(np.max(np.abs(S_raw - S_raw.T)))
-    if not asym <= spd_tol * max(D, 1.0):
-        raise AssemblyError(f"S asymmetry residual {asym:.3e} exceeds {spd_tol:g}")
+    if not asym <= SPD_TOL * max(D, 1.0):
+        raise AssemblyError(f"S asymmetry residual {asym:.3e} exceeds {SPD_TOL:g}")
     S = 0.5 * (S_raw + S_raw.T)
     eigs = np.linalg.eigvalsh(S)
     if not eigs[0] > 0.0:
         raise AssemblyError(f"S is not positive definite (eigenvalues {eigs})")
-    if not np.all(np.diag(S) <= D * (1.0 + spd_tol)):
+    if not np.all(np.diag(S) <= D * (1.0 + SPD_TOL)):
         raise AssemblyError(f"diagonal of S exceeds the molecular bound D = {D}")
     quad_err = float(np.max(np.abs(D * quadratic_form(cell, fields) / cell.pore_area - S)))
-    if not quad_err <= spd_tol * max(D, 1.0):
-        raise AssemblyError(f"quadratic-form residual {quad_err:.3e} exceeds {spd_tol:g}")
+    if not quad_err <= SPD_TOL * max(D, 1.0):
+        raise AssemblyError(f"quadratic-form residual {quad_err:.3e} exceeds {SPD_TOL:g}")
     return S, {"asymmetry": asym, "alpha_s": float(eigs[0]), "quad_err": quad_err}
 
 
@@ -573,27 +573,27 @@ def velocity_mean(sol: StokesCellSolution) -> np.ndarray:
     return np.array([sol.u.sum() * h2, sol.v.sum() * h2]) / sol.cell.pore_area
 
 
-def assemble_K(cell: UnitCell, solutions, spd_tol: float = SPD_TOL):
+def assemble_K(cell: UnitCell, solutions):
     """Permeability  K_ij = (1/|Y|) integral over Y of chi_i^j, symmetrized.
 
     Returns ``(K, diagnostics)``.  The gradient-inner-product identity
     ``K_ij |Y| = (grad chi^i, grad chi^j)`` is the independent certificate:
-    its deviation ``grad_err`` must stay within ``spd_tol * max|K|``.
+    its deviation ``grad_err`` must stay within ``SPD_TOL * max|K|``.
     """
     if any(s.cell != cell for s in solutions):
         raise ValueError("Stokes solutions were computed on a different unit cell")
     K_raw = np.column_stack([velocity_mean(s) for s in solutions])  # K[:, j] from chi^j
     asym = float(np.max(np.abs(K_raw - K_raw.T)))
     scale = float(np.max(np.abs(K_raw)))
-    if not asym <= spd_tol * max(scale, 1e-30):
-        raise AssemblyError(f"K asymmetry residual {asym:.3e} exceeds {spd_tol:g} (relative)")
+    if not asym <= SPD_TOL * max(scale, 1e-30):
+        raise AssemblyError(f"K asymmetry residual {asym:.3e} exceeds {SPD_TOL:g} (relative)")
     K = 0.5 * (K_raw + K_raw.T)
     eigs = np.linalg.eigvalsh(K)
     if not eigs[0] > 0.0:
         raise AssemblyError(f"K is not symmetric positive definite (eigenvalues {eigs})")
     grad_err = _gradient_identity_error(solutions, K)
-    if not grad_err <= spd_tol * np.max(np.abs(K)):
-        raise AssemblyError(f"K gradient-identity residual {grad_err:.3e} exceeds {spd_tol:g} (relative)")
+    if not grad_err <= SPD_TOL * np.max(np.abs(K)):
+        raise AssemblyError(f"K gradient-identity residual {grad_err:.3e} exceeds {SPD_TOL:g} (relative)")
     return K, {"asymmetry": asym, "grad_err": grad_err, "eig_min": float(eigs[0])}
 
 

@@ -56,12 +56,12 @@ def _prepare_out(args, cfg):
 
 
 def _compute_tensors(cfg) -> EffectiveTensors:
-    cell, tol, spd_tol, D = cfg.cell, cfg.tolerances["cell"], cfg.tolerances["spd"], cfg.micro.D
+    cell, tol, D = cfg.cell, cfg.tolerances["cell"], cfg.micro.D
     # as in effective_tensors: the cheaper corrector pair first
     fields = solve_diffusion_cell(cell, tol)
     sols = solve_stokes_cell(cell, tol)
-    S, s_info = assemble_S(cell, fields, D=D, spd_tol=spd_tol)
-    K, k_info = assemble_K(cell, sols, spd_tol=spd_tol)
+    S, s_info = assemble_S(cell, fields, D=D)
+    K, k_info = assemble_K(cell, sols)
     return EffectiveTensors(cell, D, fields, sols, S, s_info, K, k_info)
 
 

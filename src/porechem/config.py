@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_problems import CELL_TOL_FLOOR, DEFAULT_TOL, SPD_TOL, SPD_TOL_FLOOR
+from .cell_problems import CELL_TOL_FLOOR, DEFAULT_TOL
 from .errors import ConfigError, labelled
 from .geometry import UnitCell, cells_per_edge, check_edges
 from .homogenize import check_sweep
@@ -53,7 +53,6 @@ _DEFAULTS = {
         "dirichlet_value": "0.0",
         "u_init": "constant:0.0",
         "v_init": "constant:0.05",
-        "m0": "1.0",
     },
     "macro": {
         "resolution": "64",
@@ -66,15 +65,12 @@ _DEFAULTS = {
         "dirichlet_value": "0.0",
         "u_init": "constant:0.0",
         "v_init": "constant:0.05",
-        "m0": "1.0",
     },
     "sweep": {
         "eps_list": "0.25, 0.125, 0.0625",
     },
     "tolerances": {
-        "newton": _text(TransportConfig.newton_tol),
         "invariant_slack": _text(TransportConfig.invariant_slack),
-        "spd": _text(SPD_TOL),
         "cell": _text(DEFAULT_TOL),
     },
     "output": {
@@ -149,30 +145,33 @@ class _Bump:
         return f"bump:{self.amplitude}"
 
 
-def _parse_init(section, key, text, m0):
+def _parse_init(section, key, text):
     """``constant:VALUE`` or ``bump:AMPLITUDE`` (amplitude * sin(pi x) sin(pi y)),
-    with the value or amplitude in [0, m0], which keeps the profile there."""
+    with a nonnegative value or amplitude, the profile's largest value.
+    Returns the profile and that value."""
     kind, _, value = text.partition(":")
     kind = kind.strip()
     if kind not in ("constant", "bump"):
         raise ConfigError(f"[{section}] {key}: unknown initial profile {text!r}; use constant:VALUE or bump:VALUE")
     amp = _number(section, key, value) if value else 0.0
-    if not 0.0 <= amp <= m0:
-        raise ConfigError(f"[{section}] {key}: initial data must lie in [0, m0] = [0, {m0:g}], got {text!r}")
-    return amp if kind == "constant" else _Bump(amp)
+    if amp < 0.0:
+        raise ConfigError(f"[{section}] {key}: initial data must be nonnegative, got {text!r}")
+    return (amp if kind == "constant" else _Bump(amp)), amp
 
 
 def _transport_fields(section, m) -> dict:
-    """The fields both transport configs read from their own section."""
-    m0 = _number(section, "m0", m["m0"])
+    """The fields both transport configs read from their own section, and
+    the bound on the initial data: the largest value the profiles take."""
+    u_init, u_max = _parse_init(section, "u_init", m["u_init"])
+    v_init, v_max = _parse_init(section, "v_init", m["v_init"])
     return dict(
         dt=_number(section, "dt", m["dt"]),
         t_end=_number(section, "t_end", m["t_end"]),
-        u_init=_parse_init(section, "u_init", m["u_init"], m0),
-        v_init=_parse_init(section, "v_init", m["v_init"], m0),
+        u_init=u_init,
+        v_init=v_init,
         velocity_mode=m["velocity_mode"],
         dirichlet_value=_number(section, "dirichlet_value", m["dirichlet_value"]),
-        m0=m0,
+        m0=max(u_max, v_max),
         output_every=_number(section, "output_every", m["output_every"], int),
     )
 
@@ -289,12 +288,10 @@ def parse_config(path_or_text) -> RunConfig:
 
     # a tolerance that is not finite and positive stalls or disables its check
     tol = {key: _number("tolerances", key, text, positive=True) for key, text in raw["tolerances"].items()}
-    # and one below the round-off floor of what it bounds fails the cell solves
-    for key, floor, what in (("cell", CELL_TOL_FLOOR, "the cell solves' backward errors"),
-                             ("spd", SPD_TOL_FLOOR, "the S and K certificates")):
-        if tol[key] < floor:
-            raise ConfigError(f"[tolerances] {key} = {tol[key]:g} is below {floor:g}, the round-off floor of {what}; "
-                              f"set [tolerances] {key} >= {floor:g}")
+    # and a cell tolerance below the round-off floor of what it bounds fails the cell solves
+    if tol["cell"] < CELL_TOL_FLOOR:
+        raise ConfigError(f"[tolerances] cell = {tol['cell']:g} is below {CELL_TOL_FLOOR:g}, the round-off floor of "
+                          f"the cell solves' backward errors; set [tolerances] cell >= {CELL_TOL_FLOOR:g}")
     dump_fields = _parse_bool(raw["output"]["dump_fields"])
 
     sweep_eps = _parse_floats("sweep", "eps_list", raw["sweep"]["eps_list"])
@@ -302,9 +299,8 @@ def parse_config(path_or_text) -> RunConfig:
         cells_per_edge(e)
 
     # building the transport configs runs their cross-field checks (kinetic
-    # time-step bound, box bounds on initial data ranges, modes)
-    common = dict(rate_law=rate_law, dirichlet_edges=dirichlet_edges, newton_tol=tol["newton"],
-                  invariant_slack=tol["invariant_slack"])
+    # time-step bound at the box bound, modes)
+    common = dict(rate_law=rate_law, dirichlet_edges=dirichlet_edges, invariant_slack=tol["invariant_slack"])
     mi, ma = raw["micro"], raw["macro"]
     micro = labelled(
         "[micro]", MicroConfig,

@@ -50,9 +50,8 @@ def extend(u: np.ndarray, grid: PerforatedGrid) -> np.ndarray:
     """
     N, n = grid.cells_per_edge, grid.cell.n
     mean = eps_cell_fluid_mean(u, grid)
-    blocks = u.reshape(N, n, N, n).copy()
     fluid = grid.cell.fluid[None, :, None, :]
-    blocks = np.where(fluid, blocks, mean[:, None, :, None])
+    blocks = np.where(fluid, u.reshape(N, n, N, n), mean[:, None, :, None])
     return blocks.reshape(N * n, N * n)
 
 

@@ -38,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._implicit import ImplicitOperator, newton_floor
+from ._implicit import ImplicitOperator, newton_tolerance
 from .errors import ConfigError, StateError
 from .geometry import EDGE_CELLS, check_edges
 from .kinetics import RateLaw, dissolution_rate
@@ -61,7 +61,6 @@ class TransportConfig:
     dirichlet_value: float = 0.0
     m0: float = 1.0                 # bound on the initial data
     output_every: int = 1
-    newton_tol: float = 1e-12
     invariant_slack: float = 1e-8
 
     def __post_init__(self):
@@ -80,20 +79,17 @@ class TransportConfig:
         kin = self.dt * self.rate_law.k * self.rate_law.lipschitz_bound(self.box_bound)
         if kin > 1.0 + 1e-12:
             raise ConfigError(f"dt*k*L_r = {kin:.3g} violates the kinetic bound dt*k*L_r <= 1")
-        floor = newton_floor(self.box_bound)
-        if not self.newton_tol >= floor:
-            default = " (the default)" if self.newton_tol == TransportConfig.newton_tol else ""
-            digit = 10.0 ** (np.floor(np.log10(floor)) - 1)
-            least = np.ceil(floor / digit) * digit  # the floor rounded up to two digits
-            raise ConfigError(
-                f"[tolerances] newton = {self.newton_tol:g}{default} is below {floor:.3g}, the round-off floor "
-                f"of the implicit step at the solute bound {self.box_bound:g}; set [tolerances] newton >= {least:.2g}"
-            )
 
     @property
     def box_bound(self) -> float:
         """Discrete maximum-principle bound on the solute."""
         return max(self.m0, self.rate_law.u_sol, self.dirichlet_value)
+
+    @property
+    def newton_tol(self) -> float:
+        """The implicit step's Newton tolerance, `newton_tolerance` at the
+        box bound."""
+        return newton_tolerance(self.box_bound)
 
     @property
     def n_steps(self) -> int:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from porechem import _implicit, cell_problems, linalg
+from porechem import _implicit, cell_problems, linalg, macro_sim
 from porechem.cell_problems import (
     assemble_K,
     assemble_S,
@@ -503,12 +503,17 @@ def test_stokes_tolerance_is_an_acceptance_bound():
 @example(UnitCell(64, 61 / 64, (31.5 / 64, 32.5 / 64)))  # one-cell margins at left and bottom
 @example(UnitCell(64, 1 / 64, (1.5 / 64, 62.5 / 64)))  # one-cell grain in a corner
 def test_every_aligned_cell_meets_the_tolerance_floors(cell):
-    # [tolerances] cell and spd at their parse-time floors: every cell
-    # solve and every S and K certificate passes
+    # [tolerances] cell at its parse-time floor: every cell solve passes,
+    # and the S and K certificates stay within 1e-12, far inside SPD_TOL
     fields = solve_diffusion_cell(cell, cell_problems.CELL_TOL_FLOOR)
     sols = solve_stokes_cell(cell, cell_problems.CELL_TOL_FLOOR)
-    assemble_S(cell, fields, spd_tol=cell_problems.SPD_TOL_FLOOR)
-    assemble_K(cell, sols, spd_tol=cell_problems.SPD_TOL_FLOOR)
+    S, s_info = assemble_S(cell, fields)
+    K, k_info = assemble_K(cell, sols)
+    assert max(s_info["asymmetry"], s_info["quad_err"]) <= 1e-12
+    assert max(k_info["asymmetry"], k_info["grad_err"]) <= 1e-12 * np.max(np.abs(K))
+    # a grid-aligned square grain gives diagonal tensors
+    macro_sim.diagonal_tensor("S", S)
+    macro_sim.diagonal_tensor("K", K)
 
 
 @settings(max_examples=40, deadline=None)
