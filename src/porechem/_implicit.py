@@ -3,7 +3,7 @@
 Both transport solvers advance the solute with backward-Euler diffusion
 while the precipitate exchange term is evaluated at the new solute level
 through the event-resolved net rate ``G(u) = k (r(u) - w_eff)`` of the
-exact Heaviside selection (`kinetics.net_rate`).  G is monotone
+exact Heaviside selection (`kinetics.net_rate_and_branch`).  G is monotone
 nondecreasing in u and piecewise smooth, so Newton with the generalized
 derivative (`kinetics.net_rate_slope`) converges globally for this
 M-function system; we iterate until the nonlinear residual is small enough
@@ -167,8 +167,7 @@ class ImplicitOperator:
         res = float(np.max(np.abs(self.B @ self.solve(probe) - probe)) / np.max(np.abs(probe)))
         if not res <= SOLVE_TOL:
             raise SolverError(
-                f"direct solve of the backward-Euler operator left probe residual {res:.3e} > {SOLVE_TOL:g}",
-                residual=res,
+                f"direct solve of the backward-Euler operator left probe residual {res:.3e} > {SOLVE_TOL:g}"
             )
 
 
@@ -231,4 +230,4 @@ def newton_reaction_diffusion(
         else:
             delta, _, _ = cg(lambda p: B @ p + extra * p, F, atol=0.1 * newton_tol * scale, precond=op.solve)
         u = u - delta
-    raise SolverError(f"implicit reaction-diffusion Newton stalled at residual {res:.3e}", residual=res)
+    raise SolverError(f"implicit reaction-diffusion Newton stalled at residual {res:.3e}")

@@ -86,9 +86,12 @@ DEFAULT_TOL = 1e-10
 CELL_TOL_FLOOR = 2.5e-16
 SPD_TOL = 1e-8
 
-# pressure Schur-complement CG: the 2-norm target sits well inside the
-# max-norm divergence acceptance of `solve`; the iteration count does not
-# grow with n, so the cap only turns a stalled solve into a SolverError
+# pressure Schur-complement CG: the residual's 2-norm and sum within
+# _SCHUR_TOL ||rhs||, well inside the max-norm divergence acceptance of
+# `solve`.  The residual is a divergence, whose sum stayed within 0.18 of
+# that target (every 7th aligned cell of n = 3 to 24, and n = 64 to 512).
+# The iteration count does not grow with n, so the cap only turns a
+# stalled solve into a SolverError
 _SCHUR_TOL = 1e-13
 _SCHUR_MAXITER = 500
 
@@ -214,7 +217,7 @@ def solve_diffusion_cell(cell: UnitCell, tol: float = DEFAULT_TOL) -> list[CellS
         sizes = 2.0 * A.diag * abs_f - A @ abs_f + np.abs(b)
         relres = float(np.linalg.norm(A @ f - b) / np.linalg.norm(sizes))
         if not relres <= tol:  # a NaN residual fails too
-            raise SolverError(f"corrector solve left relative residual {relres:.3e} > {tol:g}", residual=relres)
+            raise SolverError(f"corrector solve left relative residual {relres:.3e} > {tol:g}")
         fields.append(CellScalarField(cell, f, relres))
     return fields
 
@@ -440,7 +443,7 @@ class _MacOperators:
         rhs = project(self.divergence(solve_A(self._force(0))) / h2)
         p, _, iters = cg(
             lambda p: self.divergence(solve_A(self.gradient(p))) / h2, rhs,
-            tol=_SCHUR_TOL, maxiter=_SCHUR_MAXITER, precond=project,
+            atol=_SCHUR_TOL * np.linalg.norm(rhs), maxiter=_SCHUR_MAXITER, precond=project,
         )
         p = project(p)
         # the velocity, refined once on its momentum residual, built again
@@ -472,7 +475,7 @@ class _MacOperators:
         div_max = float(np.max(np.abs(self.divergence(x)))) / h2
         vel_scale = max(float(np.max(np.abs(x))), 1e-300)
         if not div_max <= _DIV_TOL * max(vel_scale / self.h, 1.0):  # NaN fails too
-            raise SolverError(f"Stokes solve left max divergence {div_max:.3e}", residual=div_max)
+            raise SolverError(f"Stokes solve left max divergence {div_max:.3e}")
         p = np.where(self.cell.fluid, p, 0.0)
         # one velocity block at a time, the residual A x + G p - b into G p
         # and the sizes |A||x| + |G||p| + |b| into x: A is its diagonal minus
@@ -493,7 +496,7 @@ class _MacOperators:
             x_q[...] = sizes
         mom_res = float(np.linalg.norm(res) / np.linalg.norm(x))
         if not mom_res <= tol:
-            raise SolverError(f"Stokes solve left momentum residual {mom_res:.3e} > {tol:g}", residual=mom_res)
+            raise SolverError(f"Stokes solve left momentum residual {mom_res:.3e} > {tol:g}")
         return div_max, mom_res
 
 

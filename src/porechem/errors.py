@@ -18,10 +18,6 @@ class GeometryError(ConfigError):
 class SolverError(RuntimeError):
     """A linear or nonlinear solve failed to reach its tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class AssemblyError(RuntimeError):
     """An assembled effective tensor failed its consistency checks."""

@@ -232,11 +232,11 @@ def sweep(
     for bit."""
     check_sweep(eps_list, micro_cfg, macro_cfg)
     if micro_cfg.velocity_mode == "reconstructed":
-        # each run rebuilds its velocity, so no two micro runs are held at once
+        # every tiling repeats the cell's face velocities, so the velocity on
+        # the eps = 1 tiling checks every eps at its own h
+        vel = reconstruct_velocity(tile_domain(cell, 1.0), stokes, micro_cfg.pressure_gradient)
         for eps in eps_list:
-            grid = tile_domain(cell, eps)
-            vel = reconstruct_velocity(grid, stokes, micro_cfg.pressure_gradient)
-            labelled(f"[micro] eps = {eps:g}:", vel.check_cfl, micro_cfg.dt, grid.h)
+            labelled(f"[micro] eps = {eps:g}:", vel.check_cfl, micro_cfg.dt, tile_domain(cell, eps).h)
     levels = {cells_per_edge(eps): [] for eps in eps_list}
 
     def average(state):

@@ -75,28 +75,20 @@ def dissolution_rate(law: RateLaw, u, v):
 
 
 def net_rate_and_branch(law: RateLaw, u, v, dt: float):
-    """`net_rate` and the mask of the carriers on its smooth branch, from one
-    evaluation of r(u).  Off the mask the carrier is on the event branch,
-    where its net rate ``-v/dt`` does not depend on u."""
+    """The time-averaged net precipitate rate k*(r - w_eff) over a step of
+    dt, ``max(k*(r(u) - 1), -v/dt)``, and the mask of the carriers on its
+    smooth branch, from one evaluation of r(u).  Off the mask v hits zero
+    mid-step, and the rate ``-v/dt`` that empties it does not depend on u."""
     smooth = law.k * (law.rate(u) - 1.0)
     event = -np.asarray(v, dtype=float) / dt
     return np.maximum(smooth, event), smooth >= event
 
 
 def net_rate_slope(law: RateLaw, u, smooth_branch):
-    """d(net_rate)/du, the generalized derivative, given
-    `net_rate_and_branch`'s mask: k*r'(u) on the smooth branch, zero on
-    the event branch."""
+    """The generalized derivative in u of `net_rate_and_branch`'s rate,
+    given its mask: k*r'(u) on the smooth branch, zero on the event
+    branch."""
     return np.where(smooth_branch, law.k * law.rate_derivative(u), 0.0)
-
-
-def net_rate(law: RateLaw, u, v, dt: float):
-    """Time-averaged net precipitate rate k*(r - w_eff) over a step of dt.
-
-    Equals max(k*(r(u) - 1), -v/dt): the unconstrained rate when no event
-    occurs, and exactly the rate that empties v when it hits zero mid-step.
-    """
-    return net_rate_and_branch(law, u, v, dt)[0]
 
 
 def ode_step(law: RateLaw, u, v, dt: float):
@@ -107,14 +99,9 @@ def ode_step(law: RateLaw, u, v, dt: float):
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any(v < 0.0):
         raise StateError("negative precipitate on input to ode_step")
-    scalar = v.ndim == 0 and u.ndim == 0
     r = law.rate(u)
     v_new = np.maximum(v + dt * law.k * (r - 1.0), 0.0)
-    w_eff = r - (v_new - v) / (law.k * dt)
-    if scalar:
-        return float(v_new), float(w_eff)
-    return v_new, w_eff
+    return v_new, r - (v_new - v) / (law.k * dt)

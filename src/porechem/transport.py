@@ -148,16 +148,18 @@ class FaceVelocity:
     qx: np.ndarray   # (nx+1, ny) normal velocity on vertical faces
     qy: np.ndarray   # (nx, ny+1) normal velocity on horizontal faces
 
-    @property
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.qx), initial=0.0), np.max(np.abs(self.qy), initial=0.0)))
-
     def check_cfl(self, dt, h):
         """ConfigError unless explicit upwind steps of ``dt`` on a grid of
-        spacing ``h`` keep the advective CFL number dt*|q|/h at most 1."""
-        cfl = dt * self.max_abs / h
+        spacing ``h`` keep the advective CFL number dt*|q|/h at most 1, |q|
+        the largest total outflow of a cell through its four faces.  An
+        upwind step leaves the weight 1 - dt*|q|/h on a cell's own value, so
+        at most 1 the step is monotone and keeps the box bounds."""
+        outflow = np.maximum(self.qx[1:, :], 0.0) - np.minimum(self.qx[:-1, :], 0.0)
+        outflow += np.maximum(self.qy[:, 1:], 0.0) - np.minimum(self.qy[:, :-1], 0.0)
+        cfl = dt * float(np.max(outflow, initial=0.0)) / h
         if cfl > 1.0 + 1e-12:
-            raise ConfigError(f"dt*|q|/h = {cfl:.3g} violates the advective CFL bound <= 1")
+            raise ConfigError(f"dt*|q|/h = {cfl:.3g} violates the advective CFL bound <= 1, "
+                              "|q| the largest total outflow of a cell")
 
 
 def _sample(spec, x, y):

@@ -12,9 +12,11 @@ runs) only read what the package returns; `field_text` there writes the
 field file format with one template for every value, the byte oracle of
 `porechem.gridio.write_field`, `out_of_place_ring_solve` is the ring
 solve of `porechem.linalg.CapacitanceSolver` into a new array, the bit
-oracle of the solve that overwrites its argument, and `upwind_advection`
+oracle of the solve that overwrites its argument, `upwind_advection`
 pads the field and splits the velocity on every step, the bit oracle of
-the transport step's advection, which sets both up once per run.  `stored_run_files`
+the transport step's advection, which sets both up once per run, and
+`cell_outflow` gives the per-cell outflow that the advective CFL number
+reads.  `stored_run_files`
 writes, from a run that kept its snapshots, the files the `micro` and
 `macro` subcommands write while their runs step, and `assert_same_run`
 compares a run that handed its snapshots to a consumer with one that kept
@@ -311,6 +313,16 @@ def out_of_place_ring_solve(ring, b):
         X += lam[:, -1:, None]
     X[:, ~ring.domain] = 0.0
     return X.reshape(b.shape)
+
+
+def cell_outflow(qx, qy):
+    """The total outflow of each cell under the face velocity ``(qx, qy)``:
+    on each of its four faces, the positive part of the velocity along the
+    cell's outward normal, summed.  An explicit upwind step of dt on a grid
+    of spacing h leaves the weight ``1 - dt/h * outflow`` on a cell's own
+    value."""
+    outward = (qx[1:, :], -qx[:-1, :], qy[:, 1:], -qy[:, :-1])  # right, left, top, bottom
+    return sum(np.maximum(q, 0.0) for q in outward)
 
 
 def upwind_advection(u, qx, qy, mask, h, dt, dirichlet_edges, dirichlet_value):

@@ -637,7 +637,8 @@ def test_cg_holds_three_vectors_between_calls():
     # last A p and M^-1 r through the next calls peaked at seven
     d = np.linspace(1.0, 100.0, 2**17)
     b = np.ones_like(d)
-    peak = _traced_peak(linalg.cg, lambda p: d * p + 0.5 * p, b, precond=lambda r: r / 2.0, tol=1e-10)
+    peak = _traced_peak(linalg.cg, lambda p: d * p + 0.5 * p, b, precond=lambda r: r / 2.0,
+                         atol=1e-10 * np.linalg.norm(b))
     assert peak <= 5.25 * 2**20
 
 

@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import SuperLU
@@ -230,19 +230,36 @@ def test_cli_macro_past_the_newton_floor_runs_at_the_derived_tolerance(tmp_path,
 
 _LEVELS = st.integers(0, 400).map(lambda k: k / 100)  # 0 to 4 in steps of 0.01
 _PROFILES = st.builds("{}:{}".format, st.sampled_from(["constant", "bump"]), _LEVELS)
+_GRADIENTS = st.integers(-8000, 8000).map(lambda k: k / 100)  # -80 to 80
+_DIFFUSIVITIES = st.integers(-30, 0).map(lambda k: 10.0 ** (k / 10))  # 1e-3 to 1
+_PRESSURES = st.integers(-500, 500)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(u_init=_PROFILES, v_init=_PROFILES, dirichlet_value=_LEVELS,
-       u_solubility=st.integers(1, 400).map(lambda k: k / 100))
+       u_solubility=st.integers(1, 400).map(lambda k: k / 100), eps=st.sampled_from([0.5, 0.25]),
+       pressure_gradient=st.tuples(_GRADIENTS, _GRADIENTS), diffusivity=_DIFFUSIVITIES,
+       pressures=st.tuples(_PRESSURES, _PRESSURES))
+# a diagonal flow whose largest face velocity passes the advective CFL bound
+# (0.90) while the largest total outflow of a cell does not (1.48): when the
+# bound read the face velocity, micro accepted it and left the box bound in
+# its first step
+@example(u_init="bump:1.0", v_init="constant:0.0", dirichlet_value=0.0, u_solubility=1.0, eps=0.25,
+         pressure_gradient=(-63.084, -63.084), diffusivity=0.01, pressures=(1, 0))
 def test_cli_every_accepted_config_runs_within_its_box_bound(tmp_path_factory, u_init, v_init, dirichlet_value,
-                                                             u_solubility):
+                                                             u_solubility, eps, pressure_gradient, diffusivity,
+                                                             pressures):
     # the bound on the initial data is the largest value of the profiles, so
-    # every config that validation accepts runs to the end (exit 0, never 3),
-    # its solute within max(u_init, v_init, u_solubility, dirichlet_value)
+    # every config that validation accepts runs to the end, its solute
+    # within max(u_init, v_init, u_solubility, dirichlet_value), under the
+    # reconstructed micro flow and the Darcy macro flow alike.  A run whose
+    # advective CFL number is only known once its velocity is built exits 2
+    # naming that bound; no accepted config exits 3
     data = f"dt = 0.01\nt_end = 0.03\nu_init = {u_init}\nv_init = {v_init}\ndirichlet_value = {dirichlet_value}\n"
-    text = (f"[geometry]\neps = 0.5\n[kinetics]\nu_solubility = {u_solubility}\n"
-            f"[micro]\n{data}[macro]\nresolution = 8\n{data}")
+    text = (f"[geometry]\neps = {eps}\n[kinetics]\nu_solubility = {u_solubility}\n"
+            f"[micro]\n{data}velocity_mode = reconstructed\ndiffusivity = {diffusivity}\n"
+            f"pressure_gradient = {pressure_gradient[0]}, {pressure_gradient[1]}\n"
+            f"[macro]\nresolution = 8\n{data}velocity_mode = darcy\np_left = {pressures[0]}\np_right = {pressures[1]}\n")
     try:
         parsed = parse_config(text)
         for command in ("micro", "macro"):
@@ -253,10 +270,15 @@ def test_cli_every_accepted_config_runs_within_its_box_bound(tmp_path_factory, u
     out = tmp_path_factory.mktemp("run")
     cfg = out / "run.ini"
     cfg.write_text(text)
-    for command in ("cell", "micro", "macro"):
-        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    for series in ("micro_series.csv", "macro_series.csv"):
-        rows = read_csv(out / series)[1]
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    for command, tensors in (("micro", []), ("macro", ["--tensors", str(out / "effective_tensors.csv")])):
+        status = main([command, "--config", str(cfg), "--out", str(out / command), "--quiet", *tensors])
+        if status == 2:
+            record = (out / command / "error_record.txt").read_text()
+            assert "kind = config" in record and "violates the advective CFL bound" in record
+            continue
+        assert status == 0
+        rows = read_csv(out / command / f"{command}_series.csv")[1]
         assert rows[-1]["t"] == pytest.approx(0.03)
         assert max(row["max_u"] for row in rows) <= bound + TransportConfig.invariant_slack
 
@@ -746,15 +768,23 @@ def test_cli_micro_checks_its_cfl_number_before_the_factor(tmp_path, monkeypatch
     factored = []
     factor = _implicit.factor_spd
     monkeypatch.setattr(_implicit, "factor_spd", lambda B: factored.append(B.shape) or factor(B))
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[micro]\nvelocity_mode = reconstructed\npressure_gradient = -120, 0\nt_end = 0.1\n")
-    out = tmp_path / "o"
-    assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    record = (out / "error_record.txt").read_text()
-    assert "kind = config" in record
-    assert "[micro] eps = 0.25: dt*|q|/h = 1.71 violates the advective CFL bound" in record
+    for name, flow, cfl in [
+        ("x", "pressure_gradient = -120, 0\n", "1.71"),
+        # a diagonal flow whose largest face velocity gives 0.90 and whose
+        # largest cell outflow gives 1.48: checked on the face velocity,
+        # micro accepted it and left the box bound in its first step (exit 3)
+        ("diagonal", "pressure_gradient = -63.084, -63.084\ndiffusivity = 0.01\nu_init = bump:1.0\n", "1.48"),
+    ]:
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[micro]\nvelocity_mode = reconstructed\n{flow}t_end = 0.1\n")
+        out = tmp_path / name
+        assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        record = (out / "error_record.txt").read_text()
+        assert "kind = config" in record
+        assert f"[micro] eps = 0.25: dt*|q|/h = {cfl} violates the advective CFL bound" in record
+        assert "largest total outflow of a cell" in record
+        assert not (out / "micro_series.csv").exists()
     assert factored == []
-    assert not (out / "micro_series.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["cell", "converge"])

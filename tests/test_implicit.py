@@ -197,15 +197,21 @@ def test_cg_stops_at_the_first_iterate_below_its_absolute_floor():
     d = np.linspace(1.0, 1e3, 200)
     b = rng.standard_normal(d.size)
     floor = 1e-4 * np.linalg.norm(b)
-    x, relres, iters = cg(lambda p: d * p, b, tol=1e-14, atol=floor, precond=lambda r: r.copy())
+    x, relres, iters = cg(lambda p: d * p, b, atol=floor, precond=lambda r: r.copy())
     assert relres * np.linalg.norm(b) <= floor
     r = b - d * x
     assert np.linalg.norm(r) <= 1.001 * floor and abs(r.sum()) <= 1.001 * floor
-    # one iteration fewer does not reach the floor, and the relative
-    # tolerance alone takes more iterations
+    # one iteration fewer does not reach the floor, and a floor a hundred
+    # times lower takes more iterations
     with pytest.raises(SolverError):
-        cg(lambda p: d * p, b, tol=1e-14, atol=floor, precond=lambda r: r.copy(), maxiter=iters - 1)
-    assert cg(lambda p: d * p, b, tol=1e-14, precond=lambda r: r.copy())[2] > iters
+        cg(lambda p: d * p, b, atol=floor, precond=lambda r: r.copy(), maxiter=iters - 1)
+    assert cg(lambda p: d * p, b, atol=0.01 * floor, precond=lambda r: r.copy())[2] > iters
+
+
+def test_cg_with_a_zero_right_hand_side_returns_zero_at_once():
+    # the residual at x = 0 is b itself, exactly within any floor, 0 included
+    x, relres, iters = cg(lambda p: 2.0 * p, np.zeros(5), atol=0.0, precond=lambda r: r.copy())
+    assert iters == 0 and relres == 0.0 and not x.any()
 
 
 def test_cg_floor_also_bounds_the_residual_sum():
@@ -215,7 +221,7 @@ def test_cg_floor_also_bounds_the_residual_sum():
     b = np.full(d.size, 1e-9)
     floor = 1.5 * np.linalg.norm(b)
     assert np.linalg.norm(b) <= floor < b.sum()
-    x, _, iters = cg(lambda p: d * p, b, tol=1e-14, atol=floor, precond=lambda r: r.copy())
+    x, _, iters = cg(lambda p: d * p, b, atol=floor, precond=lambda r: r.copy())
     r = b - d * x
     assert iters >= 1 and abs(r.sum()) <= 1.001 * floor
 

@@ -20,7 +20,7 @@ from porechem.micro_sim import (
 )
 from porechem.transport import l1_distance
 
-from oracles import assert_same_run, lumped_trajectory
+from oracles import assert_same_run, cell_outflow, lumped_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +230,7 @@ def test_difference_quotient_norm(grid):
 def test_reconstructed_velocity_properties(cell, grid):
     sols = solve_stokes_cell(cell)
     vel0 = reconstruct_velocity(grid, sols, (0.0, 0.0))
-    assert vel0.max_abs == 0.0
+    assert not vel0.qx.any() and not vel0.qy.any()
 
     vel = reconstruct_velocity(grid, sols, (-1.0, 0.0))
     K, _ = assemble_K(cell, sols)
@@ -239,10 +239,15 @@ def test_reconstructed_velocity_properties(cell, grid):
     means = (ucc.reshape(N, n, N, n) * cell.fluid[None, :, None, :]).sum(axis=(1, 3)) / cell.fluid.sum()
     assert np.max(np.abs(means - K[0, 0])) <= 1e-10  # eps-cell average is K e1
 
-    for eps in (0.5, 0.125):
-        g2 = tile_domain(cell, eps)
-        v2 = reconstruct_velocity(g2, sols, (-1.0, 0.0))
-        assert v2.max_abs == vel.max_abs  # same unit-cell samples for every eps
+    # every tiling repeats the cell's face velocities, so each cell's outflow,
+    # and with it the CFL number at a given h, is the same at every eps
+    for G in ((-1.0, 0.0), (-1.0, 0.5)):
+        v1 = reconstruct_velocity(tile_domain(cell, 1.0), sols, G)
+        outflow = cell_outflow(v1.qx, v1.qy)
+        for eps in (0.5, 0.25, 0.125):
+            g2 = tile_domain(cell, eps)
+            v2 = reconstruct_velocity(g2, sols, G)
+            assert np.array_equal(cell_outflow(v2.qx, v2.qy), np.tile(outflow, (g2.cells_per_edge,) * 2))
 
 
 def test_reconstructed_velocity_geometry_mismatch(grid):
@@ -262,6 +267,24 @@ def test_advective_run_monotone_bounds(cell, grid):
     for row in r.mass:
         assert -1e-10 <= row.min_u and row.max_u <= 1.0 + 1e-10
         assert row.min_v >= 0.0
+
+
+def test_diagonal_flow_at_outflow_cfl_one_keeps_the_box(cell, grid):
+    # an upwind step is monotone while dt/h times every cell's total outflow
+    # is at most 1.  Under a diagonal pressure gradient that outflow exceeds
+    # the largest face velocity, so the bound must read the outflow: just
+    # past it the run is rejected, and at it the solute stays in [0, 1]
+    sols = solve_stokes_cell(cell)
+    dt = 0.01
+    vel = reconstruct_velocity(grid, sols, (-1.0, -1.0))
+    unit = cell_outflow(vel.qx, vel.qy).max()
+    G = grid.h / (dt * unit)  # outflow CFL number 1
+    cfg = MicroConfig(dt=dt, t_end=0.2, D=1e-3, u_init=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+                      velocity_mode="reconstructed", pressure_gradient=(-G, -G))
+    with pytest.raises(ConfigError, match="violates the advective CFL bound"):
+        MicroSolver(replace(cfg, pressure_gradient=(-1.01 * G, -1.01 * G)), grid, sols)
+    r = MicroSolver(cfg, grid, sols).run()
+    assert min(row.min_u for row in r.mass) >= 0.0 and max(row.max_u for row in r.mass) <= 1.0
 
 
 def test_config_validation(grid):
