@@ -153,7 +153,9 @@ def _parse_init(section, key, text):
     kind = kind.strip()
     if kind not in ("constant", "bump"):
         raise ConfigError(f"[{section}] {key}: unknown initial profile {text!r}; use constant:VALUE or bump:VALUE")
-    amp = _number(section, key, value) if value else 0.0
+    if not value.strip():
+        raise ConfigError(f"[{section}] {key}: initial profile {text!r} has no value; use {kind}:VALUE")
+    amp = _number(section, key, value)
     if amp < 0.0:
         raise ConfigError(f"[{section}] {key}: initial data must be nonnegative, got {text!r}")
     return (amp if kind == "constant" else _Bump(amp)), amp
@@ -176,13 +178,13 @@ def _transport_fields(section, m) -> dict:
     )
 
 
-def _parse_bool(text):
+def _parse_bool(section, key, text):
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
         return True
     if t in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ConfigError(f"[{section}] {key} must be a boolean (true or false), got {text!r}")
 
 
 def _within_budget(message, amount, budget):
@@ -214,7 +216,7 @@ class RunConfig:
         grids = {  # grid: (section, key, what, cells per edge)
             "cell": ("geometry", "n", "cell", n),
             "micro": ("geometry", "eps", "micro", n * cells_per_edge(self.eps)),
-            "sweep": ("sweep", "eps_list", "micro", n * cells_per_edge(min(self.sweep_eps, default=1.0))),
+            "sweep": ("sweep", "eps_list", "micro", n * cells_per_edge(min(self.sweep_eps))),
             "macro": ("macro", "resolution", "macro", m),
         }
         for section, key, what, edge in (grids[g] for g in _COMMAND_GRIDS[command]):
@@ -292,9 +294,11 @@ def parse_config(path_or_text) -> RunConfig:
     if tol["cell"] < CELL_TOL_FLOOR:
         raise ConfigError(f"[tolerances] cell = {tol['cell']:g} is below {CELL_TOL_FLOOR:g}, the round-off floor of "
                           f"the cell solves' backward errors; set [tolerances] cell >= {CELL_TOL_FLOOR:g}")
-    dump_fields = _parse_bool(raw["output"]["dump_fields"])
+    dump_fields = _parse_bool("output", "dump_fields", raw["output"]["dump_fields"])
 
     sweep_eps = _parse_floats("sweep", "eps_list", raw["sweep"]["eps_list"])
+    if not sweep_eps:
+        raise ConfigError("[sweep] eps_list is empty; list at least one eps")
     for e in sweep_eps:
         cells_per_edge(e)
 

@@ -38,10 +38,13 @@ EDGES = tuple(EDGE_CELLS)
 
 def check_edges(edges) -> tuple:
     """``edges``, or a ConfigError naming the first that is not an edge of
-    the unit square."""
-    for e in edges:
+    the unit square or that is named twice (its half-cell weight would be
+    added twice)."""
+    for i, e in enumerate(edges):
         if e not in EDGES:
             raise ConfigError(f"unknown edge {e!r} in dirichlet_edges; valid edges: {', '.join(EDGES)}")
+        if e in edges[:i]:
+            raise ConfigError(f"edge {e!r} is named twice in dirichlet_edges")
     return edges
 
 

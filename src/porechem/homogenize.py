@@ -109,9 +109,12 @@ def oscillation_check(cell: UnitCell, f, eps_list, exact: float):
 
 def check_sweep(eps_list, micro_cfg: MicroConfig, macro_cfg: MacroConfig):
     """ConfigError unless the eps-sweep can compare its micro runs with the
-    macro run: eps strictly decreasing, whole macro cells per eps-cell (the
-    eps-cell averages), the same snapshot times, and one problem (the same
-    initial and boundary data, and no flow or the flow of one pressure drop)."""
+    macro run: at least one eps, eps strictly decreasing, whole macro cells
+    per eps-cell (the eps-cell averages), the same snapshot times, and one
+    problem (the same initial and boundary data, and no flow or the flow of
+    one pressure drop)."""
+    if len(eps_list) == 0:
+        raise ConfigError("sweep eps_list is empty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("sweep eps_list must be strictly decreasing")
     m = macro_cfg.resolution_cells

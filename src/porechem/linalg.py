@@ -31,6 +31,14 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import SolverError
 
 
+def _dot(a, b) -> float:
+    """The sum of ``a * b`` by numpy's pairwise summation.  BLAS ``ddot`` and
+    ``dnrm2`` split their sums across threads, so ``np.vdot`` and
+    ``np.linalg.norm`` round differently under different BLAS thread counts;
+    this gives the same bits under any."""
+    return float(np.add.reduce((a * b).ravel()))
+
+
 def cg(A, b, *, precond, atol, maxiter=None):
     """Solve A x = b by preconditioned conjugate gradients.
 
@@ -59,33 +67,33 @@ def cg(A, b, *, precond, atol, maxiter=None):
     x = np.zeros_like(b)
 
     r = b.copy()  # the residual at x = 0, without applying A
-    bnorm = np.linalg.norm(b)
+    rnorm = bnorm = np.sqrt(_dot(b, b))
 
     def done(rnorm):
         return rnorm <= atol and abs(r.sum()) <= atol
 
-    if done(np.linalg.norm(r)):
-        return x, np.linalg.norm(r) / max(bnorm, 1.0), 0
+    if done(rnorm):
+        return x, rnorm / max(bnorm, 1.0), 0
 
     p = precond(r).copy()  # updated in place, so never the preconditioner's own array
-    rz = np.vdot(r, p)
+    rz = _dot(r, p)
     for it in range(1, maxiter + 1):
         Ap = A(p)
-        alpha = rz / np.vdot(p, Ap)
+        alpha = rz / _dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
         del Ap  # x, r and p are all that cross the next matvec
-        rnorm = np.linalg.norm(r)
+        rnorm = np.sqrt(_dot(r, r))
         if done(rnorm):
             return x, rnorm / max(bnorm, 1.0), it
         z = precond(r)
-        rz_new = np.vdot(r, z)
+        rz_new = _dot(r, z)
         p *= rz_new / rz  # p = z + beta p, in place and to the same bits
         p += z
         del z
         rz = rz_new
     raise SolverError(f"CG failed to reach atol = {atol:g} in {maxiter} iterations "
-                      f"(relative residual {np.linalg.norm(r) / max(bnorm, 1.0):.3e})")
+                      f"(relative residual {rnorm / max(bnorm, 1.0):.3e})")
 
 
 class CapacitanceSolver:

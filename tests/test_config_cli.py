@@ -1,7 +1,12 @@
 import gc
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import SuperLU
 
+import porechem
 from porechem import _implicit, cell_problems, cli, config, linalg, macro_sim, micro_sim, transport
 from porechem.cell_problems import read_tensor_csv, solve_stokes_cell
 from porechem.cli import _compute_tensors, main
@@ -95,14 +101,19 @@ def test_defaults_are_those_of_the_solvers(tmp_path):
     ("macro", "m0", "resolution, dt, t_end, output_every, velocity_mode, p_left, p_right, dirichlet_value, "
                     "u_init, v_init"),
 ])
-def test_removed_keys_are_unknown_keys(section, key, valid):
+def test_removed_keys_are_unknown_keys(tmp_path, section, key, valid):
     # the implicit step's CG stops on the Newton test's allowance alone, the
     # Newton tolerance follows from the box bound, the certificate bound is a
     # fixed guard and the bound on the initial data is the largest value of
     # the profiles, so a config (or an older resolved_config.ini) that sets
     # one of these keys gets the unknown-key error with the keys that remain
-    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]; valid keys: {valid}$"):
-        parse_config(MINIMAL + f"\n[{section}]\n{key} = 1.0\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["cell", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    record = (out / "error_record.txt").read_text()
+    assert "kind = config" in record
+    assert re.search(f"^message = unknown key '{key}' in \\[{section}\\]; valid keys: {valid}$", record, re.M)
 
 
 def test_cli_cell_tolerance_of_1e_15_is_met_at_n_8(tmp_path):
@@ -367,16 +378,27 @@ def test_cli_micro_macro_unfold(tmp_path):
     assert iso and all(float(line.split(",")[2]) <= 1e-12 for line in iso)
 
 
-def test_unfold_report_reads_back(tmp_path):
-    cfg = _write_cfg(tmp_path)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fine", [False, True], ids=["eps-1/4", "eps-1/16"])
+def test_unfold_report_reads_back(tmp_path, capfd, fine):
+    # one isometry row per stored snapshot's face dump: 3 of the short run
+    # at eps = 1/4, 11 of the default run at eps = 1/16
+    if fine:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[geometry]\neps = 0.0625\n")
+    else:
+        cfg = _write_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["micro", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert main(["unfold", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capfd.readouterr().err == ""
     columns, rows = read_csv(out / "unfold_report.csv")
     assert columns == ["kind", "name", "value"]
     assert {r["kind"] for r in rows} == {"isometry", "oscillation_x1"}
     assert all(isinstance(r["kind"], str) and isinstance(r["name"], str) and isinstance(r["value"], float) for r in rows)
-    assert [r["name"] for r in rows if r["kind"] == "isometry"] == sorted(p.name for p in out.glob("faces_*.csv"))
+    names = [r["name"] for r in rows if r["kind"] == "isometry"]
+    assert names == sorted(p.name for p in out.glob("faces_*.csv"))
+    assert len(names) == (11 if fine else 3)
 
 
 def test_cli_macro_requires_tensors(tmp_path):
@@ -414,45 +436,58 @@ def test_cli_macro_rejects_nan_tensors(tmp_path):
     assert not (out / "macro_series.csv").exists()
 
 
-def test_cli_macro_takes_tensors_only_from_the_configured_cell(tmp_path):
+@pytest.mark.parametrize(
+    "own, other, cells",
+    [
+        ("[geometry]\nn = 16\nhole_side = 0.25\nhole_center = 0.375, 0.625\n", "[geometry]\nn = 16\nhole_side = 0.5\n",
+         ["UnitCell(n=16, hole_side=0.25, hole_center=(0.375, 0.625))", "UnitCell(n=16, hole_side=0.5, hole_center=(0.5, 0.5))"]),
+        ("", "[geometry]\nhole_side = 0.25\n",
+         ["UnitCell(n=8, hole_side=0.5, hole_center=(0.5, 0.5))", "UnitCell(n=8, hole_side=0.25, hole_center=(0.5, 0.5))"]),
+    ],
+    ids=["off-centre", "default"],
+)
+def test_cli_macro_takes_tensors_only_from_the_configured_cell(tmp_path, own, other, cells):
     # S and K come from the file, the storage factor |Gamma|/|Y| from [geometry]
-    own = tmp_path / "own.ini"
-    own.write_text("[geometry]\nn = 16\nhole_side = 0.25\nhole_center = 0.375, 0.625\n[macro]\nt_end = 0.1\n")
-    other = tmp_path / "other.ini"
-    other.write_text(own.read_text().replace("hole_side = 0.25", "hole_side = 0.5").replace("0.375, 0.625", "0.5, 0.5"))
     tensors = tmp_path / "cell" / "effective_tensors.csv"
-    assert main(["cell", "--config", str(own), "--out", str(tensors.parent), "--quiet"]) == 0
+    for name, text in (("own", own), ("other", other)):
+        (tmp_path / f"{name}.ini").write_text(text)
+    assert main(["cell", "--config", str(tmp_path / "own.ini"), "--out", str(tensors.parent), "--quiet"]) == 0
     out = tmp_path / "other"
-    assert main(["macro", "--config", str(other), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 2
+    assert main(["macro", "--config", str(tmp_path / "other.ini"), "--out", str(out), "--quiet",
+                 "--tensors", str(tensors)]) == 2
     record = (out / "error_record.txt").read_text()
     assert "kind = config" in record
-    assert "UnitCell(n=16, hole_side=0.25, hole_center=(0.375, 0.625))" in record
-    assert "UnitCell(n=16, hole_side=0.5, hole_center=(0.5, 0.5))" in record
+    assert all(cell in record for cell in cells)
     assert not (out / "macro_series.csv").exists()
+    (tmp_path / "own.ini").write_text(own + "[macro]\nt_end = 0.1\n")
     out = tmp_path / "own"
-    assert main(["macro", "--config", str(own), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 0
+    assert main(["macro", "--config", str(tmp_path / "own.ini"), "--out", str(out), "--quiet",
+                 "--tensors", str(tensors)]) == 0
     assert (out / "macro_series.csv").exists()
 
 
-def test_cli_macro_takes_tensors_only_from_the_configured_diffusivity(tmp_path):
+@pytest.mark.parametrize(
+    "cell_d, macro_d", [("2.0", "1.0"), ("1.0", "2.0")], ids=["faster-tensors", "faster-config"],
+)
+def test_cli_macro_takes_tensors_only_from_the_configured_diffusivity(tmp_path, cell_d, macro_d):
     # S includes D: tensors of the same cell at another diffusivity are not
     # this run's
-    base = "[geometry]\nn = 8\n[macro]\nt_end = 0.1\n"
-    faster = tmp_path / "faster.ini"
-    faster.write_text(base + "[micro]\ndiffusivity = 2.0\n")
-    default = tmp_path / "default.ini"
-    default.write_text(base)
     tensors = tmp_path / "cell" / "effective_tensors.csv"
-    assert main(["cell", "--config", str(faster), "--out", str(tensors.parent), "--quiet"]) == 0
-    out = tmp_path / "default"
-    assert main(["macro", "--config", str(default), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 2
+    for name, d in (("cell", cell_d), ("macro", macro_d)):
+        (tmp_path / f"{name}.ini").write_text(f"[micro]\ndiffusivity = {d}\n")
+    assert main(["cell", "--config", str(tmp_path / "cell.ini"), "--out", str(tensors.parent), "--quiet"]) == 0
+    out = tmp_path / "macro"
+    assert main(["macro", "--config", str(tmp_path / "macro.ini"), "--out", str(out), "--quiet",
+                 "--tensors", str(tensors)]) == 2
     record = (out / "error_record.txt").read_text()
     assert "kind = config" in record
-    assert "with D = 2.0, not of the configured" in record
-    assert "[micro] diffusivity = 1.0" in record
+    assert f"with D = {cell_d}, not of the configured" in record
+    assert f"[micro] diffusivity = {macro_d}" in record
     assert not (out / "macro_series.csv").exists()
-    out = tmp_path / "faster"
-    assert main(["macro", "--config", str(faster), "--out", str(out), "--quiet", "--tensors", str(tensors)]) == 0
+    (tmp_path / "cell.ini").write_text(f"[micro]\ndiffusivity = {cell_d}\n[macro]\nt_end = 0.1\n")
+    out = tmp_path / "own"
+    assert main(["macro", "--config", str(tmp_path / "cell.ini"), "--out", str(out), "--quiet",
+                 "--tensors", str(tensors)]) == 0
     assert (out / "macro_series.csv").exists()
 
 
@@ -472,43 +507,45 @@ def test_cli_unknown_subcommand():
         main(["transmogrify", "--config", "x"])
 
 
-def test_cli_bad_config_exit_code(tmp_path):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[geometry]\neps = 0.3\n")
-    out = tmp_path / "o"
-    assert main(["cell", "--config", str(bad), "--out", str(out), "--quiet"]) == 2
-    record = (out / "error_record.txt").read_text()
-    assert "kind = config" in record and "1/eps" in record
+# commands that exit with an error record: the exit status, and a substring
+# of the record's message
+CLI_ERRORS = [
+    ("cell", "[geometry]\nhole_side = 0.3\n", 2, "perforation is off-grid"),
+    ("cell", "[geometry]\nn = 0\n", 2, "resolution n must be a positive integer"),
+    ("cell", "[geometry]\nhole_side = 0\n", 2, "hole_side"),
+    ("micro", "[geometry]\nhole_side = 0\n", 2, "hole_side"),
+    ("macro", "[geometry]\nhole_side = 0\n", 2, "hole_side"),
+    ("converge", "[geometry]\nhole_side = 0\n", 2, "hole_side"),
+    ("unfold", "[geometry]\nhole_side = 0\n", 2, "hole_side"),
+    ("micro", "[kinetics]\nu_solubility = -1\n", 2, "need u_sol > u_onset"),
+    # a key of the removed regularized resolution, with the data it stalled on
+    ("micro", "[kinetics]\nrate_constant = 20\nresolution_mode = regularized\n"
+              "[micro]\nu_init = constant:0.9\nv_init = constant:1.0\ndt = 0.01\nt_end = 0.1\n", 2,
+     "unknown key 'resolution_mode'"),
+    ("micro", "[micro]\ndt = abc\n", 2, "[micro] dt must be a finite number"),
+    ("cell", "[geometry]\ndim = x\n", 2, "unknown key 'dim'"),
+    ("micro", "[micro]\nu_init = constant:abc\n", 2, "[micro] u_init must be a finite number"),
+    ("micro", "[micro]\noutput_every = 0\n", 2, "[micro] output_every must be at least 1"),
+    ("cell", "[geometry]\neps = 0\n", 2, "1/eps must be a positive integer"),
+    ("cell", "[geometry]\neps = 0.3\n", 2, "1/eps must be a positive integer"),
+    ("cell", "[tolerances]\nspd = 1e-30\n", 2, "unknown key 'spd'"),
+    # added the left column's half-cell weight twice
+    ("micro", "[geometry]\ndirichlet_edges = left, left\n", 2, "edge 'left' is named twice in dirichlet_edges"),
+    # wrote an unfold report without oscillation rows
+    ("unfold", "[sweep]\neps_list =\n", 2, "[sweep] eps_list is empty"),
+]
 
 
-@pytest.mark.parametrize(
-    "command, text, code",
-    [
-        ("cell", "[geometry]\nhole_side = 0.3\n", 2),
-        ("cell", "[geometry]\nn = 0\n", 2),
-        ("cell", "[geometry]\nhole_side = 0\n", 2),
-        ("micro", "[geometry]\nhole_side = 0\n", 2),
-        ("macro", "[geometry]\nhole_side = 0\n", 2),
-        ("converge", "[geometry]\nhole_side = 0\n", 2),
-        ("unfold", "[geometry]\nhole_side = 0\n", 2),
-        ("micro", "[kinetics]\nu_solubility = -1\n", 2),
-        ("micro", "[kinetics]\nresolution_mode = foo\n", 2),
-        ("micro", "[micro]\ndt = abc\n", 2),
-        ("cell", "[geometry]\ndim = x\n", 2),
-        ("micro", "[micro]\nu_init = constant:abc\n", 2),
-        ("micro", "[micro]\noutput_every = 0\n", 2),
-        ("cell", "[geometry]\neps = 0\n", 2),
-        ("cell", "[tolerances]\nspd = 1e-30\n", 2),
-    ],
-    ids=lambda v: v.strip().replace("\n", ":") if isinstance(v, str) else None,
-)
-def test_cli_errors_exit_with_a_record(tmp_path, command, text, code):
+@pytest.mark.parametrize("command, text, code, message", CLI_ERRORS,
+                         ids=[f"{c}-{t.strip()}-{code}".replace("\n", ":") for c, t, code, _ in CLI_ERRORS])
+def test_cli_errors_exit_with_a_record(tmp_path, command, text, code, message):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == code
     kind = "config" if code == 2 else "runtime"
-    assert f"kind = {kind}" in (out / "error_record.txt").read_text()
+    record = (out / "error_record.txt").read_text()
+    assert f"kind = {kind}" in record and message in record
 
 
 # inputs that parse_config must reject, each with its message: every one of
@@ -532,6 +569,14 @@ PARSE_ERRORS = [
     ("[micro]\nt_end = 1e300\ndt = 1e-300\n", "not a multiple of dt"),  # t_end / dt overflows
     ("[micro]\ndirichlet_value = -0.5\n", "dirichlet_value must be nonnegative"),
     ("[micro]\ndiffusivity = -1\n", "diffusivity must be positive"),
+    # added the left column's half-cell weight twice
+    ("[geometry]\ndirichlet_edges = left, left\n", "^edge 'left' is named twice in dirichlet_edges$"),
+    ("[sweep]\neps_list =\n", "^\\[sweep\\] eps_list is empty"),  # a sweep of nothing
+    ("[output]\ndump_fields = maybe\n", "^\\[output\\] dump_fields must be a boolean"),
+    # each parsed as 0
+    ("[micro]\nu_init = constant\n", "^\\[micro\\] u_init: initial profile 'constant' has no value"),
+    ("[macro]\nv_init = constant:\n", "^\\[macro\\] v_init: initial profile 'constant:' has no value"),
+    ("[micro]\nv_init = bump\n", "^\\[micro\\] v_init: initial profile 'bump' has no value"),
 ]
 
 
@@ -679,6 +724,8 @@ def test_cli_rejects_initial_data_before_any_work(tmp_path):
         # only converge runs the sweep, so only converge checks its order
         ("[sweep]\neps_list = 0.125, 0.25\n", "sweep eps_list must be strictly decreasing"),
         ("[sweep]\neps_list = 0.25, 0.25\n", "sweep eps_list must be strictly decreasing"),
+        # solved the cell problems and the macro run for a header-only report
+        ("[sweep]\neps_list =\n", "[sweep] eps_list is empty"),
     ],
     ids=lambda v: v.strip().replace("\n", ":"),
 )
@@ -991,17 +1038,26 @@ def test_cli_writes_the_files_of_the_stored_run(tmp_path, command):
     assert written == {name for name in want if "_0" in name}
 
 
-def test_cli_macro_step_rate_does_not_grow_over_equal_gaps(tmp_path):
+_REACT = "u_init = constant:0.9\nv_init = constant:0.5\n"
+_REACTING_RUN = _REACT + "t_end = 0.1\n"
+_REACTING = _flow(_REACTING_RUN, _REACTING_RUN)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [MINIMAL + f"[micro]\n{_REACT}[macro]\n{_REACT}",
+                                  f"[macro]\nvelocity_mode = darcy\n{_REACT}"], ids=["no-flow", "darcy"])
+def test_cli_macro_step_rate_does_not_grow_over_equal_gaps(tmp_path, capfd, text):
     # a precipitate that dissolves throughout the run, with the solute near
     # solubility, stored every 0.1: the L1 step rate of the solute alone
     # grew 0.072 -> 0.237 over these equal gaps (largest ratio 1.764); that
-    # of the contraction functional, solute plus weighted precipitate, falls
+    # of the contraction functional, solute plus weighted precipitate, falls,
+    # with or without flow, and the runs write nothing on stderr
     cfg = tmp_path / "run.ini"
-    react = "u_init = constant:0.9\nv_init = constant:0.5\n"
-    cfg.write_text(MINIMAL + f"[micro]\n{react}[macro]\n{react}")
+    cfg.write_text(text)
     out = tmp_path / "out"
     for command in ("cell", "macro"):
         assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capfd.readouterr().err == ""
     rows = read_csv(out / "macro_series.csv")[1]
     assert np.allclose(np.diff([row["t"] for row in rows]), 0.1, rtol=1e-12)
     rates = [row["l1_step_rate"] for row in rows]
@@ -1020,8 +1076,7 @@ def test_cli_reacting_newton_cg_stops_within_the_newton_allowance(tmp_path, monk
     # here differs from it by round-off, measured up to 3.2 eps times
     # sum|b| + sum|A x|, which the sum is allowed on top
     cfg = tmp_path / "run.ini"
-    react = "u_init = constant:0.9\nv_init = constant:0.5\nt_end = 0.1\n"
-    cfg.write_text(MINIMAL + f"[micro]\nvelocity_mode = reconstructed\n{react}[macro]\nvelocity_mode = darcy\n{react}")
+    cfg.write_text(MINIMAL + _REACTING)
     newton_tol = parse_config(str(cfg)).micro.newton_tol
     scales, calls = [], []
     for module in (micro_sim, macro_sim):
@@ -1094,3 +1149,97 @@ def test_cli_rejects_a_grid_past_the_budget(tmp_path):
     record = (out / "error_record.txt").read_text()
     assert "kind = config" in record and "[geometry] n" in record
     assert not (out / "effective_tensors.csv").exists()
+
+
+# the primary artifact of each subcommand that runs
+_ARTIFACTS = {"cell": "effective_tensors.csv", "micro": "micro_series.csv", "macro": "macro_series.csv",
+              "converge": "convergence_report.csv"}
+_ALL_COMMANDS = ("cell", "micro", "converge", "macro")
+# configs whose runs must exit 0 with nothing written to file descriptor 2,
+# the one C libraries write to, and every warning raised as an error: run
+# as `python -m porechem`, a RuntimeWarning is what -W error::RuntimeWarning
+# stops on and any other warning would reach stderr
+WARNING_FREE = [
+    ("default", "", _ALL_COMMANDS),
+    ("flow", _flow("t_end = 0.1\n", "t_end = 0.1\n"), _ALL_COMMANDS),
+    # most steps of the default config are one direct solve, since its
+    # precipitate is gone after five; a precipitate that dissolves
+    # throughout the run, with the solute near solubility, takes CG on every
+    # Newton step (30 CG calls in the micro run alone)
+    ("reacting", _REACTING, _ALL_COMMANDS),
+    # initial data above 1, which needed [micro] m0 and [macro] m0 set
+    ("high", "[micro]\nu_init = constant:1.5\n[macro]\nu_init = constant:1.5\n", ("cell", "micro", "macro")),
+    # a diagonal flow at outflow CFL number 0.71, within the bound
+    ("diagonal", "[micro]\nvelocity_mode = reconstructed\npressure_gradient = -30, -30\ndiffusivity = 0.01\n"
+                 "u_init = bump:1.0\n", ("micro",)),
+    ("macro-512", "[macro]\nresolution = 512\nt_end = 0.05\n", ("cell", "macro")),  # the largest grid the budget admits
+    ("off-centre", "[geometry]\nn = 16\nhole_side = 0.25\nhole_center = 0.375, 0.625\n", ("cell",)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, commands", [w[1:] for w in WARNING_FREE], ids=[w[0] for w in WARNING_FREE])
+def test_cli_commands_run_warning_free(tmp_path, capfd, text, commands):
+    # each command in its own output directory, macro on the tensors of cell
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    for command in commands:
+        out = tmp_path / command
+        tensors = ["--tensors", str(tmp_path / "cell" / "effective_tensors.csv")] if command == "macro" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet", *tensors]) == 0
+        assert capfd.readouterr() == ("", ""), command
+        assert (out / _ARTIFACTS[command]).stat().st_size > 0
+    if "cell" in commands:
+        # the S and K certificates at round-off, and the corrector backward
+        # errors (4e-17 at any n)
+        row = read_csv(tmp_path / "cell" / "effective_tensors.csv")[1][0]
+        assert max(row["s_quad_err"], row["k_grad_err"]) <= 1e-10
+        assert max(row["xi_res_1"], row["xi_res_2"]) <= 1e-14
+
+
+def _subprocess_env(**variables):
+    """The environment of a fresh interpreter that imports this porechem."""
+    return dict(os.environ, PYTHONPATH=str(Path(porechem.__file__).resolve().parents[1]), **variables)
+
+
+def test_python_m_porechem_exits_with_the_status_of_main(tmp_path):
+    # the process entry point: an empty config runs, a grain off the grid is
+    # a config error with its record (both processes at once)
+    runs = []
+    for name, text in (("ok", ""), ("bad", "[geometry]\nhole_side = 0.3\n")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        argv = [sys.executable, "-m", "porechem", "cell", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"]
+        runs.append(subprocess.Popen(argv, env=_subprocess_env(), stderr=subprocess.DEVNULL))
+    assert [run.wait() for run in runs] == [0, 2]
+    assert (tmp_path / "ok" / "effective_tensors.csv").stat().st_size > 0
+    assert "kind = config" in (tmp_path / "bad" / "error_record.txt").read_text()
+
+
+def test_transport_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # cg reduced with BLAS ddot and dnrm2, which split their sums across
+    # threads: under 1 and 2 threads the default converge wrote eps = 1/16
+    # rows ending ...2144 and ...2129, and the reacting Darcy macro run
+    # wrote 3 files that differed.  cell at n >= 128 still depends on the
+    # count
+    (tmp_path / "default.ini").write_text("")
+    (tmp_path / "react.ini").write_text(
+        f"[macro]\nvelocity_mode = darcy\nresolution = 128\n{_REACTING_RUN}")
+    runs = [("converge", "default"), ("cell", "react"), ("macro", "react")]
+    code = "import json, sys; from porechem.cli import main; sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))"
+    processes = []  # both at once
+    for threads in ("1", "2"):
+        argvs = [[command, "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / threads / name), "--quiet"]
+                 for command, name in runs]
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        processes.append(subprocess.Popen([sys.executable, "-c", code, json.dumps(argvs)], env=env))
+    assert [process.wait() for process in processes] == [0, 0]
+
+    def data_files(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file() and p.name != "run_manifest.txt")
+
+    names = data_files(tmp_path / "1")
+    assert names == data_files(tmp_path / "2")
+    assert {"default/convergence_report.csv", "react/macro_series.csv"} <= set(names)
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

@@ -194,8 +194,10 @@ def test_sweep_single_eps(cell):
 def test_sweep_requires_decreasing(cell):
     micro_cfg = MicroConfig(dt=0.01, t_end=0.1, dirichlet_edges=())
     macro_cfg = MacroConfig(dt=0.01, t_end=0.1, dirichlet_edges=(), resolution_cells=16)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="strictly decreasing"):
         sweep(cell, [0.25, 0.5], micro_cfg, macro_cfg, S_ISO)
+    with pytest.raises(ConfigError, match="sweep eps_list is empty"):  # ran the macro problem for no report row
+        sweep(cell, [], micro_cfg, macro_cfg, S_ISO)
 
 
 def test_sweep_checks_macro_resolution_before_running(cell, monkeypatch):

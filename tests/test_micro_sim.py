@@ -294,6 +294,8 @@ def test_config_validation(grid):
         MicroConfig(dt=0.01, t_end=1.0, velocity_mode="warp")
     with pytest.raises(ConfigError):
         MicroConfig(dt=0.01, t_end=1.0, dirichlet_edges=("north",))
+    with pytest.raises(ConfigError, match="edge 'left' is named twice"):
+        MicroConfig(dt=0.01, t_end=1.0, dirichlet_edges=("left", "left"))
     with pytest.raises(ConfigError):
         # kinetic bound: dt * k * L_r > 1
         MicroConfig(dt=1.0, t_end=2.0, rate_law=RateLaw(k=5.0))
